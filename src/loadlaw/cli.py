@@ -9,6 +9,7 @@ point of the command).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from ._version import __version__
@@ -212,14 +213,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         inputs["profile"] = args.profile
     report = diagnose_series(series, profile, config=_config_from(args), inputs=inputs)
 
+    # serialized once: stdout and --out carry the same bytes
+    report_json = report.to_json() if args.format == "json" or args.out else None
     if args.format == "json":
-        print(report.to_json())
+        print(report_json)
     else:
         _print_diagnose_text(report)
     try:
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(report.to_json() + "\n")
+                fh.write(report_json + "\n")
         if args.plot_csv:
             _write_plot_csv(args.plot_csv, series, profile, report)
         if args.combined_csv:
@@ -270,7 +273,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
         print(f"loadlaw: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     if args.format == "json":
-        print(f'{{"x_bar": {x_bar!r}, "window": [{window[0]!r}, {window[1]!r}]}}')
+        print(json.dumps({"x_bar": x_bar, "window": list(window)}))
     else:
         print(f"x_bar:  {x_bar:g}")
         print(f"window: ({window[0]:g}, {window[1]:g})")

@@ -145,14 +145,12 @@ class SeriesFormat:
 
 
 def _as_text(raw) -> str:
+    if not isinstance(raw, (bytes, str)):
+        raw = raw.read()
     if isinstance(raw, bytes):
-        return raw.decode("utf-8")
-    if isinstance(raw, str):
-        return raw
-    data = raw.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+        # utf-8-sig drops the byte-order mark that Excel and PowerShell exports start with
+        return raw.decode("utf-8-sig")
+    return raw
 
 
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from loadlaw import solve_reference
+from loadlaw import Report, solve_reference
 from loadlaw.cli import main
 
 from .conftest import CAPPED_POOL_ROWS, three_stage_profile
@@ -174,6 +174,30 @@ class TestDiagnose:
         doc = json.loads(out.read_text())
         assert list(doc.keys()) == ["version", "inputs", "bounds", "knee", "audit",
                                     "findings", "verdict"]
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_text_format_writes_json_report_to_file(self, capsys, tmp_path, capped_csv,
+                                                     profile_path):
+        out = tmp_path / "report.json"
+        argv = ["diagnose", capped_csv, "--profile", profile_path, "--no-fail"]
+        assert main(argv + ["--format", "text", "--out", str(out)]) == 0
+        assert "verdict: broken" in capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_serialized_once(self, monkeypatch, capsys, tmp_path, capped_csv, fmt):
+        calls = []
+        to_json = Report.to_json
+
+        def counting_to_json(self, *args, **kwargs):
+            calls.append(args)
+            return to_json(self, *args, **kwargs)
+
+        monkeypatch.setattr(Report, "to_json", counting_to_json)
+        main(["diagnose", capped_csv, "--no-fail", "--format", fmt,
+              "--out", str(tmp_path / "report.json")])
+        assert len(calls) == 1
 
     def test_plot_and_combined_csv(self, capsys, tmp_path, capped_csv, profile_path):
         plot = tmp_path / "plot.csv"
@@ -235,8 +259,7 @@ class TestSteady:
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x_inst\n" + "".join(f"{t},42\n" for t in range(0, 11)))
         assert main(["steady", str(trace), "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["x_bar"] == pytest.approx(42.0)
+        assert capsys.readouterr().out == '{"x_bar": 42.0, "window": [3.0, 10.0]}\n'
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
@@ -168,6 +170,20 @@ class TestParseTrace:
     def test_missing_column(self):
         with pytest.raises(ParseError, match="x_inst"):
             parse_trace("t,x\n0,10\n")
+
+
+UTF8_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("parse, raw", [
+    (parse_series, b"n,x,r\n10,99,0.1\n20,150,0.13\n"),
+    (parse_trace, b"t,x_inst\n0,10\n1,12\n"),
+    (parse_profile, b'{"stages":[{"label":"a","service_time":1}],"think_time":0,"time_unit":"s"}'),
+], ids=["series", "trace", "profile"])
+@pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary-file"])
+def test_leading_utf8_bom_is_ignored(parse, raw, wrap):
+    """Excel and PowerShell exports start with a byte-order mark."""
+    assert parse(wrap(UTF8_BOM + raw)) == parse(raw)
 
 
 class TestSteadyStateAverage:
