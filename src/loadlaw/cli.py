@@ -9,6 +9,7 @@ point of the command).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it costs more than a small job."""
     parser = _Parser(prog="loadlaw",
                      description="Operational-law diagnostics for closed-loop load tests.")
     parser.add_argument("--version", action="version", version=f"loadlaw {__version__}")
@@ -259,8 +263,8 @@ def _write_combined_csv(path: str, series) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {COMBINED_PLOT_CAVEAT}\n")
         fh.write("x,r,n\n")
-        for p in series.points:
-            fh.write(f"{p.x!r},{p.r!r},{p.n}\n")
+        for n, x, r in zip(series.n.tolist(), series.x.tolist(), series.r.tolist()):
+            fh.write(f"{x!r},{r!r},{n}\n")
 
 
 def cmd_steady(args: argparse.Namespace) -> int:

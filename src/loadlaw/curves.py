@@ -113,18 +113,21 @@ class CanonicalCurves:
         pass something else to mimic a harness whose declared pacing does
         not match what it actually did, or None for no declared pacing.
         """
-        from .ingest import LoadPoint, LoadSeries
+        from .ingest import LoadSeries
 
         if configured_think_time is _PROFILE_Z:
             configured_think_time = self.profile.think_time
         if ns is None:
-            ns = range(1, len(self.n) + 1)
-        points = []
-        for n in ns:
-            row = self.row(int(n))
-            points.append(LoadPoint(n=row.n, x=row.x, r=row.r))
-        return LoadSeries(points=tuple(points), configured_think_time=configured_think_time,
-                          source_label=source_label)
+            rows = slice(None)
+        else:
+            rows = np.array([int(n) for n in ns], dtype=np.int64)
+            outside = (rows < 1) | (rows > len(self.n))
+            if outside.any():
+                self.row(int(rows[outside.argmax()]))  # raises the out-of-range IndexError
+            rows -= 1
+        return LoadSeries.from_arrays(self.n[rows], self.x[rows], self.r[rows],
+                                      configured_think_time=configured_think_time,
+                                      source_label=source_label)
 
 
 def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:

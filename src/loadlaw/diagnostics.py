@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +78,41 @@ class AuditRow:
                    n_run=n_run, n_idle=point.n - n_run)
 
 
+AUDIT_FIELDS = tuple(f.name for f in fields(AuditRow))
+
+
+@dataclass(frozen=True, eq=False)
+class Audit(Sequence):
+    """The Little's-law reconstruction of a whole series, one column per
+    AuditRow field; indexing and iteration build AuditRows on demand."""
+
+    n_was: np.ndarray
+    x_was: np.ndarray
+    r_was: np.ndarray
+    n_run: np.ndarray
+    n_idle: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in AUDIT_FIELDS)
+
+    def __len__(self) -> int:
+        return len(self.n_was)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return AuditRow(int(self.n_was[i]), *(float(c[i]) for c in self.columns[1:]))
+
+    def __iter__(self):
+        return map(AuditRow, *(c.tolist() for c in self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Audit):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+
+
 @dataclass(frozen=True)
 class KneeEstimate:
     """Bottleneck service time, response floor and optimal load.
@@ -107,12 +143,21 @@ class GrowthFit:
     note: str = ""
 
 
-def audit_littles_law(series: LoadSeries) -> list[AuditRow]:
-    """One AuditRow per load point, in series order; r must be seconds."""
-    return [AuditRow.from_point(p) for p in series.points]
+def audit_littles_law(series: LoadSeries) -> Audit:
+    """The audit of every load point, in series order, as an Audit of
+    columns (one AuditRow per item); r must be seconds."""
+    with np.errstate(over="ignore"):  # x*r overflows to inf, as Python floats do
+        n_run = series.x * series.r
+    return Audit(n_was=series.n, x_was=series.x, r_was=series.r, n_run=n_run,
+                 n_idle=series.n - n_run)
 
 
-def detect_thread_throttling(rows: list[AuditRow], plateau_tol: float = 0.05,
+def post_knee(series: LoadSeries, knee: KneeEstimate) -> np.ndarray:
+    """Mask of the points beyond the knee, where response climbs at S_max."""
+    return series.n > knee.n_opt_hat
+
+
+def detect_thread_throttling(rows: Sequence[AuditRow], plateau_tol: float = 0.05,
                              span_factor: float = 1.5) -> Finding | None:
     """Flag a load generator whose running-thread count has hit a cap.
 
@@ -121,45 +166,47 @@ def detect_thread_throttling(rows: list[AuditRow], plateau_tol: float = 0.05,
     at least ``span_factor`` across that suffix while n_run stands still,
     the extra configured clients exist only as idle pool threads and the
     measurements above the cap describe the harness, not the system.
+    ``rows`` is an Audit or any sequence of AuditRows.
     """
     if len(rows) < 3:
         return None
-    # longest suffix with (max - min) / min < plateau_tol; spread can only
-    # grow as the suffix extends, so scan backwards until it breaks
-    mx = mn = rows[-1].n_run
-    start = len(rows) - 1
-    for i in range(len(rows) - 2, -1, -1):
-        v = rows[i].n_run
-        hi = max(mx, v)
-        lo = min(mn, v)
-        if lo < 0 or (lo == 0 and hi > 0):
-            break
-        if hi > 0 and (hi - lo) / lo >= plateau_tol:
-            break
-        mx, mn = hi, lo
-        start = i
-    plateau = rows[start:]
-    if len(plateau) < 2:
+    if isinstance(rows, Audit):
+        n_was, n_run = rows.n_was, rows.n_run
+    else:
+        n_was = np.array([row.n_was for row in rows], dtype=np.int64)
+        n_run = np.array([row.n_run for row in rows], dtype=np.float64)
+    # longest suffix with (max - min) / min < plateau_tol: the suffix from
+    # i has the running max and min of n_run[i:], and the first i (from
+    # the end) whose suffix breaks the rule ends the scan
+    hi = np.maximum.accumulate(n_run[::-1])[::-1]
+    lo = np.minimum.accumulate(n_run[::-1])[::-1]
+    with np.errstate(all="ignore"):  # the ratio counts only where lo > 0
+        breaks = (lo < 0) | ((lo == 0) & (hi > 0)) | ((hi > 0) & ((hi - lo) / lo >= plateau_tol))
+    start = len(breaks) - int(breaks[::-1].argmax()) if breaks.any() else 0
+    if len(n_run) - start < 2:
         return None
-    span = plateau[-1].n_was / plateau[0].n_was
+    plateau = n_was[start:].tolist()
+    span = plateau[-1] / plateau[0]
     if span < span_factor:
         return None
-    level = sum(r.n_run for r in plateau) / len(plateau)
+    # summed left to right in Python, as the evidence has always been
+    level = sum(n_run[start:].tolist()) / len(plateau)
+    mx, mn = float(hi[start]), float(lo[start])
     spread = (mx - mn) / mn if mn > 0 else 0.0
     return Finding(
         detector=THREAD_THROTTLING,
         severity=CRITICAL,
         message=(f"running-client count (x*r) plateaus near {level:.1f} while the configured "
-                 f"load grows {span:.2g}x from {plateau[0].n_was} to {plateau[-1].n_was}; "
+                 f"load grows {span:.2g}x from {plateau[0]} to {plateau[-1]}; "
                  f"the remaining clients sit idle in the generator's pool, so points beyond "
                  f"the plateau measure the harness cap, not the system"),
         evidence={
             "plateau_n_run": level,
             "plateau_spread": spread,
             "n_was_span": span,
-            "plateau_start_n": float(plateau[0].n_was),
+            "plateau_start_n": float(plateau[0]),
         },
-        affected_points=tuple(r.n_was for r in plateau),
+        affected_points=tuple(plateau),
     )
 
 
@@ -184,11 +231,14 @@ def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Fin
     z_conf = series.configured_think_time
     if z_conf is None or z_conf <= 0:
         return None
-    usable = [p for p in series.points if p.x > 0]
-    if not usable:
+    usable = series.x > 0
+    if not usable.any():
         return None
-    z_effs = [effective_think_time(p) for p in usable]
-    med = statistics.median(z_effs)
+    n = series.n[usable]
+    with np.errstate(over="ignore"):  # effective_think_time per point
+        z_effs = n / series.x[usable] - series.r[usable]
+    # statistics.median, not np.median: the evidence keeps its exact bits
+    med = statistics.median(z_effs.tolist())
     deviation = abs(med - z_conf) / z_conf
     if deviation <= rel_tol:
         return None
@@ -205,9 +255,9 @@ def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Fin
             "configured_think_time": float(z_conf),
             "median_effective_think_time": float(med),
             "relative_deviation": float(deviation),
-            "points_skipped_zero_x": float(len(series.points) - len(usable)),
+            "points_skipped_zero_x": float(len(series.n) - len(n)),
         },
-        affected_points=tuple(p.n for p in usable),
+        affected_points=tuple(n.tolist()),
     )
 
 
@@ -257,13 +307,13 @@ def estimate_knee(series: LoadSeries, profile: ServiceProfile | None = None) -> 
             n_opt_hat=compute_n_opt(profile),
             basis="profile",
         )
-    if len(series.points) < 2:
+    if len(series.n) < 2:
         raise ValueError("need at least 2 points to estimate the knee from data")
-    x_peak = max(p.x for p in series.points)
+    x_peak = float(series.x.max())
     if x_peak <= 0:
         raise ValueError("cannot estimate the knee: every point has zero throughput")
     s_max_hat = 1.0 / x_peak
-    r_min_hat = series.points[0].r
+    r_min_hat = float(series.r[0])
     z = series.configured_think_time or 0.0
     return KneeEstimate(
         s_max_hat=s_max_hat,
@@ -281,26 +331,25 @@ def detect_retrograde(series: LoadSeries, rel_tol: float = 0.02) -> list[Finding
     behavior past saturation.
     """
     findings: list[Finding] = []
-    if len(series.points) < 2:
-        return findings
-    running_max = series.points[0].x
-    for p in series.points[1:]:
-        if p.x < (1.0 - rel_tol) * running_max:
-            drop = 1.0 - p.x / running_max if running_max > 0 else 0.0
-            findings.append(Finding(
-                detector=RETROGRADE_THROUGHPUT,
-                severity=WARNING,
-                message=(f"throughput at n={p.n} fell {drop:.1%} below the running maximum "
-                         f"{running_max:g}/s; throughput decreasing as load grows marks "
-                         f"retrograde behavior beyond saturation"),
-                evidence={
-                    "x": float(p.x),
-                    "running_max": float(running_max),
-                    "drop_fraction": float(drop),
-                },
-                affected_points=(p.n,),
-            ))
-        running_max = max(running_max, p.x)
+    # the best rate seen before each point
+    running = np.maximum.accumulate(series.x)[:-1]
+    dropped = np.flatnonzero(series.x[1:] < (1.0 - rel_tol) * running) + 1
+    for n, x, running_max in zip(series.n[dropped].tolist(), series.x[dropped].tolist(),
+                                 running[dropped - 1].tolist()):
+        drop = 1.0 - x / running_max if running_max > 0 else 0.0
+        findings.append(Finding(
+            detector=RETROGRADE_THROUGHPUT,
+            severity=WARNING,
+            message=(f"throughput at n={n} fell {drop:.1%} below the running maximum "
+                     f"{running_max:g}/s; throughput decreasing as load grows marks "
+                     f"retrograde behavior beyond saturation"),
+            evidence={
+                "x": x,
+                "running_max": running_max,
+                "drop_fraction": float(drop),
+            },
+            affected_points=(n,),
+        ))
     return findings
 
 
@@ -314,12 +363,11 @@ def detect_response_flattening(series: LoadSeries, knee: KneeEstimate,
     response above saturation signals a throttled or broken harness,
     not good scalability.
     """
-    post = [p for p in series.points if p.n > knee.n_opt_hat]
-    if len(post) < 2:
+    post = post_knee(series, knee)
+    ns = series.n[post]
+    if len(ns) < 2:
         return None
-    ns = np.array([p.n for p in post], dtype=float)
-    rs = np.array([p.r for p in post], dtype=float)
-    slope = float(np.polyfit(ns, rs, 1)[0])
+    slope = float(np.polyfit(ns.astype(np.float64), series.r[post], 1)[0])
     expected = knee.s_max_hat
     if slope >= slope_fraction * expected:
         return None
@@ -336,7 +384,7 @@ def detect_response_flattening(series: LoadSeries, knee: KneeEstimate,
             "slope_ratio": float(slope / expected) if expected > 0 else 0.0,
             "n_opt_hat": float(knee.n_opt_hat),
         },
-        affected_points=tuple(p.n for p in post),
+        affected_points=tuple(ns.tolist()),
     )
 
 
@@ -352,14 +400,15 @@ def classify_growth(series: LoadSeries, knee: KneeEstimate, min_points: int = 4,
     is "sublinear" (the flattening syndrome); anything else is the
     lawful "linear".
     """
-    post = [p for p in series.points if p.n > knee.n_opt_hat]
-    if len(post) < min_points:
+    post = post_knee(series, knee)
+    count = int(post.sum())
+    if count < min_points:
         return "inconclusive", GrowthFit(
-            n_points=len(post),
-            note=f"only {len(post)} point(s) beyond the knee; need {min_points}")
+            n_points=count,
+            note=f"only {count} point(s) beyond the knee; need {min_points}")
 
-    ns = np.array([p.n for p in post], dtype=float)
-    rs = np.array([p.r for p in post], dtype=float)
+    ns = series.n[post].astype(np.float64)
+    rs = series.r[post]
     b, a = np.polyfit(ns, rs, 1)
     linear_ss = float(np.sum((a + b * ns - rs) ** 2))
 
@@ -377,7 +426,7 @@ def classify_growth(series: LoadSeries, knee: KneeEstimate, min_points: int = 4,
     else:
         note = "nonpositive response times; exponential fit skipped"
 
-    fit = GrowthFit(n_points=len(post), linear_slope=float(b), linear_intercept=float(a),
+    fit = GrowthFit(n_points=count, linear_slope=float(b), linear_intercept=float(a),
                     linear_ss=linear_ss, exp_rate=exp_rate, exp_scale=exp_scale,
                     exp_ss=exp_ss, note=note)
     if exp_ss is not None and exp_rate is not None and exp_ss < 0.5 * linear_ss and exp_rate > 0:

@@ -20,7 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import ServiceProfile, Stage
 
@@ -42,6 +45,11 @@ class InsufficientSteadyStateError(ValueError):
     """Too little of the trace survives the warm-up cut to average."""
 
 
+# the largest load a series holds: past 2**53 float arithmetic on n
+# (n / x, n - x*r, comparisons with the knee) no longer tells counts apart
+MAX_N = 2 ** 53
+
+
 @dataclass(frozen=True)
 class LoadPoint:
     """One measured (N, X, R) triple, R in seconds."""
@@ -55,6 +63,8 @@ class LoadPoint:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be <= 2**53, got {self.n}")
         for name in ("x", "r"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -65,45 +75,139 @@ class LoadPoint:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
+class _Points(Sequence):
+    """A series' points as LoadPoints, built only when indexed or iterated."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series: "LoadSeries"):
+        self._series = series
+
+    def __len__(self) -> int:
+        return len(self._series.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        s = self._series
+        return LoadPoint(int(s.n[i]), float(s.x[i]), float(s.r[i]))
+
+    def __iter__(self):
+        s = self._series
+        return map(LoadPoint, s.n.tolist(), s.x.tolist(), s.r.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Points)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class LoadSeries:
     """A measured load sweep: points strictly increasing in n.
 
-    ``configured_think_time`` is the pacing the harness claims to apply,
-    if any; detectors compare it against what the data implies.
+    Stored as read-only columns: ``n`` (int64), ``x`` and ``r`` (float64,
+    r in seconds). ``points`` views them as LoadPoints for code that
+    wants one object per point. ``configured_think_time`` is the pacing
+    the harness claims to apply, if any; detectors compare it against
+    what the data implies.
     """
 
-    points: tuple[LoadPoint, ...]
-    configured_think_time: float | None = None
-    source_label: str = ""
+    n: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
+    configured_think_time: float | None
+    source_label: str
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        if not points:
+    def __init__(self, points, configured_think_time: float | None = None,
+                 source_label: str = ""):
+        points = tuple(points)
+        self._set_columns(np.array([p.n for p in points], dtype=np.int64),
+                          np.array([p.x for p in points], dtype=np.float64),
+                          np.array([p.r for p in points], dtype=np.float64),
+                          configured_think_time, source_label)
+
+    @classmethod
+    def from_arrays(cls, n, x, r, configured_think_time: float | None = None,
+                    source_label: str = "") -> "LoadSeries":
+        """A series from columns, checked as LoadPoint and LoadSeries check points.
+
+        ``n`` must hold integers; the columns are copied.
+        """
+        n = np.array(n)
+        if n.size and n.dtype.kind not in "iu":
+            raise ValueError(f"n must hold integers, got dtype {n.dtype}")
+        n = n.astype(np.int64)
+        x = np.array(x, dtype=np.float64)
+        r = np.array(r, dtype=np.float64)
+        if not n.shape == x.shape == r.shape or n.ndim != 1:
+            raise ValueError(f"n, x and r must be 1-d and of one length, got shapes "
+                             f"{n.shape}, {x.shape}, {r.shape}")
+        bad = (n < 1) | (n > MAX_N) | ~(np.isfinite(x) & (x >= 0)) | ~(np.isfinite(r) & (r >= 0))
+        if bad.any():
+            i = int(bad.argmax())
+            LoadPoint(int(n[i]), float(x[i]), float(r[i]))  # raises the point's own message
+        series = cls.__new__(cls)
+        series._set_columns(n, x, r, configured_think_time, source_label)
+        return series
+
+    def _set_columns(self, n, x, r, configured_think_time, source_label) -> None:
+        if not len(n):
             raise ValueError("series needs at least one point")
-        for prev, cur in zip(points, points[1:]):
-            if cur.n == prev.n:
-                raise ValueError(f"duplicate load point n={cur.n}")
-            if cur.n < prev.n:
-                raise ValueError("load points must be strictly increasing in n")
-        object.__setattr__(self, "points", points)
-        z = self.configured_think_time
+        steps = np.diff(n)
+        if (steps <= 0).any():
+            i = int((steps <= 0).argmax())
+            raise ValueError(_order_error(int(n[i + 1]), int(n[i])))
+        z = configured_think_time
         if z is not None:
             if isinstance(z, bool) or not isinstance(z, (int, float)) or not math.isfinite(float(z)) or z < 0:
                 raise ValueError(f"configured_think_time must be finite and >= 0, got {z!r}")
-            object.__setattr__(self, "configured_think_time", float(z))
+            z = float(z)
+        for column in (n, x, r):
+            column.flags.writeable = False
+        for name, value in (("n", n), ("x", x), ("r", r), ("configured_think_time", z),
+                            ("source_label", source_label)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def points(self) -> Sequence[LoadPoint]:
+        return _Points(self)
 
     @property
     def ns(self) -> tuple[int, ...]:
-        return tuple(p.n for p in self.points)
+        return tuple(self.n.tolist())
 
     @property
     def xs(self) -> tuple[float, ...]:
-        return tuple(p.x for p in self.points)
+        return tuple(self.x.tolist())
 
     @property
     def rs(self) -> tuple[float, ...]:
-        return tuple(p.r for p in self.points)
+        return tuple(self.r.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, LoadSeries):
+            return NotImplemented
+        return (np.array_equal(self.n, other.n) and np.array_equal(self.x, other.x)
+                and np.array_equal(self.r, other.r)
+                and self.configured_think_time == other.configured_think_time
+                and self.source_label == other.source_label)
+
+    def __hash__(self):
+        return hash((self.ns, self.xs, self.rs, self.configured_think_time, self.source_label))
+
+    def __repr__(self) -> str:
+        return (f"LoadSeries(points={self.points!r}, configured_think_time="
+                f"{self.configured_think_time!r}, source_label={self.source_label!r})")
+
+
+def _order_error(n: int, prev: int) -> str:
+    if n == prev:
+        return f"duplicate load point n={n}"
+    return f"load points must be strictly increasing in n (n={n} after n={prev})"
 
 
 @dataclass(frozen=True)
@@ -153,16 +257,28 @@ def _as_text(raw) -> str:
     return raw
 
 
-def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
-    """Non-comment, non-blank CSV rows with their original line numbers."""
-    rows = []
+def _cells(line: str) -> list[str]:
+    # csv.reader splits a line without quotes exactly where str.split does
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _rows(text: str):
+    """(line number, cells) of each non-comment, non-blank line; cells unstripped."""
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = next(csv.reader([line]))
-        rows.append((lineno, [c.strip() for c in cells]))
-    return rows
+        if stripped and not stripped.startswith("#"):
+            yield lineno, _cells(line)
+
+
+def _header(rows) -> tuple[int, dict[str, int]]:
+    """Line number of the first row and its lowercased column names -> index."""
+    for header_line, cells in rows:
+        return header_line, {name.strip().lower(): i for i, name in enumerate(cells)}
+    raise ParseError("empty file: expected a header row")
+
+
+def _joined(cells: list[str]) -> str:
+    return ",".join(c.strip() for c in cells)
 
 
 def parse_series(raw, fmt: SeriesFormat | None = None, *,
@@ -175,12 +291,8 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
     """
     if fmt is None:
         fmt = SeriesFormat()
-    rows = _csv_rows(_as_text(raw))
-    if not rows:
-        raise ParseError("empty file: expected a header row")
-
-    header_line, header = rows[0]
-    columns = {name.lower(): i for i, name in enumerate(header)}
+    rows = _rows(_as_text(raw))
+    header_line, columns = _header(rows)
 
     def col_index(name: str) -> int:
         if name.lower() not in columns:
@@ -203,68 +315,69 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
         unit = _R_COLUMN_UNITS[present[0]] or fmt.r_unit
     divisor = _UNIT_DIVISOR[unit]
 
-    points: list[LoadPoint] = []
-    for lineno, cells in rows[1:]:
-        width = max(n_idx, x_idx, r_idx)
+    # one pass, checks in LoadPoint's order and then against the previous point
+    width = max(n_idx, x_idx, r_idx)
+    ns: list[int] = []
+    xs: list[float] = []
+    rs: list[float] = []
+    prev = 0
+    for lineno, cells in rows:
         if len(cells) <= width:
             raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
         try:
-            n = int(cells[n_idx])
-            x = float(cells[x_idx])
-            r = float(cells[r_idx])
+            n = int(cells[n_idx].strip())
+            x = float(cells[x_idx].strip())
+            r = float(cells[r_idx].strip()) / divisor
         except ValueError:
-            raise ParseError(f"malformed row: {','.join(cells)!r}", line=lineno) from None
-        try:
-            point = LoadPoint(n=n, x=x, r=r / divisor)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if points:
-            if point.n == points[-1].n:
-                raise ParseError(f"duplicate load point n={point.n}", line=lineno)
-            if point.n < points[-1].n:
-                raise ParseError(f"load points must be strictly increasing in n "
-                                 f"(n={point.n} after n={points[-1].n})", line=lineno)
-        points.append(point)
-    if not points:
+            raise ParseError(f"malformed row: {_joined(cells)!r}", line=lineno) from None
+        if not (1 <= n <= MAX_N and 0.0 <= x < math.inf and 0.0 <= r < math.inf):
+            try:
+                LoadPoint(n=n, x=x, r=r)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        if n <= prev:
+            raise ParseError(_order_error(n, prev), line=lineno)
+        prev = n
+        ns.append(n)
+        xs.append(x)
+        rs.append(r)
+    if not ns:
         raise ParseError("no data rows")
-    return LoadSeries(points=tuple(points), configured_think_time=configured_think_time,
-                      source_label=source_label)
+    return LoadSeries.from_arrays(ns, xs, rs, configured_think_time=configured_think_time,
+                                  source_label=source_label)
 
 
 def serialize_series(series: LoadSeries) -> str:
     """Series back to CSV (seconds); parse_series inverts this exactly."""
     lines = ["n,x,r"]
-    for p in series.points:
-        lines.append(f"{p.n},{p.x!r},{p.r!r}")
+    for n, x, r in zip(series.n.tolist(), series.x.tolist(), series.r.tolist()):
+        lines.append(f"{n},{x!r},{r!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_trace(raw, load_n: int | None = None) -> ThroughputTrace:
     """Parse a t,x_inst trace CSV."""
-    rows = _csv_rows(_as_text(raw))
-    if not rows:
-        raise ParseError("empty file: expected a header row")
-    header_line, header = rows[0]
-    columns = {name.lower(): i for i, name in enumerate(header)}
+    rows = _rows(_as_text(raw))
+    header_line, columns = _header(rows)
     for name in ("t", "x_inst"):
         if name not in columns:
             raise ParseError(f"missing required column {name!r}", line=header_line)
     t_idx, x_idx = columns["t"], columns["x_inst"]
 
     samples: list[tuple[float, float]] = []
-    for lineno, cells in rows[1:]:
+    for lineno, cells in rows:
         if len(cells) <= max(t_idx, x_idx):
             raise ParseError(f"expected at least {max(t_idx, x_idx) + 1} columns, got {len(cells)}",
                              line=lineno)
         try:
-            t = float(cells[t_idx])
-            x = float(cells[x_idx])
+            t = float(cells[t_idx].strip())
+            x = float(cells[x_idx].strip())
         except ValueError:
-            raise ParseError(f"malformed row: {','.join(cells)!r}", line=lineno) from None
+            raise ParseError(f"malformed row: {_joined(cells)!r}", line=lineno) from None
         if samples and t <= samples[-1][0]:
             raise ParseError(f"timestamps must be strictly increasing (t={t!r})", line=lineno)
         if not (math.isfinite(t) and math.isfinite(x)) or x < 0:
-            raise ParseError(f"sample must be finite with x_inst >= 0: {','.join(cells)!r}", line=lineno)
+            raise ParseError(f"sample must be finite with x_inst >= 0: {_joined(cells)!r}", line=lineno)
         samples.append((t, x))
     if not samples:
         raise ParseError("no data rows")

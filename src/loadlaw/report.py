@@ -11,7 +11,11 @@ otherwise. Info findings never affect the verdict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from ._version import __version__
 from .diagnostics import (
@@ -22,7 +26,8 @@ from .diagnostics import (
     THINK_TIME_VIOLATION,
     THREAD_THROTTLING,
     WARNING,
-    AuditRow,
+    AUDIT_FIELDS,
+    Audit,
     Finding,
     KneeEstimate,
     audit_littles_law,
@@ -33,6 +38,7 @@ from .diagnostics import (
     detect_think_time_violation,
     detect_thread_throttling,
     estimate_knee,
+    post_knee,
 )
 from .ingest import LoadSeries
 from .model import BoundsSummary, ServiceProfile, bounds_summary, response_lower_bound, throughput_upper_bound
@@ -58,13 +64,17 @@ class DetectorConfig:
 
 @dataclass
 class Report:
-    """Everything one diagnosis produced, JSON-serializable."""
+    """Everything one diagnosis produced, JSON-serializable.
+
+    ``audit`` holds the Little's-law table as columns; iterating it
+    yields AuditRows.
+    """
 
     tool_version: str
     inputs: dict[str, str]
     bounds: BoundsSummary | None
     knee: KneeEstimate | None
-    audit: list[AuditRow] | None
+    audit: Audit | None
     findings: list[Finding]
     verdict: str
 
@@ -74,11 +84,9 @@ class Report:
             "inputs": dict(self.inputs),
             "bounds": _bounds_dict(self.bounds),
             "knee": asdict(self.knee) if self.knee is not None else None,
-            # built directly: asdict's recursive copy of 2,000 rows took as
-            # long as json.dumps took to encode them
-            "audit": [{"n_was": row.n_was, "x_was": row.x_was, "r_was": row.r_was,
-                       "n_run": row.n_run, "n_idle": row.n_idle}
-                      for row in self.audit] if self.audit is not None else None,
+            "audit": [dict(zip(AUDIT_FIELDS, values))
+                      for values in zip(*(c.tolist() for c in self.audit.columns))]
+            if self.audit is not None else None,
             "findings": [_finding_dict(f) for f in self.findings],
             "verdict": self.verdict,
         }
@@ -87,9 +95,75 @@ class Report:
         """The report as JSON text: the single serialization point.
 
         Every JSON report the CLI emits, on stdout and in ``--out`` files,
-        is this string, so both carry the same bytes.
+        is this string, so both carry the same bytes: the bytes
+        ``json.dumps(self.to_dict(), indent=indent)`` gives, NaN and
+        Infinity included. That call is avoided because with ``indent``
+        set json runs its pure-Python encoder, slower on a 2,000-point
+        report than the whole diagnosis; here audit rows fill one template,
+        point lists are joined, and json.dumps encodes only the small
+        parts (inputs, bounds, knee, evidence).
         """
-        return json.dumps(self.to_dict(), indent=indent)
+        layout = _Layout(indent)
+        findings = [layout.container("{}", [
+            ("detector", encode_basestring_ascii(f.detector)),
+            ("severity", encode_basestring_ascii(f.severity)),
+            ("message", encode_basestring_ascii(f.message)),
+            ("evidence", layout.dumps(dict(f.evidence), 3)),
+            ("affected_points", layout.container("[]", map(int.__repr__, f.affected_points), 3)),
+        ], 2) for f in self.findings]
+        return layout.container("{}", [
+            ("version", layout.dumps(self.tool_version, 1)),
+            ("inputs", layout.dumps(dict(self.inputs), 1)),
+            ("bounds", layout.dumps(_bounds_dict(self.bounds), 1)),
+            ("knee", layout.dumps(asdict(self.knee) if self.knee is not None else None, 1)),
+            ("audit", layout.audit(self.audit, 1) if self.audit is not None else "null"),
+            ("findings", layout.container("[]", findings, 1)),
+            ("verdict", layout.dumps(self.verdict, 1)),
+        ], 0)
+
+
+class _Layout:
+    """JSON text laid out exactly as ``json.dumps(..., indent=indent)`` lays it out."""
+
+    def __init__(self, indent: int):
+        self.indent = indent
+        self.unit = " " * indent
+
+    def dumps(self, value, depth: int) -> str:
+        """json.dumps of ``value`` placed at nesting ``depth``."""
+        # encoded strings never hold a raw newline, so every one is layout
+        return json.dumps(value, indent=self.indent).replace("\n", "\n" + self.unit * depth)
+
+    def container(self, brackets: str, items, depth: int) -> str:
+        """A list of encoded items, or a dict of (key, encoded value) pairs
+        when ``brackets`` is "{}", at nesting ``depth``."""
+        if brackets == "{}":
+            items = [f"{encode_basestring_ascii(key)}: {value}" for key, value in items]
+        else:
+            items = list(items)
+        if not items:
+            return brackets
+        inner = "\n" + self.unit * (depth + 1)
+        return (brackets[0] + inner + ("," + inner).join(items)
+                + "\n" + self.unit * depth + brackets[1])
+
+    def audit(self, audit: Audit, depth: int) -> str:
+        row = self.container("{}", [(name, "%s") for name in AUDIT_FIELDS], depth + 1)
+        columns = [map(int.__repr__, audit.n_was.tolist())]
+        columns += [map(float.__repr__ if np.isfinite(c).all() else _json_float, c.tolist())
+                    for c in audit.columns[1:]]
+        return self.container("[]", map(row.__mod__, zip(*columns)), depth)
+
+
+def _json_float(value: float) -> str:
+    """A float as json.dumps writes it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _bounds_dict(bounds: BoundsSummary | None):
@@ -135,17 +209,7 @@ def audit_series(series: LoadSeries, config: DetectorConfig | None = None,
     """Little's-law audit plus the two harness detectors it feeds."""
     config = config or DetectorConfig()
     rows = audit_littles_law(series)
-    findings: list[Finding] = []
-
-    if len(rows) < 3:
-        findings.append(_note(THREAD_THROTTLING,
-                              f"only {len(rows)} audit row(s); need 3 to assess thread throttling"))
-    else:
-        throttling = detect_thread_throttling(rows, plateau_tol=config.plateau_tol,
-                                              span_factor=config.span_factor)
-        if throttling:
-            findings.append(throttling)
-
+    findings = _throttling_findings(rows, config)
     findings.extend(_think_time_findings(series, config))
 
     findings = sort_findings(findings)
@@ -160,20 +224,29 @@ def audit_series(series: LoadSeries, config: DetectorConfig | None = None,
     )
 
 
+def _throttling_findings(rows: Audit, config: DetectorConfig) -> list[Finding]:
+    if len(rows) < 3:
+        return [_note(THREAD_THROTTLING,
+                      f"only {len(rows)} audit row(s); need 3 to assess thread throttling")]
+    throttling = detect_thread_throttling(rows, plateau_tol=config.plateau_tol,
+                                          span_factor=config.span_factor)
+    return [throttling] if throttling else []
+
+
 def _think_time_findings(series: LoadSeries, config: DetectorConfig) -> list[Finding]:
     z_conf = series.configured_think_time
     if z_conf is None or z_conf <= 0:
         return [_note(THINK_TIME_VIOLATION,
                       "no positive configured think time declared; pacing check skipped")]
     findings = []
-    zero_x = [p.n for p in series.points if p.x <= 0]
+    zero_x = series.n[series.x <= 0].tolist()
     if zero_x:
         findings.append(Finding(
             detector=THINK_TIME_VIOLATION, severity=INFO,
             message=f"skipped {len(zero_x)} zero-throughput point(s) where implied think time is undefined",
             evidence={"points_skipped_zero_x": float(len(zero_x))},
             affected_points=tuple(zero_x)))
-    if len(zero_x) < len(series.points):
+    if len(zero_x) < len(series.n):
         violation = detect_think_time_violation(series, rel_tol=config.think_time_rel_tol)
         if violation:
             findings.append(violation)
@@ -201,26 +274,18 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
         findings.append(_note(RESPONSE_FLATTENING, f"knee estimate unavailable: {exc}"))
 
     if profile is not None:
-        peak = max(p.x for p in series.points)
+        peak = float(series.x.max())
         bound = detect_bound_violation(peak, profile, rel_tol=config.bound_rel_tol)
         if bound:
             findings.append(bound)
 
     rows = audit_littles_law(series)
-    if len(rows) < 3:
-        findings.append(_note(THREAD_THROTTLING,
-                              f"only {len(rows)} audit row(s); need 3 to assess thread throttling"))
-    else:
-        throttling = detect_thread_throttling(rows, plateau_tol=config.plateau_tol,
-                                              span_factor=config.span_factor)
-        if throttling:
-            findings.append(throttling)
-
+    findings.extend(_throttling_findings(rows, config))
     findings.extend(_think_time_findings(series, config))
     findings.extend(detect_retrograde(series, rel_tol=config.retrograde_rel_tol))
 
     if knee is not None:
-        post = [p for p in series.points if p.n > knee.n_opt_hat]
+        post = series.n[post_knee(series, knee)].tolist()
         if len(post) < 2:
             findings.append(_note(RESPONSE_FLATTENING,
                                   f"only {len(post)} point(s) beyond the knee; flattening not assessable"))
@@ -242,7 +307,7 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
             detector=GROWTH_CLASS, severity=INFO,
             message=f"growth class {growth_class}: post-knee response growth{detail}",
             evidence=evidence,
-            affected_points=tuple(p.n for p in post)))
+            affected_points=tuple(post)))
 
     findings = sort_findings(findings)
     return Report(
@@ -264,19 +329,14 @@ def plot_rows(series: LoadSeries, profile: ServiceProfile | None = None,
     per point. Exact bounds with a profile; knee-estimate bounds
     otherwise (requires ``knee``).
     """
-    rows = []
+    columns = list(zip(series.n.tolist(), series.x.tolist(), series.r.tolist()))
     if profile is not None:
-        for p in series.points:
-            rows.append((p.n, p.x, p.r,
-                         throughput_upper_bound(profile, p.n),
-                         response_lower_bound(profile, p.n)))
-        return rows
+        return [(n, x, r, throughput_upper_bound(profile, n), response_lower_bound(profile, n))
+                for n, x, r in columns]
     if knee is None:
         raise ValueError("need a profile or a knee estimate to compute bounding lines")
     z = series.configured_think_time or 0.0
     x_max_hat = 1.0 / knee.s_max_hat
-    for p in series.points:
-        x_bound = min(p.n / (knee.r_min_hat + z), x_max_hat)
-        r_bound = max(knee.r_min_hat, p.n * knee.s_max_hat - z)
-        rows.append((p.n, p.x, p.r, x_bound, r_bound))
-    return rows
+    return [(n, x, r, min(n / (knee.r_min_hat + z), x_max_hat),
+             max(knee.r_min_hat, n * knee.s_max_hat - z))
+            for n, x, r in columns]

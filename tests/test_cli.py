@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from loadlaw import Report, solve_reference
-from loadlaw.cli import main
+import loadlaw.cli
+from loadlaw import DetectorConfig, Report, solve_reference
+from loadlaw.cli import build_parser, main
 
 from .conftest import CAPPED_POOL_ROWS, three_stage_profile
 
@@ -260,6 +261,25 @@ class TestSteady:
         trace.write_text("t,x_inst\n" + "".join(f"{t},42\n" for t in range(0, 11)))
         assert main(["steady", str(trace), "--format", "json"]) == 0
         assert capsys.readouterr().out == '{"x_bar": 42.0, "window": [3.0, 10.0]}\n'
+
+
+class TestParserReuse:
+    def test_flags_do_not_leak_into_the_next_call(self, monkeypatch, capsys, capped_csv,
+                                                  profile_path):
+        configs = []
+        diagnose = loadlaw.cli.diagnose_series
+
+        def recording(*args, config, **kwargs):
+            configs.append(config)
+            return diagnose(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(loadlaw.cli, "diagnose_series", recording)
+        argv = ["diagnose", capped_csv, "--profile", profile_path, "--no-fail"]
+        assert main(argv + ["--bound-tol", "0.5", "--min-growth-points", "9"]) == 0
+        assert main(argv) == 0
+        assert build_parser() is build_parser()
+        assert configs[0].bound_rel_tol == 0.5 and configs[0].min_growth_points == 9
+        assert configs[1] == DetectorConfig()
 
 
 class TestUsage:

@@ -29,6 +29,7 @@ from .conftest import (
     CAPPED_POOL_EXPECTED,
     CAPPED_POOL_ROWS,
     capped_pool_series,
+    load_series,
     three_stage_profile,
 )
 
@@ -275,3 +276,83 @@ def test_detector_suite_silent_on_lawful_data(seed):
     report = diagnose_series(series, profile)
     assert report.verdict == "clean"
     assert all(f.severity == INFO for f in report.findings)
+
+
+# Row-by-row references for the array detectors: the loops they replaced.
+# The array versions must give equal findings, evidence bits included.
+
+def loop_thread_throttling(rows, plateau_tol=0.05, span_factor=1.5):
+    if len(rows) < 3:
+        return None
+    mx = mn = rows[-1].n_run
+    start = len(rows) - 1
+    for i in range(len(rows) - 2, -1, -1):
+        v = rows[i].n_run
+        hi, lo = max(mx, v), min(mn, v)
+        if lo < 0 or (lo == 0 and hi > 0):
+            break
+        if hi > 0 and (hi - lo) / lo >= plateau_tol:
+            break
+        mx, mn = hi, lo
+        start = i
+    plateau = rows[start:]
+    if len(plateau) < 2:
+        return None
+    span = plateau[-1].n_was / plateau[0].n_was
+    if span < span_factor:
+        return None
+    level = sum(r.n_run for r in plateau) / len(plateau)
+    return {"plateau_n_run": level, "plateau_spread": (mx - mn) / mn if mn > 0 else 0.0,
+            "n_was_span": span, "plateau_start_n": float(plateau[0].n_was)}, \
+        tuple(r.n_was for r in plateau)
+
+
+def loop_retrograde(series, rel_tol=0.02):
+    found = []
+    points = list(series.points)
+    running_max = points[0].x
+    for p in points[1:]:
+        if p.x < (1.0 - rel_tol) * running_max:
+            drop = 1.0 - p.x / running_max if running_max > 0 else 0.0
+            found.append(({"x": p.x, "running_max": running_max, "drop_fraction": drop}, (p.n,)))
+        running_max = max(running_max, p.x)
+    return found
+
+
+def loop_think_time_median(series):
+    import statistics
+    return statistics.median([effective_think_time(p) for p in series.points if p.x > 0])
+
+
+@st.composite
+def plateau_series(draw, max_points=30):
+    """Sweeps whose x*r wanders near one level, with some zero-throughput points."""
+    ns = sorted(draw(st.lists(st.integers(min_value=1, max_value=5_000), min_size=1,
+                              max_size=max_points, unique=True)))
+    level = draw(st.floats(min_value=0.0, max_value=1_000.0))
+    points = []
+    for n in ns:
+        r = draw(st.floats(min_value=1e-3, max_value=10.0))
+        wobble = draw(st.one_of(st.just(0.0), st.floats(min_value=0.9, max_value=1.1)))
+        points.append(LoadPoint(n, level * wobble / r, r))
+    z = draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=30.0)))
+    return LoadSeries(points=tuple(points), configured_think_time=z)
+
+
+@given(st.one_of(plateau_series(), load_series()),
+       st.sampled_from([0.01, 0.05, 0.2]), st.sampled_from([1.0, 1.5, 3.0]))
+def test_array_detectors_match_row_loops(series, tol, span_factor):
+    rows = audit_littles_law(series)
+    assert list(rows) == [AuditRow.from_point(p) for p in series.points]
+
+    expected = loop_thread_throttling(list(rows), tol, span_factor)
+    for given_rows in (rows, list(rows)):
+        finding = detect_thread_throttling(given_rows, plateau_tol=tol, span_factor=span_factor)
+        assert (None if finding is None else (finding.evidence, finding.affected_points)) == expected
+
+    retro = detect_retrograde(series, rel_tol=tol)
+    assert [(f.evidence, f.affected_points) for f in retro] == loop_retrograde(series, tol)
+
+    violation = detect_think_time_violation(series, rel_tol=tol)
+    if violation is not None:
+        assert violation.evidence["median_effective_think_time"] == loop_think_time_median(series)

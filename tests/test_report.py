@@ -1,9 +1,19 @@
 import json
+import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadlaw import (
+    INFO,
+    RETROGRADE_THROUGHPUT,
+    Audit,
+    Finding,
+    LoadPoint,
+    LoadSeries,
     Report,
     ServiceProfile,
     __version__,
@@ -13,7 +23,7 @@ from loadlaw import (
     solve_reference,
 )
 
-from .conftest import capped_pool_series, three_stage_profile
+from .conftest import capped_pool_series, load_series, profiles, three_stage_profile
 
 
 def reference_dict(report: Report) -> dict:
@@ -70,3 +80,78 @@ def test_serialization_matches_asdict_reference(name):
     assert report.to_dict() == expected
     assert report.to_json() == json.dumps(expected, indent=2)
 
+
+
+def assert_encodes_like_json_dumps(report: Report, indent: int = 2):
+    assert report.to_json(indent) == json.dumps(reference_dict(report), indent=indent)
+
+
+@settings(deadline=None)
+@given(load_series(), st.one_of(st.none(), profiles()))
+def test_to_json_is_json_dumps_of_the_reference_dict(series, profile):
+    for report in (diagnose_series(series, profile), audit_series(series)):
+        assert_encodes_like_json_dumps(report)
+        assert report.to_dict() == reference_dict(report)
+        for f in report.findings:
+            assert all(type(v) is float for v in f.evidence.values())
+            assert all(type(n) is int for n in f.affected_points)
+
+
+ODD_TEXT = 'série "7" \\ 查询\t\u2028'
+
+
+def odd_profile():
+    return ServiceProfile.from_service_times([0.004, 0.006, 0.006], think_time=0.5,
+                                             labels=[ODD_TEXT, "b\"", "ü"])
+
+
+def note(evidence=None, points=()):
+    return Finding(detector=RETROGRADE_THROUGHPUT, severity=INFO, message=ODD_TEXT,
+                   evidence=evidence or {}, affected_points=points)
+
+
+ENCODER_CASES = {
+    "odd-paths-and-labels": lambda: diagnose_series(capped_pool_series(), odd_profile(),
+                                                    inputs={"series": ODD_TEXT,
+                                                            "profile": "p\"q.json"}),
+    "tied-bottlenecks": lambda: bounds_report(odd_profile()),
+    "nonfinite-evidence": lambda: Report(
+        tool_version=__version__, inputs={}, bounds=None, knee=None, audit=None,
+        findings=[note({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "one": 1.0}, (3,)),
+                  note()],
+        verdict="clean"),
+    "nonfinite-audit": lambda: audit_series(LoadSeries(points=(
+        LoadPoint(1, 1e200, 1e200), LoadPoint(2, 1.0, 0.5)))),
+    "nan-audit-column": lambda: Report(
+        tool_version=__version__, inputs={}, bounds=None, knee=None,
+        audit=Audit(*(np.array(c) for c in ([1, 2], [1.0, math.nan], [0.5, 1.0], [0.5, math.inf],
+                                             [0.5, -math.inf]))),
+        findings=[], verdict="clean"),
+    "no-findings": lambda: Report(tool_version=__version__, inputs={"series": "s.csv"},
+                                  bounds=None, knee=None, audit=None, findings=[],
+                                  verdict="clean"),
+    "one-row-audit": lambda: diagnose_series(LoadSeries(points=(LoadPoint(7, 3.0, 0.25),)),
+                                             three_stage_profile()),
+    "bounds-only": lambda: bounds_report(three_stage_profile()),
+}
+
+
+@pytest.mark.parametrize("indent", [2, 0, 4])
+@pytest.mark.parametrize("name", sorted(ENCODER_CASES))
+def test_encoder_edge_cases(name, indent):
+    assert_encodes_like_json_dumps(ENCODER_CASES[name](), indent)
+
+
+def test_nonfinite_values_are_written_as_json_dumps_writes_them():
+    text = ENCODER_CASES["nonfinite-evidence"]().to_json()
+    assert '"nan": NaN' in text and '"inf": Infinity' in text and '"-inf": -Infinity' in text
+    audit = json.loads(ENCODER_CASES["nonfinite-audit"]().to_json())["audit"]
+    assert audit[0]["n_run"] == math.inf and audit[0]["n_idle"] == -math.inf
+
+
+def test_audit_rows_are_built_on_demand_from_columns():
+    report = audit_series(capped_pool_series())
+    assert len(report.audit) == 7
+    assert report.audit[-1] == list(report.audit)[-1]
+    assert report.audit[-1].n_was == 400 and type(report.audit[-1].n_was) is int
+    assert [row.n_run for row in report.audit] == (report.audit.n_run).tolist()
