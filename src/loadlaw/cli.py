@@ -24,7 +24,8 @@ from .ingest import (
     parse_trace,
     steady_state_average,
 )
-from .model import bounds_summary
+from .diagnostics import RESPONSE_FLATTENING
+from .model import _check_finite_number, bounds_summary
 from .report import DetectorConfig, Report, audit_series, diagnose_series, plot_rows
 
 EXIT_OK = 0
@@ -107,8 +108,15 @@ def build_parser() -> _Parser:
 def _series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r-unit", choices=("s", "ms"), default="s",
                    help="unit of a bare 'r' column (suffixed r_s/r_ms headers declare themselves)")
-    p.add_argument("--z", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--z", type=_think_time, default=None, metavar="SECONDS",
                    help="think time the harness was configured with")
+
+
+def _think_time(text: str) -> float:
+    try:
+        return _check_finite_number(float(text), "think time", 0.0, strict=False)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tolerance_flags(p: argparse.ArgumentParser, names) -> None:
@@ -216,6 +224,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.profile:
         inputs["profile"] = args.profile
     report = diagnose_series(series, profile, config=_config_from(args), inputs=inputs)
+    if args.plot_csv and report.knee is None:
+        note = next(f.message for f in report.findings if f.detector == RESPONSE_FLATTENING)
+        raise _UsageError(f"--plot-csv: no bounding lines to write, {note}")
 
     # serialized once: stdout and --out carry the same bytes
     report_json = report.to_json() if args.format == "json" or args.out else None
@@ -228,7 +239,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             with open(args.out, "w") as fh:
                 fh.write(report_json + "\n")
         if args.plot_csv:
-            _write_plot_csv(args.plot_csv, series, profile, report)
+            _write_plot_csv(args.plot_csv, series, report)
         if args.combined_csv:
             _write_combined_csv(args.combined_csv, series)
     except OSError as exc:
@@ -251,8 +262,8 @@ def _print_diagnose_text(report: Report) -> None:
     _print_findings(report)
 
 
-def _write_plot_csv(path: str, series, profile, report: Report) -> None:
-    rows = plot_rows(series, profile, report.knee)
+def _write_plot_csv(path: str, series, report: Report) -> None:
+    rows = plot_rows(series, report.knee)
     with open(path, "w") as fh:
         fh.write("n,x_measured,r_measured,x_upper_bound,r_lower_bound\n")
         for n, x, r, xb, rb in rows:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .ingest import LoadPoint, LoadSeries
-from .model import ServiceProfile, compute_n_opt, compute_r_min, compute_x_max
+from .model import Bounds, ServiceProfile, bounds_summary, compute_x_max
 
 BOUND_VIOLATION = "BOUND_VIOLATION"
 THREAD_THROTTLING = "THREAD_THROTTLING"
@@ -114,22 +114,6 @@ class Audit(Sequence):
 
 
 @dataclass(frozen=True)
-class KneeEstimate:
-    """Bottleneck service time, response floor and optimal load.
-
-    ``basis`` records provenance: "profile" when derived exactly from a
-    ServiceProfile, "data" when back-estimated from the measurements
-    themselves (ceiling from the largest observed throughput, floor from
-    the lightest-load response time).
-    """
-
-    s_max_hat: float
-    r_min_hat: float
-    n_opt_hat: float
-    basis: str
-
-
-@dataclass(frozen=True)
 class GrowthFit:
     """Fit diagnostics behind a growth classification."""
 
@@ -152,9 +136,9 @@ def audit_littles_law(series: LoadSeries) -> Audit:
                  n_idle=series.n - n_run)
 
 
-def post_knee(series: LoadSeries, knee: KneeEstimate) -> np.ndarray:
+def post_knee(series: LoadSeries, knee: Bounds) -> np.ndarray:
     """Mask of the points beyond the knee, where response climbs at S_max."""
-    return series.n > knee.n_opt_hat
+    return series.n > knee.n_opt
 
 
 def detect_thread_throttling(rows: Sequence[AuditRow], plateau_tol: float = 0.05,
@@ -293,7 +277,7 @@ def detect_bound_violation(observed_x: float, profile: ServiceProfile,
     )
 
 
-def estimate_knee(series: LoadSeries, profile: ServiceProfile | None = None) -> KneeEstimate:
+def estimate_knee(series: LoadSeries, profile: ServiceProfile | None = None) -> Bounds:
     """Locate the knee: exact from a profile, else back-estimated from data.
 
     Data basis: the ceiling is approximated by the largest observed
@@ -301,26 +285,14 @@ def estimate_knee(series: LoadSeries, profile: ServiceProfile | None = None) -> 
     the think time by the declared pacing (zero when undeclared).
     """
     if profile is not None:
-        return KneeEstimate(
-            s_max_hat=profile.s_max,
-            r_min_hat=compute_r_min(profile),
-            n_opt_hat=compute_n_opt(profile),
-            basis="profile",
-        )
+        return bounds_summary(profile)
     if len(series.n) < 2:
         raise ValueError("need at least 2 points to estimate the knee from data")
     x_peak = float(series.x.max())
     if x_peak <= 0:
         raise ValueError("cannot estimate the knee: every point has zero throughput")
-    s_max_hat = 1.0 / x_peak
-    r_min_hat = float(series.r[0])
-    z = series.configured_think_time or 0.0
-    return KneeEstimate(
-        s_max_hat=s_max_hat,
-        r_min_hat=r_min_hat,
-        n_opt_hat=(r_min_hat + z) / s_max_hat,
-        basis="data",
-    )
+    return Bounds(s_max=1.0 / x_peak, r_min=float(series.r[0]),
+                  z=series.configured_think_time or 0.0, basis="data")
 
 
 def detect_retrograde(series: LoadSeries, rel_tol: float = 0.02) -> list[Finding]:
@@ -353,7 +325,7 @@ def detect_retrograde(series: LoadSeries, rel_tol: float = 0.02) -> list[Finding
     return findings
 
 
-def detect_response_flattening(series: LoadSeries, knee: KneeEstimate,
+def detect_response_flattening(series: LoadSeries, knee: Bounds,
                                slope_fraction: float = 0.5) -> Finding | None:
     """Flag a post-knee response curve that climbs far too slowly.
 
@@ -368,13 +340,13 @@ def detect_response_flattening(series: LoadSeries, knee: KneeEstimate,
     if len(ns) < 2:
         return None
     slope = float(np.polyfit(ns.astype(np.float64), series.r[post], 1)[0])
-    expected = knee.s_max_hat
+    expected = knee.s_max
     if slope >= slope_fraction * expected:
         return None
     return Finding(
         detector=RESPONSE_FLATTENING,
         severity=CRITICAL,
-        message=(f"beyond the knee (~{knee.n_opt_hat:.1f} users) response time climbs at "
+        message=(f"beyond the knee (~{knee.n_opt:.1f} users) response time climbs at "
                  f"{slope:.3g} s/user, far below the {expected:.3g} s/user the bottleneck "
                  f"dictates; a flattened post-saturation response curve is a signal that the "
                  f"measurements are wrong, not that the system scales well"),
@@ -382,13 +354,13 @@ def detect_response_flattening(series: LoadSeries, knee: KneeEstimate,
             "observed_slope": slope,
             "bottleneck_slope": float(expected),
             "slope_ratio": float(slope / expected) if expected > 0 else 0.0,
-            "n_opt_hat": float(knee.n_opt_hat),
+            "n_opt_hat": float(knee.n_opt),
         },
         affected_points=tuple(ns.tolist()),
     )
 
 
-def classify_growth(series: LoadSeries, knee: KneeEstimate, min_points: int = 4,
+def classify_growth(series: LoadSeries, knee: Bounds, min_points: int = 4,
                     slope_fraction: float = 0.5) -> tuple[str, GrowthFit]:
     """Classify post-knee response growth: linear, exponential, sublinear.
 
@@ -431,6 +403,6 @@ def classify_growth(series: LoadSeries, knee: KneeEstimate, min_points: int = 4,
                     exp_ss=exp_ss, note=note)
     if exp_ss is not None and exp_rate is not None and exp_ss < 0.5 * linear_ss and exp_rate > 0:
         return "exponential", fit
-    if float(b) < slope_fraction * knee.s_max_hat:
+    if float(b) < slope_fraction * knee.s_max:
         return "sublinear", fit
     return "linear", fit

@@ -252,9 +252,9 @@ def _as_text(raw) -> str:
     if not isinstance(raw, (bytes, str)):
         raw = raw.read()
     if isinstance(raw, bytes):
-        # utf-8-sig drops the byte-order mark that Excel and PowerShell exports start with
-        return raw.decode("utf-8-sig")
-    return raw
+        raw = raw.decode("utf-8")
+    # drop the byte-order mark that Excel and PowerShell exports start with
+    return raw.removeprefix("\ufeff")
 
 
 def _cells(line: str) -> list[str]:

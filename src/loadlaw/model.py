@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def _check_finite_number(value, name: str, minimum: float, strict: bool) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -120,21 +122,48 @@ class ServiceProfile:
 
 
 @dataclass(frozen=True)
-class BoundsSummary:
-    """Derived operational bounds for one profile.
+class Bounds:
+    """The simple model of a closed system: ceiling, floor and knee.
 
-    ``tied_labels`` lists all stages sharing the maximum service time when
-    the bottleneck is not unique; the reported ``bottleneck_label`` is the
-    first of them in stage order. The sloping response bound is the
-    saturation asymptote ``n * S_max - Z``: a lower bound everywhere that
-    the measured curve approaches from above once the bottleneck saturates.
+    ``basis`` is "profile" when exact from a ServiceProfile, with the
+    bottleneck's label and, when it is not unique, every tied label in
+    stage order; "data" when back-estimated from measurements. The sloping
+    response bound ``n * S_max - Z`` is the saturation asymptote: a lower
+    bound the measured curve approaches once the bottleneck saturates.
     """
 
-    x_max: float
+    s_max: float
     r_min: float
-    n_opt: float
-    bottleneck_label: str
+    z: float
+    basis: str
+    bottleneck_label: str = ""
     tied_labels: tuple[str, ...] = ()
+
+    @property
+    def x_max(self) -> float:
+        """Throughput ceiling 1 / S_max."""
+        return 1.0 / self.s_max
+
+    @property
+    def n_opt(self) -> float:
+        """Optimal load (R_min + Z) / S_max, where the two bound lines cross."""
+        return (self.r_min + self.z) / self.s_max
+
+    # the knee's names, which the JSON report's knee block uses
+    s_max_hat = property(lambda self: self.s_max)
+    r_min_hat = property(lambda self: self.r_min)
+    n_opt_hat = property(lambda self: self.n_opt)
+
+    def x_upper(self, n):
+        """min(n / (R_min + Z), X_max) at each load in ``n`` (a number or an array)."""
+        # inf on overflow, as Python floats give, and where a data-basis R_min and Z are 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.minimum(n / (self.r_min + self.z), self.x_max)
+
+    def r_lower(self, n):
+        """max(R_min, n * S_max - Z) at each load in ``n`` (a number or an array)."""
+        with np.errstate(over="ignore"):
+            return np.maximum(self.r_min, n * self.s_max - self.z)
 
 
 def compute_x_max(profile: ServiceProfile) -> float:
@@ -161,8 +190,7 @@ def throughput_upper_bound(profile: ServiceProfile, n: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    uncontended = n / (profile.r_min + profile.think_time)
-    return min(uncontended, compute_x_max(profile))
+    return float(bounds_summary(profile).x_upper(n))
 
 
 def response_lower_bound(profile: ServiceProfile, n: float) -> float:
@@ -173,16 +201,12 @@ def response_lower_bound(profile: ServiceProfile, n: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    return max(profile.r_min, n * profile.s_max - profile.think_time)
+    return float(bounds_summary(profile).r_lower(n))
 
 
-def bounds_summary(profile: ServiceProfile) -> BoundsSummary:
-    """Assemble the ceiling, floor, optimal load and bottleneck identity."""
+def bounds_summary(profile: ServiceProfile) -> Bounds:
+    """The exact bounds of a profile, with its bottleneck identity."""
     ties = profile.bottleneck_ties
-    return BoundsSummary(
-        x_max=compute_x_max(profile),
-        r_min=compute_r_min(profile),
-        n_opt=compute_n_opt(profile),
-        bottleneck_label=profile.bottleneck_label,
-        tied_labels=ties if len(ties) > 1 else (),
-    )
+    return Bounds(s_max=profile.s_max, r_min=profile.r_min, z=profile.think_time,
+                  basis="profile", bottleneck_label=profile.bottleneck_label,
+                  tied_labels=ties if len(ties) > 1 else ())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -29,7 +29,6 @@ from .diagnostics import (
     AUDIT_FIELDS,
     Audit,
     Finding,
-    KneeEstimate,
     audit_littles_law,
     classify_growth,
     detect_bound_violation,
@@ -41,7 +40,7 @@ from .diagnostics import (
     post_knee,
 )
 from .ingest import LoadSeries
-from .model import BoundsSummary, ServiceProfile, bounds_summary, response_lower_bound, throughput_upper_bound
+from .model import Bounds, ServiceProfile, bounds_summary
 
 VERDICT_CLEAN = "clean"
 VERDICT_SUSPECT = "suspect"
@@ -72,8 +71,8 @@ class Report:
 
     tool_version: str
     inputs: dict[str, str]
-    bounds: BoundsSummary | None
-    knee: KneeEstimate | None
+    bounds: Bounds | None
+    knee: Bounds | None
     audit: Audit | None
     findings: list[Finding]
     verdict: str
@@ -83,7 +82,7 @@ class Report:
             "version": self.tool_version,
             "inputs": dict(self.inputs),
             "bounds": _bounds_dict(self.bounds),
-            "knee": asdict(self.knee) if self.knee is not None else None,
+            "knee": _knee_dict(self.knee),
             "audit": [dict(zip(AUDIT_FIELDS, values))
                       for values in zip(*(c.tolist() for c in self.audit.columns))]
             if self.audit is not None else None,
@@ -115,7 +114,7 @@ class Report:
             ("version", layout.dumps(self.tool_version, 1)),
             ("inputs", layout.dumps(dict(self.inputs), 1)),
             ("bounds", layout.dumps(_bounds_dict(self.bounds), 1)),
-            ("knee", layout.dumps(asdict(self.knee) if self.knee is not None else None, 1)),
+            ("knee", layout.dumps(_knee_dict(self.knee), 1)),
             ("audit", layout.audit(self.audit, 1) if self.audit is not None else "null"),
             ("findings", layout.container("[]", findings, 1)),
             ("verdict", layout.dumps(self.verdict, 1)),
@@ -166,12 +165,18 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _bounds_dict(bounds: BoundsSummary | None):
+def _bounds_dict(bounds: Bounds | None) -> dict | None:
     if bounds is None:
         return None
-    d = asdict(bounds)
-    d["tied_labels"] = list(bounds.tied_labels)
-    return d
+    return {"x_max": bounds.x_max, "r_min": bounds.r_min, "n_opt": bounds.n_opt,
+            "bottleneck_label": bounds.bottleneck_label, "tied_labels": list(bounds.tied_labels)}
+
+
+def _knee_dict(knee: Bounds | None) -> dict | None:
+    if knee is None:
+        return None
+    return {"s_max_hat": knee.s_max_hat, "r_min_hat": knee.r_min_hat,
+            "n_opt_hat": knee.n_opt_hat, "basis": knee.basis}
 
 
 def _finding_dict(finding: Finding) -> dict:
@@ -265,11 +270,9 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
     config = config or DetectorConfig()
     findings: list[Finding] = []
 
-    bounds = bounds_summary(profile) if profile is not None else None
-
-    knee: KneeEstimate | None = None
+    knee: Bounds | None = None
     try:
-        knee = estimate_knee(series, profile)
+        knee = bounds_summary(profile) if profile is not None else estimate_knee(series)
     except ValueError as exc:
         findings.append(_note(RESPONSE_FLATTENING, f"knee estimate unavailable: {exc}"))
 
@@ -313,7 +316,8 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
     return Report(
         tool_version=__version__,
         inputs=dict(inputs or {}),
-        bounds=bounds,
+        # a profile's knee is its exact bounds
+        bounds=knee if profile is not None else None,
         knee=knee,
         audit=rows,
         findings=findings,
@@ -321,22 +325,12 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
     )
 
 
-def plot_rows(series: LoadSeries, profile: ServiceProfile | None = None,
-              knee: KneeEstimate | None = None) -> list[tuple[int, float, float, float, float]]:
+def plot_rows(series: LoadSeries, bounds: Bounds) -> list[tuple[int, float, float, float, float]]:
     """Measured points next to their bounding lines, for external plotting.
 
     Returns (n, x_measured, r_measured, x_upper_bound, r_lower_bound)
-    per point. Exact bounds with a profile; knee-estimate bounds
-    otherwise (requires ``knee``).
+    per point, the lines drawn from ``bounds``: a profile's exact bounds
+    or a data-basis knee estimate.
     """
-    columns = list(zip(series.n.tolist(), series.x.tolist(), series.r.tolist()))
-    if profile is not None:
-        return [(n, x, r, throughput_upper_bound(profile, n), response_lower_bound(profile, n))
-                for n, x, r in columns]
-    if knee is None:
-        raise ValueError("need a profile or a knee estimate to compute bounding lines")
-    z = series.configured_think_time or 0.0
-    x_max_hat = 1.0 / knee.s_max_hat
-    return [(n, x, r, min(n / (knee.r_min_hat + z), x_max_hat),
-             max(knee.r_min_hat, n * knee.s_max_hat - z))
-            for n, x, r in columns]
+    return list(zip(series.n.tolist(), series.x.tolist(), series.r.tolist(),
+                    bounds.x_upper(series.n).tolist(), bounds.r_lower(series.n).tolist()))

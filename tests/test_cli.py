@@ -229,6 +229,18 @@ class TestDiagnose:
         bad.write_text("n,x,r\n5,1,0.1\n5,1,0.1\n")
         assert main(["diagnose", str(bad), "--profile", profile_path]) == 2
 
+    @pytest.mark.parametrize("rows", ["1,2,0.1\n", "1,0,0.1\n2,0,0.2\n"],
+                             ids=["one-row", "zero-throughput"])
+    def test_plot_csv_without_knee_is_usage_error(self, capsys, tmp_path, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("n,x,r\n" + rows)
+        plot = tmp_path / "plot.csv"
+        assert main(["diagnose", str(series), "--plot-csv", str(plot)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--plot-csv" in err and "knee estimate unavailable" in err
+        assert not plot.exists()
+
 
 class TestSteady:
     def test_constant_trace(self, capsys, tmp_path):
@@ -292,3 +304,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("z", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["audit", "diagnose"])
+    def test_bad_think_time_exit_1(self, capsys, capped_csv, command, z):
+        with pytest.raises(SystemExit) as exc:
+            main([command, capped_csv, "--z", z])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --z: think time must be" in err
+        assert "Traceback" not in err

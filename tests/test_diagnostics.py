@@ -13,6 +13,7 @@ from loadlaw import (
     LoadPoint,
     LoadSeries,
     audit_littles_law,
+    bounds_summary,
     classify_growth,
     compute_n_opt,
     detect_bound_violation,
@@ -30,6 +31,7 @@ from .conftest import (
     CAPPED_POOL_ROWS,
     capped_pool_series,
     load_series,
+    profiles,
     three_stage_profile,
 )
 
@@ -166,6 +168,10 @@ class TestEstimateKnee:
         knee = estimate_knee(series)
         assert knee.basis == "data"
         assert knee.n_opt_hat == pytest.approx(compute_n_opt(profile), rel=0.10)
+
+    @given(load_series(), profiles())
+    def test_profile_basis_is_the_profile_bounds(self, series, profile):
+        assert estimate_knee(series, profile) == bounds_summary(profile)
 
     def test_all_zero_throughput(self):
         series = series_of([(1, 0.0, 0.1), (2, 0.0, 0.1)])

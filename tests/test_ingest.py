@@ -325,7 +325,8 @@ UTF8_BOM = b"\xef\xbb\xbf"
     (parse_trace, b"t,x_inst\n0,10\n1,12\n"),
     (parse_profile, b'{"stages":[{"label":"a","service_time":1}],"think_time":0,"time_unit":"s"}'),
 ], ids=["series", "trace", "profile"])
-@pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary-file"])
+@pytest.mark.parametrize("wrap", [bytes, io.BytesIO, lambda raw: raw.decode("utf-8")],
+                         ids=["bytes", "binary-file", "str"])
 def test_leading_utf8_bom_is_ignored(parse, raw, wrap):
     """Excel and PowerShell exports start with a byte-order mark."""
     assert parse(wrap(UTF8_BOM + raw)) == parse(raw)

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from loadlaw import (
+    Bounds,
     ServiceProfile,
     Stage,
     bounds_summary,
@@ -116,6 +118,32 @@ class TestBoundsSummary:
         s = bounds_summary(p)
         assert s.bottleneck_label == "a"
         assert s.tied_labels == ("a", "b")
+
+
+class TestBounds:
+    def test_derived_values_and_knee_names(self):
+        b = Bounds(s_max=0.05, r_min=0.05, z=1.0, basis="data")
+        assert (b.x_max, b.n_opt) == (20.0, 21.0)
+        assert (b.s_max_hat, b.r_min_hat, b.n_opt_hat) == (0.05, 0.05, 21.0)
+        assert (b.bottleneck_label, b.tied_labels) == ("", ())
+
+    def test_zero_floor_and_think_time_give_the_ceiling(self):
+        b = Bounds(s_max=0.5, r_min=0.0, z=0.0, basis="data")
+        assert b.x_upper(np.array([1, 2])).tolist() == [2.0, 2.0]
+
+
+@given(profiles(), st.lists(st.integers(min_value=0, max_value=2**53), min_size=1, max_size=40))
+def test_vectorized_bounds_match_the_scalar_bounds_bit_for_bit(p, loads):
+    b = bounds_summary(p)
+    n = np.array(loads, dtype=np.int64)
+    for k, x_vec, r_vec in zip(loads, b.x_upper(n).tolist(), b.r_lower(n).tolist()):
+        x, r = throughput_upper_bound(p, k), response_lower_bound(p, k)
+        assert type(x) is float and type(r) is float
+        # the scalar formulas as they were written before Bounds held them
+        x_ref = min(k / (p.r_min + p.think_time), compute_x_max(p))
+        r_ref = max(p.r_min, k * p.s_max - p.think_time)
+        assert x.hex() == x_vec.hex() == x_ref.hex()
+        assert r.hex() == r_vec.hex() == r_ref.hex()
 
 
 @given(profiles())

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlaw import (
@@ -20,6 +20,8 @@ from loadlaw import (
     audit_series,
     bounds_summary,
     diagnose_series,
+    estimate_knee,
+    plot_rows,
     solve_reference,
 )
 
@@ -27,17 +29,23 @@ from .conftest import capped_pool_series, load_series, profiles, three_stage_pro
 
 
 def reference_dict(report: Report) -> dict:
-    """The report dict built field by field with dataclasses.asdict: the
-    reference the direct construction in Report.to_dict must match."""
-    bounds = None
+    """The report dict built field by field, audit rows with
+    dataclasses.asdict: the reference the direct construction in
+    Report.to_dict must match."""
+    bounds = knee = None
     if report.bounds is not None:
-        bounds = asdict(report.bounds)
-        bounds["tied_labels"] = list(report.bounds.tied_labels)
+        b = report.bounds
+        bounds = {"x_max": b.x_max, "r_min": b.r_min, "n_opt": b.n_opt,
+                  "bottleneck_label": b.bottleneck_label, "tied_labels": list(b.tied_labels)}
+    if report.knee is not None:
+        k = report.knee
+        knee = {"s_max_hat": k.s_max_hat, "r_min_hat": k.r_min_hat, "n_opt_hat": k.n_opt_hat,
+                "basis": k.basis}
     return {
         "version": report.tool_version,
         "inputs": dict(report.inputs),
         "bounds": bounds,
-        "knee": asdict(report.knee) if report.knee is not None else None,
+        "knee": knee,
         "audit": [asdict(row) for row in report.audit] if report.audit is not None else None,
         "findings": [{"detector": f.detector, "severity": f.severity, "message": f.message,
                       "evidence": dict(f.evidence), "affected_points": list(f.affected_points)}
@@ -155,3 +163,33 @@ def test_audit_rows_are_built_on_demand_from_columns():
     assert report.audit[-1] == list(report.audit)[-1]
     assert report.audit[-1].n_was == 400 and type(report.audit[-1].n_was) is int
     assert [row.n_run for row in report.audit] == (report.audit.n_run).tolist()
+
+
+def reference_plot_rows(series, profile=None, knee=None):
+    """plot_rows as it was before Bounds: a per-point loop for each basis,
+    with the scalar bound formulas of the profile basis written out."""
+    columns = list(zip(series.n.tolist(), series.x.tolist(), series.r.tolist()))
+    if profile is not None:
+        r_min, s_max, z = profile.r_min, profile.s_max, profile.think_time
+        return [(n, x, r, min(n / (r_min + z), 1.0 / s_max), max(r_min, n * s_max - z))
+                for n, x, r in columns]
+    z = series.configured_think_time or 0.0
+    x_max_hat = 1.0 / knee.s_max_hat
+    return [(n, x, r, min(n / (knee.r_min_hat + z), x_max_hat),
+             max(knee.r_min_hat, n * knee.s_max_hat - z))
+            for n, x, r in columns]
+
+
+@settings(deadline=None)
+@given(load_series(), profiles())
+def test_plot_rows_matches_the_per_point_loops(series, profile):
+    report = diagnose_series(series, profile)
+    assert report.bounds is report.knee
+    assert repr(plot_rows(series, report.knee)) == repr(reference_plot_rows(series, profile))
+    try:
+        knee = estimate_knee(series)
+    except ValueError:
+        return
+    # the loop divided by a zero floor plus think time; Bounds gives the ceiling there
+    assume(knee.r_min + knee.z > 0)
+    assert repr(plot_rows(series, knee)) == repr(reference_plot_rows(series, knee=knee))
