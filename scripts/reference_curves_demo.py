@@ -13,9 +13,7 @@ from loadlaw import (
     ServiceProfile,
     bounds_summary,
     compute_n_opt,
-    response_lower_bound,
     solve_reference,
-    throughput_upper_bound,
 )
 
 
@@ -36,12 +34,12 @@ def main():
     curves_path = f"{args.out_prefix}_curves.csv"
     curves.write_csv(curves_path)
 
+    ns = curves.n
     bounds_path = f"{args.out_prefix}_bounds.csv"
     with open(bounds_path, "w") as fh:
         fh.write("n,x_upper_bound,r_lower_bound\n")
-        for n in range(1, n_max + 1):
-            fh.write(f"{n},{throughput_upper_bound(profile, n)!r},"
-                     f"{response_lower_bound(profile, n)!r}\n")
+        for n, xb, rb in zip(ns.tolist(), summary.x_upper(ns).tolist(), summary.r_lower(ns).tolist()):
+            fh.write(f"{n},{xb!r},{rb!r}\n")
 
     print(f"profile: x_max {summary.x_max:g} TPS, r_min {summary.r_min:g} s, "
           f"n_opt {summary.n_opt:.1f} VUsers (bottleneck: {summary.bottleneck_label})")

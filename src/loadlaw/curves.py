@@ -16,6 +16,17 @@ summing stages and adding the think delay gives the cycle time, so
 do not queue. Stage sums always accumulate in stage order so repeated
 solves are bit-for-bit reproducible.
 
+Stages with the same service time run the same operations on the same
+inputs at every step, so their queues are equal to the last bit. The
+recursion therefore groups stages by exact service time (groups in order
+of first appearance), updates one residence time and one queue per
+group, and copies each group's queue column out to its stages at the
+end. The cycle time still adds one residence time per stage, in stage
+order, with plain float additions (not ``sum()``, which compensates
+from Python 3.12, and not a multiplicity-weighted product, which rounds
+differently), so every bit matches the stage-by-stage recursion.
+``write_csv`` likewise formats each distinct queue column once.
+
 ``solve_oracle`` recomputes the same stationary quantities for small
 instances by brute force: it enumerates every split of the population
 across the stages and the think pool and accumulates the product-form
@@ -39,6 +50,10 @@ from .model import ServiceProfile
 # state space explodes combinatorially.
 ORACLE_MAX_N = 12
 ORACLE_MAX_STAGES = 4
+
+# rows per write in CanonicalCurves.write_csv: the text of one block is
+# built at a time, so memory does not grow with the curve's length
+_CSV_BLOCK_ROWS = 256
 
 _PROFILE_Z = object()  # sentinel: as_series defaults to the profile's think time
 
@@ -94,11 +109,22 @@ class CanonicalCurves:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x", "r"] + [f"q_{s.label}" for s in self.profile.stages])
-        for i in range(len(self.n)):
-            writer.writerow([int(self.n[i]), repr(float(self.x[i])), repr(float(self.r[i]))]
-                            + [repr(float(v)) for v in self.q[i]])
+        # the header goes through csv.writer for its quoting of labels; no
+        # body cell needs quoting, so the body is joined by hand, by columns
+        csv.writer(fh).writerow(["n", "x", "r"] + [f"q_{s.label}" for s in self.profile.stages])
+        bits = self.q.view(np.uint64)
+        first: dict[float, int] = {}
+        source = []  # stage -> the first stage whose column has the same bits
+        for k, s in enumerate(self.profile.stages):
+            j = first.setdefault(s.service_time, k)
+            source.append(j if np.array_equal(bits[:, j], bits[:, k]) else k)
+        for start in range(0, len(self.n), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = {j: list(map(repr, self.q[block, j].tolist())) for j in set(source)}
+            columns = [map(str, self.n[block].tolist()),
+                       map(repr, self.x[block].tolist()),
+                       map(repr, self.r[block].tolist())] + [cells[j] for j in source]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -137,30 +163,37 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
-    service = [s.service_time for s in profile.stages]
+    # one residence time and queue per distinct service time (see the module docstring)
+    first: dict[float, int] = {}
+    group = [first.setdefault(s.service_time, len(first)) for s in profile.stages]
+    service = list(first)
     z = profile.think_time
-    m = len(service)
+    d = len(service)
 
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     xs = np.empty(n_max, dtype=np.float64)
     rs = np.empty(n_max, dtype=np.float64)
-    qs = np.empty((n_max, m), dtype=np.float64)
+    qs = np.empty((n_max, len(group)), dtype=np.float64)
+    solved = qs[:, :d]  # one queue column per group, spread to the stages at the end
 
-    queue = [0.0] * m
-    resid = [0.0] * m
+    queue = [0.0] * d
+    resid = [0.0] * d
     for n in range(1, n_max + 1):
+        for j in range(d):
+            resid[j] = service[j] * (1.0 + queue[j])
         r_total = 0.0
-        for k in range(m):
-            v = service[k] * (1.0 + queue[k])
-            resid[k] = v
-            r_total += v
+        for j in group:  # stage order, not sum(): the bits stay the per-stage ones
+            r_total += resid[j]
         x = n / (r_total + z)
-        for k in range(m):
-            queue[k] = x * resid[k]
+        for j in range(d):
+            queue[j] = x * resid[j]
         i = n - 1
         xs[i] = x
         rs[i] = r_total
-        qs[i] = queue
+        solved[i] = queue
+    # right to left: group[k] <= k, so each group column is read before it is overwritten
+    for k in reversed(range(len(group))):
+        qs[:, k] = qs[:, group[k]]
     return CanonicalCurves(profile=profile, n=ns, x=xs, r=rs, q=qs)
 
 

@@ -252,7 +252,11 @@ def _as_text(raw) -> str:
     if not isinstance(raw, (bytes, str)):
         raw = raw.read()
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}",
+                             line=raw.count(b"\n", 0, exc.start) + 1) from None
     # drop the byte-order mark that Excel and PowerShell exports start with
     return raw.removeprefix("\ufeff")
 

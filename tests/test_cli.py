@@ -314,3 +314,28 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "argument --z: think time must be" in err
         assert "Traceback" not in err
+
+
+class TestNonUtf8Input:
+    """A file in another encoding is a parse error (exit 2), not a crash."""
+
+    CASES = {  # name -> (argv before the path, file bytes, stderr line)
+        "series": (["audit"], b"# caf\xe9\nn,x,r\n1,2,0.1\n",
+                   "line 1: not UTF-8: byte 0xe9 at offset 5"),
+        "trace": (["steady"], b"t,x_inst\n0,10\n1,1\xb22\n",
+                  "line 3: not UTF-8: byte 0xb2 at offset 17"),
+        "profile": (["bounds"],
+                    '{"stages":[{"label":"café","service_time":1}],"think_time":0,'
+                    '"time_unit":"s"}'.encode("latin-1"),
+                    "line 1: not UTF-8: byte 0xe9 at offset 24"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_2_with_one_line(self, capsys, tmp_path, name):
+        argv, raw, message = self.CASES[name]
+        path = tmp_path / "latin1.input"
+        path.write_bytes(raw)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"loadlaw: parse error: {message}\n"

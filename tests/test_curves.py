@@ -1,3 +1,8 @@
+import contextlib
+import csv
+import hashlib
+import io
+import json
 import math
 
 import numpy as np
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from loadlaw import (
     ORACLE_MAX_N,
     ORACLE_MAX_STAGES,
+    CanonicalCurves,
     ServiceProfile,
     compute_n_opt,
     compute_x_max,
@@ -16,9 +22,11 @@ from loadlaw import (
     solve_reference,
     throughput_upper_bound,
 )
+from loadlaw import curves as curves_module
+from loadlaw.cli import main
 from loadlaw.curves import _state_weights
 
-from .conftest import profiles, three_stage_profile
+from .conftest import profiles, service_times, think_times, three_stage_profile
 
 
 class TestSolveReference:
@@ -173,3 +181,151 @@ class TestAsSeries:
     def test_none_means_undeclared(self):
         c = solve_reference(three_stage_profile(), 2)
         assert c.as_series(configured_think_time=None).configured_think_time is None
+
+
+def _tied_profile_50():
+    """50 stages whose times are quantized to 0.1 ms, so several are equal."""
+    rng = np.random.default_rng(20040405)
+    return {"stages": [{"label": f"s{i:02d}", "service_time": int(k) / 10}
+                       for i, k in enumerate(rng.integers(5, 50, size=50))],
+            "think_time": 0.25, "time_unit": "ms"}
+
+
+SIMULATE_PROFILES = {  # case -> (profile JSON document, --n-max)
+    "three-stage": ({"stages": [{"label": "parse", "service_time": 3.5},
+                                {"label": "lookup", "service_time": 5.0},
+                                {"label": "commit", "service_time": 2.0}],
+                     "think_time": 10000, "time_unit": "ms"}, 2000),
+    "fifty-tied": (_tied_profile_50(), 200),
+    "odd-labels": ({"stages": [{"label": "a,b", "service_time": 0.004},
+                               {"label": 'q"x', "service_time": 0.006},
+                               {"label": "é", "service_time": 0.004},
+                               {"label": "t", "service_time": 0.001}],
+                    "think_time": 0, "time_unit": "s"}, 300),
+}
+
+
+class TestCsvBytes:
+    """``simulate`` writes the same bytes to a file and to stdout.
+
+    ``GOLDEN`` holds the exit code and the sha256 of the profile, of
+    ``--out f.csv`` and of ``--out -`` as the per-stage recursion and the
+    row-by-row ``csv.writer`` produced them at commit 8dce7ad.
+    """
+
+    GOLDEN = {  # case -> (profile sha256, exit code, file sha256, stdout sha256)
+        "fifty-tied": ("dccc20d66c7aa1992a9894e37ae7c25cb07747687682d5326e1f743abfb9c19a", 0,
+                       "79e26bc7ee4cc6a2ca086f79c28528c2fc6faf42090ef3250a65e54649fff98c",
+                       "79e26bc7ee4cc6a2ca086f79c28528c2fc6faf42090ef3250a65e54649fff98c"),
+        "odd-labels": ("fe3a71e821b78edda8bdd1bb9740ff6d71524ee256179467eae6be5990ba15e1", 0,
+                       "1fa9f09f03d376fc96b0aba223e66fac4d1e1330c7ba4beb06abc58857f46ba6",
+                       "1fa9f09f03d376fc96b0aba223e66fac4d1e1330c7ba4beb06abc58857f46ba6"),
+        "three-stage": ("387440250bcdef8f7ffba1f3b09f295c3d4c35449480a49c2408a1c3a224b8e2", 0,
+                        "d69615623679076cc1e5ef82130e26dbe8ec391cfb1b2c630a4ab4def2eec5d3",
+                        "d69615623679076cc1e5ef82130e26dbe8ec391cfb1b2c630a4ab4def2eec5d3"),
+    }
+
+    @staticmethod
+    def run_simulate(d, case):
+        doc, n_max = SIMULATE_PROFILES[case]
+        profile = d / f"{case}.json"
+        profile.write_text(json.dumps(doc), encoding="utf-8", newline="")
+        out = d / f"{case}.csv"
+        rc_file = main(["simulate", str(profile), "--n-max", str(n_max), "--out", str(out)])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc_stdout = main(["simulate", str(profile), "--n-max", str(n_max), "--out", "-"])
+        assert rc_file == rc_stdout
+        return (hashlib.sha256(profile.read_bytes()).hexdigest(), rc_file,
+                hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest())
+
+    @pytest.mark.parametrize("case", sorted(SIMULATE_PROFILES))
+    def test_output_matches_recorded_digests(self, tmp_path, case):
+        assert self.run_simulate(tmp_path, case) == self.GOLDEN[case]
+
+
+def reference_solve(profile, n_max):
+    """The per-stage recursion solve_reference ran before equal stages were merged."""
+    service = [s.service_time for s in profile.stages]
+    z = profile.think_time
+    m = len(service)
+    xs = np.empty(n_max, dtype=np.float64)
+    rs = np.empty(n_max, dtype=np.float64)
+    qs = np.empty((n_max, m), dtype=np.float64)
+    queue = [0.0] * m
+    resid = [0.0] * m
+    for n in range(1, n_max + 1):
+        r_total = 0.0
+        for k in range(m):
+            v = service[k] * (1.0 + queue[k])
+            resid[k] = v
+            r_total += v
+        x = n / (r_total + z)
+        for k in range(m):
+            queue[k] = x * resid[k]
+        xs[n - 1] = x
+        rs[n - 1] = r_total
+        qs[n - 1] = queue
+    return np.arange(1, n_max + 1, dtype=np.int64), xs, rs, qs
+
+
+def reference_csv_text(curves):
+    """The row-by-row csv.writer export write_csv ran before it wrote by columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "x", "r"] + [f"q_{s.label}" for s in curves.profile.stages])
+    for i in range(len(curves.n)):
+        writer.writerow([int(curves.n[i]), repr(float(curves.x[i])), repr(float(curves.r[i]))]
+                        + [repr(float(v)) for v in curves.q[i]])
+    return buf.getvalue()
+
+
+@st.composite
+def tied_profiles(draw):
+    """1-60 stages drawn from 1-4 service times, so equal stages are common."""
+    pool = draw(st.lists(service_times, min_size=1, max_size=4))
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    z = draw(st.one_of(st.just(0.0), think_times))
+    return ServiceProfile.from_service_times(times, think_time=z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_profiles(), st.integers(min_value=1, max_value=300))
+def test_merged_stages_match_per_stage_recursion_bit_for_bit(p, n_max):
+    c = solve_reference(p, n_max)
+    for got, want in zip((c.n, c.x, c.r, c.q), reference_solve(p, n_max)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert c.to_csv_text() == reference_csv_text(c)
+
+
+def test_hand_built_curves_write_their_own_columns():
+    # four stages share a service time but not their queue columns: b is a
+    # sign bit from a (equal under ==), c and d hold NaN
+    p = ServiceProfile.from_service_times([0.01, 0.01, 0.01, 0.01], labels=["a", "b", "c", "d"])
+    q = np.array([[0.0, -0.0, np.nan, np.nan],
+                  [1.5, 1.5, 1.5, np.inf]])
+    c = CanonicalCurves(profile=p, n=np.array([1, 2], dtype=np.int64),
+                        x=np.array([1.0, -0.0]), r=np.array([np.nan, 2.0]), q=q)
+    text = c.to_csv_text()
+    assert text == reference_csv_text(c)
+    assert text == "n,x,r,q_a,q_b,q_c,q_d\r\n1,1.0,nan,0.0,-0.0,nan,nan\r\n2,-0.0,2.0,1.5,1.5,1.5,inf\r\n"
+
+
+def test_csv_is_written_in_blocks(monkeypatch):
+    # a curve longer than one block gives the same text as the row-by-row writer
+    monkeypatch.setattr(curves_module, "_CSV_BLOCK_ROWS", 7)
+    c = solve_reference(ServiceProfile.from_service_times([0.2, 0.1, 0.2], think_time=1.0), 30)
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    sink = Sink()
+    c.write_csv(sink)
+    assert sink.getvalue() == reference_csv_text(c)
+    assert len(writes) == 1 + 5  # header, then ceil(30 / 7) blocks
