@@ -40,7 +40,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -93,10 +92,6 @@ class CanonicalCurves:
         i = n - 1
         return CurveRow(int(self.n[i]), float(self.x[i]), float(self.r[i]), tuple(float(v) for v in self.q[i]))
 
-    def rows(self) -> Iterator[CurveRow]:
-        for i in range(len(self.n)):
-            yield CurveRow(int(self.n[i]), float(self.x[i]), float(self.r[i]), tuple(float(v) for v in self.q[i]))
-
     def write_csv(self, dest) -> None:
         """Write n,x,r plus one q_<label> column per stage.
 
@@ -131,13 +126,14 @@ class CanonicalCurves:
         self._write_csv(buf)
         return buf.getvalue()
 
-    def as_series(self, ns=None, configured_think_time=_PROFILE_Z, source_label: str = "reference"):
+    def as_series(self, ns=None, configured_think_time=_PROFILE_Z):
         """Sample the curves into a LoadSeries, e.g. to feed the detectors.
 
         ``ns`` selects populations (default: every solved row).
         ``configured_think_time`` defaults to the profile's think time;
         pass something else to mimic a harness whose declared pacing does
         not match what it actually did, or None for no declared pacing.
+        The series' ``source_label`` is ``"reference"``.
         """
         from .ingest import LoadSeries
 
@@ -153,7 +149,7 @@ class CanonicalCurves:
             rows -= 1
         return LoadSeries.from_arrays(self.n[rows], self.x[rows], self.r[rows],
                                       configured_think_time=configured_think_time,
-                                      source_label=source_label)
+                                      source_label="reference")
 
 
 def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:

@@ -61,8 +61,9 @@ class AuditRow:
     """Little's-law reconstruction of one load point.
 
     ``n_run = x_was * r_was`` is how many clients were actually inside
-    the system on average; ``n_idle = n_was - n_run`` is how many of the
-    configured clients were doing neither work nor declared thinking.
+    the system on average; ``n_idle = n_was - n_run`` is every configured
+    client not inside it: those idle in the generator's pool and those
+    thinking, declared think time included.
     """
 
     n_was: int
@@ -141,7 +142,7 @@ def post_knee(series: LoadSeries, knee: Bounds) -> np.ndarray:
     return series.n > knee.n_opt
 
 
-def detect_thread_throttling(rows: Sequence[AuditRow], plateau_tol: float = 0.05,
+def detect_thread_throttling(audit: Audit, plateau_tol: float = 0.05,
                              span_factor: float = 1.5) -> Finding | None:
     """Flag a load generator whose running-thread count has hit a cap.
 
@@ -150,15 +151,11 @@ def detect_thread_throttling(rows: Sequence[AuditRow], plateau_tol: float = 0.05
     at least ``span_factor`` across that suffix while n_run stands still,
     the extra configured clients exist only as idle pool threads and the
     measurements above the cap describe the harness, not the system.
-    ``rows`` is an Audit or any sequence of AuditRows.
+    ``audit`` is what audit_littles_law returns.
     """
-    if len(rows) < 3:
+    if len(audit) < 3:
         return None
-    if isinstance(rows, Audit):
-        n_was, n_run = rows.n_was, rows.n_run
-    else:
-        n_was = np.array([row.n_was for row in rows], dtype=np.int64)
-        n_run = np.array([row.n_run for row in rows], dtype=np.float64)
+    n_was, n_run = audit.n_was, audit.n_run
     # longest suffix with (max - min) / min < plateau_tol: the suffix from
     # i has the running max and min of n_run[i:], and the first i (from
     # the end) whose suffix breaks the rule ends the scan

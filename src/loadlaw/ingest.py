@@ -176,18 +176,6 @@ class LoadSeries:
     def points(self) -> Sequence[LoadPoint]:
         return _Points(self)
 
-    @property
-    def ns(self) -> tuple[int, ...]:
-        return tuple(self.n.tolist())
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(self.x.tolist())
-
-    @property
-    def rs(self) -> tuple[float, ...]:
-        return tuple(self.r.tolist())
-
     def __eq__(self, other):
         if not isinstance(other, LoadSeries):
             return NotImplemented
@@ -197,7 +185,9 @@ class LoadSeries:
                 and self.source_label == other.source_label)
 
     def __hash__(self):
-        return hash((self.ns, self.xs, self.rs, self.configured_think_time, self.source_label))
+        # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
+        return hash((tuple(self.n.tolist()), tuple(self.x.tolist()), tuple(self.r.tolist()),
+                     self.configured_think_time, self.source_label))
 
     def __repr__(self) -> str:
         return (f"LoadSeries(points={self.points!r}, configured_think_time="
@@ -215,7 +205,6 @@ class ThroughputTrace:
     """Instantaneous throughput samples (t, x_inst) from one load level."""
 
     samples: tuple[tuple[float, float], ...]
-    load_n: int | None = None
 
     def __post_init__(self):
         samples = tuple((float(t), float(x)) for t, x in self.samples)
@@ -232,15 +221,12 @@ class ThroughputTrace:
 
 @dataclass(frozen=True)
 class SeriesFormat:
-    """Column mapping and unit declaration for series CSVs.
+    """Unit declaration for series CSVs.
 
-    ``r_unit`` applies when the response column is a bare ``r`` (or an
-    explicit ``r_col`` override); suffixed headers declare themselves.
+    ``r_unit`` applies when the response column is a bare ``r``;
+    suffixed headers declare themselves.
     """
 
-    n_col: str = "n"
-    x_col: str = "x"
-    r_col: str | None = None
     r_unit: str = "s"
 
     def __post_init__(self):
@@ -249,14 +235,16 @@ class SeriesFormat:
 
 
 def _as_text(raw) -> str:
-    if not isinstance(raw, (bytes, str)):
-        raw = raw.read()
-    if isinstance(raw, bytes):
-        try:
+    # a text-mode file decodes inside read(), so both steps share the handler
+    try:
+        if not isinstance(raw, (bytes, str)):
+            raw = raw.read()
+        if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: byte 0x{raw[exc.start]:02x} at offset {exc.start}",
-                             line=raw.count(b"\n", 0, exc.start) + 1) from None
+    except UnicodeDecodeError as exc:
+        data, start = exc.object, exc.start
+        raise ParseError(f"not UTF-8: byte 0x{data[start]:02x} at offset {start}",
+                         line=data.count(b"\n", 0, start) + 1) from None
     # drop the byte-order mark that Excel and PowerShell exports start with
     return raw.removeprefix("\ufeff")
 
@@ -274,10 +262,15 @@ def _rows(text: str):
             yield lineno, _cells(line)
 
 
-def _header(rows) -> tuple[int, dict[str, int]]:
-    """Line number of the first row and its lowercased column names -> index."""
+def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
+    """Line number of the first row and its lowercased column names -> index;
+    every ``required`` name must be among them."""
     for header_line, cells in rows:
-        return header_line, {name.strip().lower(): i for i, name in enumerate(cells)}
+        columns = {name.strip().lower(): i for i, name in enumerate(cells)}
+        for name in required:
+            if name not in columns:
+                raise ParseError(f"missing required column {name!r}", line=header_line)
+        return header_line, columns
     raise ParseError("empty file: expected a header row")
 
 
@@ -296,28 +289,15 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
     if fmt is None:
         fmt = SeriesFormat()
     rows = _rows(_as_text(raw))
-    header_line, columns = _header(rows)
-
-    def col_index(name: str) -> int:
-        if name.lower() not in columns:
-            raise ParseError(f"missing required column {name!r}", line=header_line)
-        return columns[name.lower()]
-
-    n_idx = col_index(fmt.n_col)
-    x_idx = col_index(fmt.x_col)
-    if fmt.r_col is not None:
-        r_idx = col_index(fmt.r_col)
-        unit = _R_COLUMN_UNITS.get(fmt.r_col.lower()) or fmt.r_unit
-    else:
-        present = [name for name in _R_COLUMN_UNITS if name in columns]
-        if not present:
-            raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
-                             line=header_line)
-        if len(present) > 1:
-            raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
-        r_idx = columns[present[0]]
-        unit = _R_COLUMN_UNITS[present[0]] or fmt.r_unit
-    divisor = _UNIT_DIVISOR[unit]
+    header_line, columns = _header(rows, ("n", "x"))
+    present = [name for name in _R_COLUMN_UNITS if name in columns]
+    if not present:
+        raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
+                         line=header_line)
+    if len(present) > 1:
+        raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
+    n_idx, x_idx, r_idx = columns["n"], columns["x"], columns[present[0]]
+    divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or fmt.r_unit]
 
     # one pass, checks in LoadPoint's order and then against the previous point
     width = max(n_idx, x_idx, r_idx)
@@ -359,13 +339,10 @@ def serialize_series(series: LoadSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(raw, load_n: int | None = None) -> ThroughputTrace:
+def parse_trace(raw) -> ThroughputTrace:
     """Parse a t,x_inst trace CSV."""
     rows = _rows(_as_text(raw))
-    header_line, columns = _header(rows)
-    for name in ("t", "x_inst"):
-        if name not in columns:
-            raise ParseError(f"missing required column {name!r}", line=header_line)
+    _, columns = _header(rows, ("t", "x_inst"))
     t_idx, x_idx = columns["t"], columns["x_inst"]
 
     samples: list[tuple[float, float]] = []
@@ -385,7 +362,7 @@ def parse_trace(raw, load_n: int | None = None) -> ThroughputTrace:
         samples.append((t, x))
     if not samples:
         raise ParseError("no data rows")
-    return ThroughputTrace(samples=tuple(samples), load_n=load_n)
+    return ThroughputTrace(samples=tuple(samples))
 
 
 def parse_profile(raw) -> ServiceProfile:

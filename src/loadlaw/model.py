@@ -108,11 +108,7 @@ class ServiceProfile:
     @property
     def bottleneck_label(self) -> str:
         """Label of the bottleneck stage; first in stage order on a tie."""
-        s_max = self.s_max
-        for s in self.stages:
-            if s.service_time == s_max:
-                return s.label
-        raise AssertionError("unreachable: some stage attains the maximum")
+        return self.bottleneck_ties[0]
 
     @property
     def bottleneck_ties(self) -> tuple[str, ...]:

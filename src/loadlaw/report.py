@@ -216,17 +216,15 @@ def audit_series(series: LoadSeries, config: DetectorConfig | None = None,
     rows = audit_littles_law(series)
     findings = _throttling_findings(rows, config)
     findings.extend(_think_time_findings(series, config))
+    return _report(inputs, None, None, rows, findings)
 
+
+def _report(inputs: dict[str, str] | None, bounds: Bounds | None, knee: Bounds | None,
+            audit: Audit, findings: list[Finding]) -> Report:
+    """The Report of these parts, its findings sorted and its verdict derived."""
     findings = sort_findings(findings)
-    return Report(
-        tool_version=__version__,
-        inputs=dict(inputs or {}),
-        bounds=None,
-        knee=None,
-        audit=rows,
-        findings=findings,
-        verdict=verdict_for(findings),
-    )
+    return Report(tool_version=__version__, inputs=dict(inputs or {}), bounds=bounds, knee=knee,
+                  audit=audit, findings=findings, verdict=verdict_for(findings))
 
 
 def _throttling_findings(rows: Audit, config: DetectorConfig) -> list[Finding]:
@@ -312,17 +310,8 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
             evidence=evidence,
             affected_points=tuple(post)))
 
-    findings = sort_findings(findings)
-    return Report(
-        tool_version=__version__,
-        inputs=dict(inputs or {}),
-        # a profile's knee is its exact bounds
-        bounds=knee if profile is not None else None,
-        knee=knee,
-        audit=rows,
-        findings=findings,
-        verdict=verdict_for(findings),
-    )
+    # a profile's knee is its exact bounds
+    return _report(inputs, knee if profile is not None else None, knee, rows, findings)
 
 
 def plot_rows(series: LoadSeries, bounds: Bounds) -> list[tuple[int, float, float, float, float]]:

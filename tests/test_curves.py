@@ -38,7 +38,7 @@ class TestSolveReference:
     def test_saturated_single_queue(self):
         # one 1 s stage in batch mode: X pegs at 1, R grows one second per user
         c = solve_reference(ServiceProfile.from_service_times([1.0]), 7)
-        for row in c.rows():
+        for row in map(c.row, range(1, len(c) + 1)):
             assert row.x == pytest.approx(1.0, rel=1e-12)
             assert row.r == pytest.approx(float(row.n), rel=1e-12)
 
@@ -114,7 +114,7 @@ def test_curves_monotone(p, n_max):
 @given(profiles(), st.integers(min_value=1, max_value=60))
 def test_curves_respect_bounds(p, n_max):
     c = solve_reference(p, n_max)
-    for row in c.rows():
+    for row in map(c.row, range(1, len(c) + 1)):
         assert row.x <= throughput_upper_bound(p, row.n) * (1 + 1e-12) + 1e-15
         assert row.r >= response_lower_bound(p, row.n) * (1 - 1e-12) - 1e-15
 
@@ -169,12 +169,12 @@ class TestAsSeries:
         c = solve_reference(three_stage_profile(), 4)
         s = c.as_series()
         assert s.configured_think_time == 10.0
-        assert s.ns == (1, 2, 3, 4)
+        assert s.n.tolist() == [1, 2, 3, 4]
 
     def test_subset_and_override(self):
         c = solve_reference(three_stage_profile(think_time=0.0), 10)
         s = c.as_series(ns=[2, 5, 10], configured_think_time=10.0)
-        assert s.ns == (2, 5, 10)
+        assert s.n.tolist() == [2, 5, 10]
         assert s.configured_think_time == 10.0
         assert s.points[1].x == pytest.approx(c.row(5).x)
 

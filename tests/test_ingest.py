@@ -162,7 +162,7 @@ def test_parse_errors_keep_message_and_line(name):
 def test_n_beyond_float_precision_is_refused():
     with pytest.raises(ParseError, match=r"line 2: n must be <= 2\*\*53"):
         parse_series(f"n,x,r\n{2 ** 53 + 1},1,0.1\n")
-    assert parse_series(f"n,x,r\n{2 ** 53},1,0.1\n").ns == (2 ** 53,)
+    assert parse_series(f"n,x,r\n{2 ** 53},1,0.1\n").n.tolist() == [2 ** 53]
 
 
 @pytest.mark.parametrize("raw, points", [
@@ -189,7 +189,7 @@ def test_points_is_a_view_that_builds_nothing_to_count(monkeypatch):
     monkeypatch.undo()
     assert series.points[-1] == LoadPoint(2000, 2000.0, 0.5)
     assert list(series.points)[:2] == [LoadPoint(1, 1.0, 0.5), LoadPoint(2, 2.0, 0.5)]
-    assert series.ns[:3] == (1, 2, 3) and type(series.ns[0]) is int
+    assert series.n.tolist()[:3] == [1, 2, 3] and type(series.n.tolist()[0]) is int
 
 
 class TestFromArrays:
@@ -212,6 +212,12 @@ class TestFromArrays:
     def test_refuses_what_load_points_refuse(self, n, x, r, message):
         with pytest.raises(ValueError, match=message):
             LoadSeries.from_arrays(n, x, r)
+
+    def test_negative_zero_series_equal_and_hash_alike(self):
+        # -0 passes the x >= 0 check; its bytes differ from 0's, its value does not
+        minus, plus = parse_series("n,x,r\n1,-0,0\n"), parse_series("n,x,r\n1,0,0\n")
+        assert minus.x.tobytes() != plus.x.tobytes()
+        assert minus == plus and hash(minus) == hash(plus)
 
     def test_columns_are_read_only_copies(self):
         x = np.array([1.0, 2.0])
@@ -330,6 +336,19 @@ UTF8_BOM = b"\xef\xbb\xbf"
 def test_leading_utf8_bom_is_ignored(parse, raw, wrap):
     """Excel and PowerShell exports start with a byte-order mark."""
     assert parse(wrap(UTF8_BOM + raw)) == parse(raw)
+
+
+@pytest.mark.parametrize("parse", [parse_series, parse_trace, parse_profile],
+                         ids=["series", "trace", "profile"])
+@pytest.mark.parametrize("mode", ["rb", "r"])
+def test_non_utf8_file_is_a_parse_error_in_either_mode(parse, mode, tmp_path):
+    """A text-mode file decodes while it is read; that error is a ParseError too."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"n,x,r\n# caf\xe9\n1,2,0.1\n")
+    with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with pytest.raises(ParseError) as exc:
+            parse(fh)
+    assert (str(exc.value), exc.value.line) == ("line 2: not UTF-8: byte 0xe9 at offset 11", 2)
 
 
 class TestSteadyStateAverage:
