@@ -18,6 +18,7 @@ kind of mistake this toolkit exists to catch.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -42,7 +43,8 @@ class ParseError(ValueError):
 
 
 class InsufficientSteadyStateError(ValueError):
-    """Too little of the trace survives the warm-up cut to average."""
+    """The trace yields no finite steady-state average: too little of it
+    survives the warm-up cut, or its span or area overflows float64."""
 
 
 # the largest load a series holds: past 2**53 float arithmetic on n
@@ -75,34 +77,49 @@ class LoadPoint:
             object.__setattr__(self, name, v)
 
 
-class _Points(Sequence):
-    """A series' points as LoadPoints, built only when indexed or iterated."""
+class _Rows(Sequence):
+    """Rows of equal-length columns, each built by ``row`` only when indexed or iterated."""
 
-    __slots__ = ("_series",)
+    __slots__ = ("_row", "_columns")
 
-    def __init__(self, series: "LoadSeries"):
-        self._series = series
+    def __init__(self, row, *columns: np.ndarray):
+        self._row = row
+        self._columns = columns
 
     def __len__(self) -> int:
-        return len(self._series.n)
+        return len(self._columns[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
-        s = self._series
-        return LoadPoint(int(s.n[i]), float(s.x[i]), float(s.r[i]))
+        return self._row(*(column[i].item() for column in self._columns))
 
     def __iter__(self):
-        s = self._series
-        return map(LoadPoint, s.n.tolist(), s.x.tolist(), s.r.tolist())
+        return map(self._row, *(column.tolist() for column in self._columns))
 
     def __eq__(self, other):
-        if isinstance(other, (tuple, _Points)):
+        if isinstance(other, (tuple, _Rows)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         return repr(tuple(self))
+
+
+def _first_bad_row(bad: np.ndarray, key: np.ndarray) -> int:
+    """Index of the first row, in row order, that fails its own value check
+    (``bad``, updated in place) or whose key does not exceed the row before's;
+    -1 when every row passes."""
+    bad[1:] |= key[1:] <= key[:-1]
+    return int(bad.argmax()) if bad.any() else -1
+
+
+class _RowError(ValueError):
+    """A column check refused row ``row`` (0-based) with its own message."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -135,7 +152,9 @@ class LoadSeries:
                     source_label: str = "") -> "LoadSeries":
         """A series from columns, checked as LoadPoint and LoadSeries check points.
 
-        ``n`` must hold integers; the columns are copied.
+        ``n`` must hold integers; the columns are copied. The first bad
+        row, in row order, raises LoadPoint's own message or the order
+        check's.
         """
         n = np.array(n)
         if n.size and n.dtype.kind not in "iu":
@@ -146,10 +165,6 @@ class LoadSeries:
         if not n.shape == x.shape == r.shape or n.ndim != 1:
             raise ValueError(f"n, x and r must be 1-d and of one length, got shapes "
                              f"{n.shape}, {x.shape}, {r.shape}")
-        bad = (n < 1) | (n > MAX_N) | ~(np.isfinite(x) & (x >= 0)) | ~(np.isfinite(r) & (r >= 0))
-        if bad.any():
-            i = int(bad.argmax())
-            LoadPoint(int(n[i]), float(x[i]), float(r[i]))  # raises the point's own message
         series = cls.__new__(cls)
         series._set_columns(n, x, r, configured_think_time, source_label)
         return series
@@ -157,10 +172,7 @@ class LoadSeries:
     def _set_columns(self, n, x, r, configured_think_time, source_label) -> None:
         if not len(n):
             raise ValueError("series needs at least one point")
-        steps = np.diff(n)
-        if (steps <= 0).any():
-            i = int((steps <= 0).argmax())
-            raise ValueError(_order_error(int(n[i + 1]), int(n[i])))
+        _check_points(n, x, r)
         z = configured_think_time
         if z is not None:
             if isinstance(z, bool) or not isinstance(z, (int, float)) or not math.isfinite(float(z)) or z < 0:
@@ -174,7 +186,7 @@ class LoadSeries:
 
     @property
     def points(self) -> Sequence[LoadPoint]:
-        return _Points(self)
+        return _Rows(LoadPoint, self.n, self.x, self.r)
 
     def __eq__(self, other):
         if not isinstance(other, LoadSeries):
@@ -200,23 +212,90 @@ def _order_error(n: int, prev: int) -> str:
     return f"load points must be strictly increasing in n (n={n} after n={prev})"
 
 
-@dataclass(frozen=True)
+def _check_points(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
+    """Raise _RowError for the first row that LoadPoint's value check
+    refuses or whose n does not exceed the row before's."""
+    i = _first_bad_row((n < 1) | (n > MAX_N) | ~(np.isfinite(x) & (x >= 0))
+                       | ~(np.isfinite(r) & (r >= 0)), n)
+    if i < 0:
+        return
+    try:
+        LoadPoint(int(n[i]), float(x[i]), float(r[i]))
+    except ValueError as exc:
+        raise _RowError(str(exc), i) from None
+    raise _RowError(_order_error(int(n[i]), int(n[i - 1])), i)
+
+
+def _check_samples(t: np.ndarray, x: np.ndarray) -> None:
+    """Raise _RowError for the first sample whose t does not exceed the one
+    before's or that is not finite with x >= 0, checked in that order."""
+    i = _first_bad_row(~(np.isfinite(t) & np.isfinite(x) & (x >= 0)), t)
+    if i < 0:
+        return
+    if i and t[i] <= t[i - 1]:
+        raise _RowError("trace timestamps must be strictly increasing", i)
+    raise _RowError(f"trace sample ({t[i].item()!r}, {x[i].item()!r}) must be finite with x_inst >= 0", i)
+
+
+def _sample(t: float, x: float) -> tuple[float, float]:
+    return t, x
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ThroughputTrace:
-    """Instantaneous throughput samples (t, x_inst) from one load level."""
+    """Instantaneous throughput samples from one load level.
 
-    samples: tuple[tuple[float, float], ...]
+    Stored as read-only float64 columns: ``t`` (strictly increasing) and
+    ``x`` (the x_inst samples, finite and >= 0). ``samples`` views them
+    as (t, x_inst) pairs for code that wants one tuple per sample.
+    """
 
-    def __post_init__(self):
-        samples = tuple((float(t), float(x)) for t, x in self.samples)
-        if not samples:
+    t: np.ndarray
+    x: np.ndarray
+
+    def __init__(self, samples):
+        pairs = np.array([(float(t), float(x)) for t, x in samples],
+                         dtype=np.float64).reshape(-1, 2)
+        self._set_columns(pairs[:, 0].copy(), pairs[:, 1].copy())
+
+    @classmethod
+    def from_arrays(cls, t, x) -> "ThroughputTrace":
+        """A trace from columns, checked as the samples constructor checks them.
+
+        The columns are copied.
+        """
+        t = np.array(t, dtype=np.float64)
+        x = np.array(x, dtype=np.float64)
+        if t.shape != x.shape or t.ndim != 1:
+            raise ValueError(f"t and x must be 1-d and of one length, got shapes {t.shape}, {x.shape}")
+        trace = cls.__new__(cls)
+        trace._set_columns(t, x)
+        return trace
+
+    def _set_columns(self, t, x) -> None:
+        if not len(t):
             raise ValueError("trace needs at least one sample")
-        for (t, x) in samples:
-            if not (math.isfinite(t) and math.isfinite(x)) or x < 0:
-                raise ValueError(f"trace sample ({t!r}, {x!r}) must be finite with x_inst >= 0")
-        for (t0, _), (t1, _) in zip(samples, samples[1:]):
-            if t1 <= t0:
-                raise ValueError("trace timestamps must be strictly increasing")
-        object.__setattr__(self, "samples", samples)
+        _check_samples(t, x)
+        for column in (t, x):
+            column.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+
+    @property
+    def samples(self) -> Sequence[tuple[float, float]]:
+        return _Rows(_sample, self.t, self.x)
+
+    def __eq__(self, other):
+        if not isinstance(other, ThroughputTrace):
+            return NotImplemented
+        return np.array_equal(self.t, other.t) and np.array_equal(self.x, other.x)
+
+    def __hash__(self):
+        # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
+        return hash((tuple(self.t.tolist()), tuple(self.x.tolist())))
+
+    def __repr__(self) -> str:
+        return f"ThroughputTrace(samples={self.samples!r})"
 
 
 @dataclass(frozen=True)
@@ -249,17 +328,13 @@ def _as_text(raw) -> str:
     return raw.removeprefix("\ufeff")
 
 
-def _cells(line: str) -> list[str]:
-    # csv.reader splits a line without quotes exactly where str.split does
-    return next(csv.reader([line])) if '"' in line else line.split(",")
-
-
 def _rows(text: str):
     """(line number, cells) of each non-comment, non-blank line; cells unstripped."""
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            yield lineno, _cells(line)
+            # csv.reader splits a line without quotes exactly where str.split does
+            yield lineno, next(csv.reader([line])) if '"' in line else line.split(",")
 
 
 def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
@@ -278,17 +353,31 @@ def _joined(cells: list[str]) -> str:
     return ",".join(c.strip() for c in cells)
 
 
+def _row_error(lineno: int, cells: list[str], width: int) -> ParseError:
+    """The error for a row too short for the columns read or with a cell that does not convert."""
+    if len(cells) <= width:
+        return ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
+    return ParseError(f"malformed row: {_joined(cells)!r}", line=lineno)
+
+
+def _data_row(text: str, i: int) -> tuple[int, list[str]]:
+    """(line number, cells) of the ``i``-th row after the header, 0-based."""
+    return next(itertools.islice(_rows(text), i + 1, None))
+
+
 def parse_series(raw, fmt: SeriesFormat | None = None, *,
                  configured_think_time: float | None = None,
                  source_label: str = "") -> LoadSeries:
     """Parse a load-series CSV into a validated LoadSeries in seconds.
 
     Raises ParseError with the offending line number for malformed rows,
-    duplicate or out-of-order load points, and unit/header problems.
+    duplicate or out-of-order load points, and unit/header problems. The
+    first bad row in the file is the one reported.
     """
     if fmt is None:
         fmt = SeriesFormat()
-    rows = _rows(_as_text(raw))
+    text = _as_text(raw)
+    rows = _rows(text)
     header_line, columns = _header(rows, ("n", "x"))
     present = [name for name in _R_COLUMN_UNITS if name in columns]
     if not present:
@@ -299,36 +388,44 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
     n_idx, x_idx, r_idx = columns["n"], columns["x"], columns[present[0]]
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or fmt.r_unit]
 
-    # one pass, checks in LoadPoint's order and then against the previous point
+    # convert up to the first row too short or with a cell that does not convert;
+    # the value and order checks then run once, on the columns
     width = max(n_idx, x_idx, r_idx)
     ns: list[int] = []
     xs: list[float] = []
     rs: list[float] = []
-    prev = 0
+    failure = None
     for lineno, cells in rows:
-        if len(cells) <= width:
-            raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
         try:
-            n = int(cells[n_idx].strip())
-            x = float(cells[x_idx].strip())
-            r = float(cells[r_idx].strip()) / divisor
-        except ValueError:
-            raise ParseError(f"malformed row: {_joined(cells)!r}", line=lineno) from None
-        if not (1 <= n <= MAX_N and 0.0 <= x < math.inf and 0.0 <= r < math.inf):
-            try:
-                LoadPoint(n=n, x=x, r=r)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        if n <= prev:
-            raise ParseError(_order_error(n, prev), line=lineno)
-        prev = n
+            n, x, r = int(cells[n_idx].strip()), float(cells[x_idx].strip()), float(cells[r_idx].strip())
+        except (IndexError, ValueError):
+            failure = _row_error(lineno, cells, width)
+            break
         ns.append(n)
         xs.append(x)
         rs.append(r)
-    if not ns:
-        raise ParseError("no data rows")
-    return LoadSeries.from_arrays(ns, xs, rs, configured_think_time=configured_think_time,
-                                  source_label=source_label)
+    try:
+        n = np.array(ns, dtype=np.int64)
+    except OverflowError:
+        # an n past int64 has no column to go into; the first n out of LoadPoint's
+        # range ends the rows, as a conversion failure would, after the rows before it
+        i = next(i for i, v in enumerate(ns) if not 1 <= v <= MAX_N)
+        try:
+            LoadPoint(ns[i], xs[i], rs[i])
+        except ValueError as exc:
+            failure = ParseError(str(exc), line=_data_row(text, i)[0])
+        n, xs, rs = np.array(ns[:i], dtype=np.int64), xs[:i], rs[:i]
+    x, r = np.array(xs, dtype=np.float64), np.array(rs, dtype=np.float64) / divisor
+    try:
+        if failure is None:
+            if not len(n):
+                raise ParseError("no data rows")
+            return LoadSeries.from_arrays(n, x, r, configured_think_time=configured_think_time,
+                                          source_label=source_label)
+        _check_points(n, x, r)
+        raise failure
+    except _RowError as exc:
+        raise ParseError(str(exc), line=_data_row(text, exc.row)[0]) from None
 
 
 def serialize_series(series: LoadSeries) -> str:
@@ -340,29 +437,44 @@ def serialize_series(series: LoadSeries) -> str:
 
 
 def parse_trace(raw) -> ThroughputTrace:
-    """Parse a t,x_inst trace CSV."""
-    rows = _rows(_as_text(raw))
+    """Parse a t,x_inst trace CSV.
+
+    Raises ParseError with the line number of the first bad row in the
+    file: too short, malformed, out of order, or not finite with
+    x_inst >= 0.
+    """
+    text = _as_text(raw)
+    rows = _rows(text)
     _, columns = _header(rows, ("t", "x_inst"))
     t_idx, x_idx = columns["t"], columns["x_inst"]
 
-    samples: list[tuple[float, float]] = []
+    # convert up to the first row too short or with a cell that does not convert;
+    # the order and value checks then run once, on the columns
+    width = max(t_idx, x_idx)
+    ts: list[float] = []
+    xs: list[float] = []
+    failure = None
     for lineno, cells in rows:
-        if len(cells) <= max(t_idx, x_idx):
-            raise ParseError(f"expected at least {max(t_idx, x_idx) + 1} columns, got {len(cells)}",
-                             line=lineno)
         try:
-            t = float(cells[t_idx].strip())
-            x = float(cells[x_idx].strip())
-        except ValueError:
-            raise ParseError(f"malformed row: {_joined(cells)!r}", line=lineno) from None
-        if samples and t <= samples[-1][0]:
-            raise ParseError(f"timestamps must be strictly increasing (t={t!r})", line=lineno)
-        if not (math.isfinite(t) and math.isfinite(x)) or x < 0:
-            raise ParseError(f"sample must be finite with x_inst >= 0: {_joined(cells)!r}", line=lineno)
-        samples.append((t, x))
-    if not samples:
-        raise ParseError("no data rows")
-    return ThroughputTrace(samples=tuple(samples))
+            t, x = float(cells[t_idx].strip()), float(cells[x_idx].strip())
+        except (IndexError, ValueError):
+            failure = _row_error(lineno, cells, width)
+            break
+        ts.append(t)
+        xs.append(x)
+    try:
+        if failure is None:
+            if not ts:
+                raise ParseError("no data rows")
+            return ThroughputTrace.from_arrays(ts, xs)
+        _check_samples(np.array(ts, dtype=np.float64), np.array(xs, dtype=np.float64))
+        raise failure
+    except _RowError as exc:
+        i = exc.row
+        lineno, cells = _data_row(text, i)
+        if i and ts[i] <= ts[i - 1]:
+            raise ParseError(f"timestamps must be strictly increasing (t={ts[i]!r})", line=lineno) from None
+        raise ParseError(f"sample must be finite with x_inst >= 0: {_joined(cells)!r}", line=lineno) from None
 
 
 def parse_profile(raw) -> ServiceProfile:
@@ -413,20 +525,35 @@ def steady_state_average(trace: ThroughputTrace,
     elapsed, then takes the trapezoidal time-weighted mean of the
     remaining samples (traces need not be evenly sampled). The returned
     window is (first kept timestamp, last timestamp); the averaged value
-    is what becomes a LoadPoint's x.
+    is what becomes a LoadPoint's x. The sum runs left to right, as a
+    loop over the samples would add it, so the result is the same to
+    the bit.
+
+    Raises InsufficientSteadyStateError when fewer than two samples are
+    kept, or when the span or the area overflows float64.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
-    samples = trace.samples
-    t_start, t_end = samples[0][0], samples[-1][0]
-    cut = t_start + warmup_fraction * (t_end - t_start)
-    kept = [(t, x) for t, x in samples if t >= cut]
-    if len(kept) < 2:
+    t, x = trace.t, trace.x
+    t_start, t_end = t[0].item(), t[-1].item()
+    if not math.isfinite(t_end - t_start):
         raise InsufficientSteadyStateError(
-            f"only {len(kept)} sample(s) at or after the warm-up cut t={cut:g}; "
+            f"trace span from t={t_start:g} to t={t_end:g} overflows float64; "
             "cannot form a steady-state average")
-    area = 0.0
-    for (t0, x0), (t1, x1) in zip(kept, kept[1:]):
-        area += 0.5 * (x0 + x1) * (t1 - t0)
-    span = kept[-1][0] - kept[0][0]
-    return area / span, (kept[0][0], kept[-1][0])
+    cut = t_start + warmup_fraction * (t_end - t_start)
+    first = int(np.searchsorted(t, cut, "left"))
+    kept = len(t) - first
+    if kept < 2:
+        raise InsufficientSteadyStateError(
+            f"only {kept} sample(s) at or after the warm-up cut t={cut:g}; "
+            "cannot form a steady-state average")
+    kt, kx = t[first:], x[first:]
+    with np.errstate(over="ignore"):
+        terms = 0.5 * (kx[:-1] + kx[1:]) * (kt[1:] - kt[:-1])
+    # cumsum adds left to right (np.sum pairs); 0.0 + turns an all -0.0 sum into 0.0
+    area = 0.0 + np.cumsum(terms)[-1].item()
+    if not math.isfinite(area):
+        raise InsufficientSteadyStateError(
+            f"trace area from t={kt[0].item():g} to t={t_end:g} overflows float64; "
+            "cannot form a steady-state average")
+    return area / (t_end - kt[0].item()), (kt[0].item(), t_end)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 import loadlaw.cli
-from loadlaw import DetectorConfig, Report, solve_reference
+from loadlaw import DetectorConfig, ParseError, Report, parse_trace, solve_reference
 from loadlaw.cli import build_parser, main
 
 from .conftest import CAPPED_POOL_ROWS, three_stage_profile
@@ -273,6 +277,55 @@ class TestSteady:
         trace.write_text("t,x_inst\n" + "".join(f"{t},42\n" for t in range(0, 11)))
         assert main(["steady", str(trace), "--format", "json"]) == 0
         assert capsys.readouterr().out == '{"x_bar": 42.0, "window": [3.0, 10.0]}\n'
+
+
+    # traces whose average is no finite number: the area or the span overflows float64
+    NON_FINITE = {
+        "area": ("t,x_inst\n0,1.7e308\n1,1.7e308\n2,1.7e308\n", [],
+                 "trace area from t=1 to t=2 overflows float64"),
+        "span": ("t,x_inst\n-1e308,1\n1e308,2\n", ["--warmup", "0"],
+                 "trace span from t=-1e+308 to t=1e+308 overflows float64"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_average_exit_4(self, capsys, tmp_path, name, fmt):
+        raw, flags, message = self.NON_FINITE[name]
+        trace = tmp_path / "trace.csv"
+        trace.write_text(raw)
+        assert main(["steady", str(trace), "--format", fmt, *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"loadlaw: {message}; cannot form a steady-state average\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+                          | st.just(-0.0)),
+                min_size=1, max_size=6),
+       st.floats(0, 1, exclude_max=True))
+def test_steady_prints_strict_json_or_exits_4(tmp_path_factory, rows, warmup):
+    """For any trace parse_trace accepts: strict JSON on stdout, or exit 4 and no stdout."""
+    text = "t,x_inst\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows)
+    try:
+        parse_trace(text)
+    except ParseError:
+        reject()  # timestamps not strictly increasing
+    path = tmp_path_factory.mktemp("steady") / "trace.csv"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["steady", str(path), "--format", "json", "--warmup", repr(warmup)])
+    if code == 4:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+        doc = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        assert set(doc) == {"x_bar", "window"}
 
 
 class TestParserReuse:

@@ -1,9 +1,10 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from loadlaw import (
@@ -323,6 +324,47 @@ class TestParseTrace:
             assert parse_trace(raw).samples == expected
 
 
+class TestThroughputTrace:
+    def test_columns_and_samples_view(self):
+        trace = ThroughputTrace.from_arrays([0, 1, 2], [10, 12, 11])
+        assert trace == ThroughputTrace(((0.0, 10.0), (1.0, 12.0), (2.0, 11.0)))
+        assert trace.t.dtype == trace.x.dtype == np.float64
+        assert trace.t.tolist() == [0.0, 1.0, 2.0] and trace.x.tolist() == [10.0, 12.0, 11.0]
+        # sized and truthy through len, as row counters read it
+        assert len(trace.samples) == 3 and trace.samples
+        assert trace.samples[1] == (1.0, 12.0) and type(trace.samples[1][0]) is float
+        assert list(trace.samples) == [(0.0, 10.0), (1.0, 12.0), (2.0, 11.0)]
+        assert repr(trace) == "ThroughputTrace(samples=((0.0, 10.0), (1.0, 12.0), (2.0, 11.0)))"
+
+    def test_columns_are_read_only_copies(self):
+        t = np.array([0.0, 1.0])
+        trace = ThroughputTrace.from_arrays(t, [1.0, 2.0])
+        t[0] = -5.0
+        assert trace.t[0] == 0.0
+        with pytest.raises(ValueError):
+            trace.x[0] = 3.0
+
+    def test_negative_zero_traces_equal_and_hash_alike(self):
+        minus, plus = parse_trace("t,x_inst\n0,-0\n1,0\n"), parse_trace("t,x_inst\n0,0\n1,0\n")
+        assert minus.x.tobytes() != plus.x.tobytes()
+        assert minus == plus and hash(minus) == hash(plus)
+
+    @pytest.mark.parametrize("t, x, message", [
+        ([], [], "at least one sample"),
+        ([0.0, 1.0], [1.0, -1.0], r"trace sample \(1.0, -1.0\) must be finite with x_inst >= 0"),
+        ([0.0, np.nan], [1.0, 1.0], r"trace sample \(nan, 1.0\) must be finite"),
+        ([1.0, 0.0], [1.0, 1.0], "trace timestamps must be strictly increasing"),
+        ([0.0, 0.0], [1.0, -1.0], "trace timestamps must be strictly increasing"),
+        ([0.0, 1.0], [1.0], "one length"),
+    ])
+    def test_refuses_bad_samples(self, t, x, message):
+        with pytest.raises(ValueError, match=message):
+            ThroughputTrace.from_arrays(t, x)
+        if len(t) == len(x):
+            with pytest.raises(ValueError, match=message):
+                ThroughputTrace(tuple(zip(t, x)))
+
+
 UTF8_BOM = b"\xef\xbb\xbf"
 
 
@@ -404,3 +446,193 @@ def test_average_invariant_under_time_shift(shift, frac):
     x0, _ = steady_state_average(trace, warmup_fraction=frac)
     x1, _ = steady_state_average(shifted, warmup_fraction=frac)
     assert x1 == pytest.approx(x0, rel=1e-9)
+
+
+# -- the row-by-row parsers and the averaging loop, kept as references ----------
+
+def reference_parse_series(raw, fmt=None):
+    """parse_series as a loop that checks each row as it reads it; returns (n, x, r) lists."""
+    if fmt is None:
+        fmt = SeriesFormat()
+    rows = ingest._rows(ingest._as_text(raw))
+    header_line, columns = ingest._header(rows, ("n", "x"))
+    present = [name for name in ingest._R_COLUMN_UNITS if name in columns]
+    if not present:
+        raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
+                         line=header_line)
+    if len(present) > 1:
+        raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
+    n_idx, x_idx, r_idx = columns["n"], columns["x"], columns[present[0]]
+    divisor = ingest._UNIT_DIVISOR[ingest._R_COLUMN_UNITS[present[0]] or fmt.r_unit]
+    width = max(n_idx, x_idx, r_idx)
+    ns, xs, rs = [], [], []
+    prev = 0
+    for lineno, cells in rows:
+        if len(cells) <= width:
+            raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
+        try:
+            n = int(cells[n_idx].strip())
+            x = float(cells[x_idx].strip())
+            r = float(cells[r_idx].strip()) / divisor
+        except ValueError:
+            raise ParseError(f"malformed row: {ingest._joined(cells)!r}", line=lineno) from None
+        if not (1 <= n <= ingest.MAX_N and 0.0 <= x < math.inf and 0.0 <= r < math.inf):
+            try:
+                LoadPoint(n=n, x=x, r=r)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        if n <= prev:
+            raise ParseError(ingest._order_error(n, prev), line=lineno)
+        prev = n
+        ns.append(n)
+        xs.append(x)
+        rs.append(r)
+    if not ns:
+        raise ParseError("no data rows")
+    return ns, xs, rs
+
+
+def reference_parse_trace(raw):
+    """parse_trace as a loop that checks each row as it reads it; returns (t, x) lists."""
+    rows = ingest._rows(ingest._as_text(raw))
+    _, columns = ingest._header(rows, ("t", "x_inst"))
+    t_idx, x_idx = columns["t"], columns["x_inst"]
+    samples = []
+    for lineno, cells in rows:
+        if len(cells) <= max(t_idx, x_idx):
+            raise ParseError(f"expected at least {max(t_idx, x_idx) + 1} columns, got {len(cells)}",
+                             line=lineno)
+        try:
+            t = float(cells[t_idx].strip())
+            x = float(cells[x_idx].strip())
+        except ValueError:
+            raise ParseError(f"malformed row: {ingest._joined(cells)!r}", line=lineno) from None
+        if samples and t <= samples[-1][0]:
+            raise ParseError(f"timestamps must be strictly increasing (t={t!r})", line=lineno)
+        if not (math.isfinite(t) and math.isfinite(x)) or x < 0:
+            raise ParseError(f"sample must be finite with x_inst >= 0: {ingest._joined(cells)!r}",
+                             line=lineno)
+        samples.append((t, x))
+    if not samples:
+        raise ParseError("no data rows")
+    return [t for t, _ in samples], [x for _, x in samples]
+
+
+def reference_steady_state_average(samples, warmup_fraction):
+    """steady_state_average as a loop over (t, x) pairs."""
+    t_start, t_end = samples[0][0], samples[-1][0]
+    cut = t_start + warmup_fraction * (t_end - t_start)
+    kept = [(t, x) for t, x in samples if t >= cut]
+    if len(kept) < 2:
+        raise InsufficientSteadyStateError(
+            f"only {len(kept)} sample(s) at or after the warm-up cut t={cut:g}; "
+            "cannot form a steady-state average")
+    area = 0.0
+    for (t0, x0), (t1, x1) in zip(kept, kept[1:]):
+        area += 0.5 * (x0 + x1) * (t1 - t0)
+    span = kept[-1][0] - kept[0][0]
+    return area / span, (kept[0][0], kept[-1][0])
+
+
+def _outcome(parse, *args):
+    """The columns a parse returns, floats as their bits, or its (message, line)."""
+    try:
+        result = parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.line
+    if isinstance(result, LoadSeries):
+        result = result.n, result.x, result.r
+    elif isinstance(result, ThroughputTrace):
+        result = result.t, result.x
+    n = [np.asarray(result[0], dtype=np.int64).tolist()] if len(result) == 3 else []
+    return n + [np.asarray(c, dtype=np.float64).view(np.uint64).tolist() for c in result[-2:]]
+
+
+# cells a sweep or trace export gets wrong, beside well-formed numbers
+_BAD_CELLS = ["nan", "inf", "-inf", "-0.0", "-1", "0", "abc", "", " 7 ", "1.5", "2\x1f", "1_0",
+              "1e308", str(2 ** 53 + 1), str(2 ** 63), str(10 ** 30), str(-10 ** 30)]
+
+
+def _cell(draw, good):
+    """``good`` mostly; now and then a bad literal or any float (nan, inf, -0.0, negatives)."""
+    kind = draw(st.integers(0, 24))
+    if kind == 0:
+        return draw(st.sampled_from(_BAD_CELLS))
+    if kind == 1:
+        return repr(draw(st.floats()))
+    return good
+
+
+@st.composite
+def _csv_text(draw, names, key, step):
+    """A CSV over the column ``names`` (in any order, plus maybe an extra one)
+    whose ``key`` column mostly grows by ``step``; with comment, blank, CRLF
+    and quoted lines, short rows, bad cells and several faults per file."""
+    names = draw(st.permutations(names)) + draw(st.sampled_from([[], ["extra"]]))
+    header = ",".join(draw(st.sampled_from([name, f" {name.upper()} "])) for name in names)
+    lines = [draw(st.sampled_from(["", "# exported\n"])) + header]
+    value = step
+    for _ in range(draw(st.integers(0, 10))):
+        cells = []
+        for name in names:
+            if name == "extra":
+                cells.append("x")
+            else:
+                cells.append(_cell(draw, str(value) if name == key else repr(draw(st.floats(0, 1e6)))))
+        if draw(st.integers(0, 24)) == 0:
+            cells = cells[:draw(st.integers(0, len(cells)))]
+        if cells and draw(st.integers(0, 5)) == 0:
+            i = draw(st.integers(0, len(cells) - 1))
+            cells[i] = f'"{cells[i]}"'
+        lines.append(",".join(cells))
+        value += draw(st.sampled_from([1, 1, 1, 1, 1, 1, 1, 1, 3, 0, -1])) * step
+        lines.append(draw(st.sampled_from([None, None, None, "", "   ", "# note", "  # indented"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(line for line in lines if line is not None) + end
+
+
+@given(_csv_text(["n", "x", "r"], "n", 1) | _csv_text(["n", "x", "r_ms"], "n", 1)
+       | _csv_text(["n", "x", "r_s"], "n", 1), st.sampled_from(["s", "ms"]))
+@settings(max_examples=300)
+def test_parse_series_matches_the_row_loop(text, r_unit):
+    fmt = SeriesFormat(r_unit=r_unit)
+    assert _outcome(parse_series, text, fmt) == _outcome(reference_parse_series, text, fmt)
+
+
+@given(_csv_text(["t", "x_inst"], "t", 0.5))
+@settings(max_examples=300)
+def test_parse_trace_matches_the_row_loop(text):
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (f"n,x,r\n1,1,0.1\n{10 ** 30},1,0.1\n", f"line 3: n must be <= 2**53, got {10 ** 30}"),
+    (f"n,x,r\n{-10 ** 30},1,0.1\n", f"line 2: n must be >= 1, got {-10 ** 30}"),
+    (f"n,x,r\n2,1,0.1\n1,1,0.1\n{10 ** 30},1,0.1\n",
+     "line 3: load points must be strictly increasing in n (n=1 after n=2)"),
+    (f"n,x,r\n{2 ** 63},1,0.1\n1,oops,0.1\n", f"line 2: n must be <= 2**53, got {2 ** 63}"),
+])
+def test_n_beyond_int64_is_refused_on_its_line(raw, message):
+    with pytest.raises(ParseError) as exc:
+        parse_series(raw)
+    assert str(exc.value) == message
+    assert _outcome(parse_series, raw) == _outcome(reference_parse_series, raw)
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0, 1e6) | st.just(-0.0)),
+                min_size=1, max_size=200),
+       st.booleans(), st.floats(0, 1, exclude_max=True))
+@settings(max_examples=300)
+def test_steady_state_average_matches_the_loop_bit_for_bit(rows, all_negative_zero, frac):
+    t = np.cumsum([step for step, _ in rows]).tolist()  # uneven sampling
+    x = [-0.0] * len(rows) if all_negative_zero else [x for _, x in rows]
+    samples = tuple(zip(t, x))
+    try:
+        expected = reference_steady_state_average(samples, frac)
+    except InsufficientSteadyStateError as exc:
+        with pytest.raises(InsufficientSteadyStateError) as got:
+            steady_state_average(ThroughputTrace(samples), frac)
+        assert str(got.value) == str(exc)
+        return
+    x_bar, (w0, w1) = steady_state_average(ThroughputTrace(samples), frac)
+    assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
