@@ -112,23 +112,43 @@ def _series_flags(p: argparse.ArgumentParser) -> None:
                    help="think time the harness was configured with")
 
 
-def _think_time(text: str) -> float:
+def _nonnegative(name: str):
+    """An argparse type for a finite number >= 0, named ``name`` when refused."""
+    def parse(text: str) -> float:
+        try:
+            return _check_finite_number(float(text), name, 0.0, strict=False)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_think_time = _nonnegative("think time")
+_tolerance = _nonnegative("tolerance")
+
+
+def _growth_points(text: str) -> int:
+    # a line through fewer than two points is not determined
     try:
-        return _check_finite_number(float(text), "think time", 0.0, strict=False)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
 
 
 def _tolerance_flags(p: argparse.ArgumentParser, names) -> None:
     defaults = DetectorConfig()
     flags = {
-        "bound-tol": ("bound_rel_tol", float, "relative tolerance for the throughput ceiling check"),
-        "retro-tol": ("retrograde_rel_tol", float, "relative drop that counts as retrograde"),
-        "plateau-tol": ("plateau_tol", float, "relative n_run spread that still counts as a plateau"),
-        "span-factor": ("span_factor", float, "minimum load growth across a plateau"),
-        "think-tol": ("think_time_rel_tol", float, "relative deviation allowed for implied think time"),
-        "slope-fraction": ("slope_fraction", float, "fraction of the bottleneck slope below which response is flat"),
-        "min-growth-points": ("min_growth_points", int, "post-knee points needed to classify growth"),
+        "bound-tol": ("bound_rel_tol", _tolerance, "relative tolerance for the throughput ceiling check"),
+        "retro-tol": ("retrograde_rel_tol", _tolerance, "relative drop that counts as retrograde"),
+        "plateau-tol": ("plateau_tol", _tolerance, "relative n_run spread that still counts as a plateau"),
+        "span-factor": ("span_factor", _tolerance, "minimum load growth across a plateau"),
+        "think-tol": ("think_time_rel_tol", _tolerance, "relative deviation allowed for implied think time"),
+        "slope-fraction": ("slope_fraction", _tolerance,
+                           "fraction of the bottleneck slope below which response is flat"),
+        "min-growth-points": ("min_growth_points", _growth_points,
+                              "post-knee points needed to classify growth"),
     }
     for name in names:
         dest, typ, help_text = flags[name]

@@ -31,6 +31,10 @@ from .model import ServiceProfile, Stage
 _R_COLUMN_UNITS = {"r": None, "r_s": "s", "r_ms": "ms"}
 _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
 
+# body lines the CSV parsers join and split at a time when they convert by
+# columns: only one block's cells are alive at once, not the whole file's
+_BULK_LINES = 4096
+
 
 class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number when known."""
@@ -328,9 +332,9 @@ def _as_text(raw) -> str:
     return raw.removeprefix("\ufeff")
 
 
-def _rows(text: str):
+def _rows(lines: list[str]):
     """(line number, cells) of each non-comment, non-blank line; cells unstripped."""
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             # csv.reader splits a line without quotes exactly where str.split does
@@ -349,6 +353,59 @@ def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
     raise ParseError("empty file: expected a header row")
 
 
+def _body(lines: list[str], header_line: int) -> list[str]:
+    """The non-comment, non-blank lines after the header, as _rows keeps them."""
+    return [line for line in itertools.islice(lines, header_line, None)
+            if (stripped := line.strip()) and stripped[0] != "#"]
+
+
+def _bulk_columns(body: list[str], indices: tuple[int, ...],
+                  kinds: tuple[type, ...]) -> list[np.ndarray] | None:
+    """The columns at ``indices`` of ``body``, converted by ``kinds`` (int to
+    int64, float to float64) a whole column at a time.
+
+    None when a line holds a quote, the lines differ in width or are too
+    short for ``indices``, or a cell does not convert: the row loop then
+    names the first bad row.
+    """
+    widths = set(map(str.count, body, itertools.repeat(",")))
+    if len(widths) != 1:
+        return None
+    width = widths.pop() + 1
+    if width <= max(indices):
+        return None
+    columns = [np.empty(len(body), dtype=np.int64 if kind is int else np.float64) for kind in kinds]
+    for start in range(0, len(body), _BULK_LINES):
+        block = body[start:start + _BULK_LINES]
+        text = ",".join(block)
+        if '"' in text:
+            return None
+        cells, count = text.split(","), len(block)
+        for column, i, kind in zip(columns, indices, kinds):
+            try:
+                column[start:start + count] = np.fromiter(map(kind, map(str.strip, cells[i::width])),
+                                                          column.dtype, count)
+            except (ValueError, OverflowError):
+                return None
+    return columns
+
+
+def _row_columns(rows, indices: tuple[int, ...], kinds: tuple[type, ...]):
+    """Lists of the cells at ``indices`` converted by ``kinds``, row by row, up
+    to the first row too short or with a cell that does not convert; with
+    that row's ParseError, or None when every row converts."""
+    width = max(indices)
+    columns = tuple([] for _ in indices)
+    for lineno, cells in rows:
+        try:
+            values = [kind(cells[i].strip()) for i, kind in zip(indices, kinds)]
+        except (IndexError, ValueError):
+            return columns, _row_error(lineno, cells, width)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return columns, None
+
+
 def _joined(cells: list[str]) -> str:
     return ",".join(c.strip() for c in cells)
 
@@ -360,9 +417,9 @@ def _row_error(lineno: int, cells: list[str], width: int) -> ParseError:
     return ParseError(f"malformed row: {_joined(cells)!r}", line=lineno)
 
 
-def _data_row(text: str, i: int) -> tuple[int, list[str]]:
+def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
     """(line number, cells) of the ``i``-th row after the header, 0-based."""
-    return next(itertools.islice(_rows(text), i + 1, None))
+    return next(itertools.islice(_rows(lines), i + 1, None))
 
 
 def parse_series(raw, fmt: SeriesFormat | None = None, *,
@@ -370,14 +427,19 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
                  source_label: str = "") -> LoadSeries:
     """Parse a load-series CSV into a validated LoadSeries in seconds.
 
+    The body is converted a whole column at a time when every row is
+    unquoted and of one width; any other file goes through a row loop
+    that stops at the first row too short or with a cell that does not
+    convert. The value and order checks then run once, on the columns.
+
     Raises ParseError with the offending line number for malformed rows,
     duplicate or out-of-order load points, and unit/header problems. The
     first bad row in the file is the one reported.
     """
     if fmt is None:
         fmt = SeriesFormat()
-    text = _as_text(raw)
-    rows = _rows(text)
+    lines = _as_text(raw).splitlines()
+    rows = _rows(lines)
     header_line, columns = _header(rows, ("n", "x"))
     present = [name for name in _R_COLUMN_UNITS if name in columns]
     if not present:
@@ -385,37 +447,27 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
                          line=header_line)
     if len(present) > 1:
         raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
-    n_idx, x_idx, r_idx = columns["n"], columns["x"], columns[present[0]]
+    indices = columns["n"], columns["x"], columns[present[0]]
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or fmt.r_unit]
 
-    # convert up to the first row too short or with a cell that does not convert;
-    # the value and order checks then run once, on the columns
-    width = max(n_idx, x_idx, r_idx)
-    ns: list[int] = []
-    xs: list[float] = []
-    rs: list[float] = []
     failure = None
-    for lineno, cells in rows:
+    converted = _bulk_columns(_body(lines, header_line), indices, (int, float, float))
+    if converted is None:
+        (ns, xs, rs), failure = _row_columns(rows, indices, (int, float, float))
         try:
-            n, x, r = int(cells[n_idx].strip()), float(cells[x_idx].strip()), float(cells[r_idx].strip())
-        except (IndexError, ValueError):
-            failure = _row_error(lineno, cells, width)
-            break
-        ns.append(n)
-        xs.append(x)
-        rs.append(r)
-    try:
-        n = np.array(ns, dtype=np.int64)
-    except OverflowError:
-        # an n past int64 has no column to go into; the first n out of LoadPoint's
-        # range ends the rows, as a conversion failure would, after the rows before it
-        i = next(i for i, v in enumerate(ns) if not 1 <= v <= MAX_N)
-        try:
-            LoadPoint(ns[i], xs[i], rs[i])
-        except ValueError as exc:
-            failure = ParseError(str(exc), line=_data_row(text, i)[0])
-        n, xs, rs = np.array(ns[:i], dtype=np.int64), xs[:i], rs[:i]
-    x, r = np.array(xs, dtype=np.float64), np.array(rs, dtype=np.float64) / divisor
+            n = np.array(ns, dtype=np.int64)
+        except OverflowError:
+            # an n past int64 has no column to go into; the first n out of LoadPoint's
+            # range ends the rows, as a conversion failure would, after the rows before it
+            i = next(i for i, v in enumerate(ns) if not 1 <= v <= MAX_N)
+            try:
+                LoadPoint(ns[i], xs[i], rs[i])
+            except ValueError as exc:
+                failure = ParseError(str(exc), line=_data_row(lines, i)[0])
+            n, xs, rs = np.array(ns[:i], dtype=np.int64), xs[:i], rs[:i]
+        converted = n, np.array(xs, dtype=np.float64), np.array(rs, dtype=np.float64)
+    n, x, r = converted
+    r = r / divisor
     try:
         if failure is None:
             if not len(n):
@@ -425,7 +477,7 @@ def parse_series(raw, fmt: SeriesFormat | None = None, *,
         _check_points(n, x, r)
         raise failure
     except _RowError as exc:
-        raise ParseError(str(exc), line=_data_row(text, exc.row)[0]) from None
+        raise ParseError(str(exc), line=_data_row(lines, exc.row)[0]) from None
 
 
 def serialize_series(series: LoadSeries) -> str:
@@ -439,41 +491,38 @@ def serialize_series(series: LoadSeries) -> str:
 def parse_trace(raw) -> ThroughputTrace:
     """Parse a t,x_inst trace CSV.
 
+    Converted as parse_series converts: whole columns when every row is
+    unquoted and of one width, else a row loop up to the first row that
+    does not convert; the order and value checks then run once.
+
     Raises ParseError with the line number of the first bad row in the
     file: too short, malformed, out of order, or not finite with
     x_inst >= 0.
     """
-    text = _as_text(raw)
-    rows = _rows(text)
-    _, columns = _header(rows, ("t", "x_inst"))
-    t_idx, x_idx = columns["t"], columns["x_inst"]
+    lines = _as_text(raw).splitlines()
+    rows = _rows(lines)
+    header_line, columns = _header(rows, ("t", "x_inst"))
+    indices = columns["t"], columns["x_inst"]
 
-    # convert up to the first row too short or with a cell that does not convert;
-    # the order and value checks then run once, on the columns
-    width = max(t_idx, x_idx)
-    ts: list[float] = []
-    xs: list[float] = []
     failure = None
-    for lineno, cells in rows:
-        try:
-            t, x = float(cells[t_idx].strip()), float(cells[x_idx].strip())
-        except (IndexError, ValueError):
-            failure = _row_error(lineno, cells, width)
-            break
-        ts.append(t)
-        xs.append(x)
+    converted = _bulk_columns(_body(lines, header_line), indices, (float, float))
+    if converted is None:
+        (ts, xs), failure = _row_columns(rows, indices, (float, float))
+        converted = np.array(ts, dtype=np.float64), np.array(xs, dtype=np.float64)
+    t, x = converted
     try:
         if failure is None:
-            if not ts:
+            if not len(t):
                 raise ParseError("no data rows")
-            return ThroughputTrace.from_arrays(ts, xs)
-        _check_samples(np.array(ts, dtype=np.float64), np.array(xs, dtype=np.float64))
+            return ThroughputTrace.from_arrays(t, x)
+        _check_samples(t, x)
         raise failure
     except _RowError as exc:
         i = exc.row
-        lineno, cells = _data_row(text, i)
-        if i and ts[i] <= ts[i - 1]:
-            raise ParseError(f"timestamps must be strictly increasing (t={ts[i]!r})", line=lineno) from None
+        lineno, cells = _data_row(lines, i)
+        if i and t[i] <= t[i - 1]:
+            raise ParseError(f"timestamps must be strictly increasing (t={t[i].item()!r})",
+                             line=lineno) from None
         raise ParseError(f"sample must be finite with x_inst >= 0: {_joined(cells)!r}", line=lineno) from None
 
 

@@ -10,7 +10,6 @@ otherwise. Info findings never affect the verdict.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -98,9 +97,10 @@ class Report:
         ``json.dumps(self.to_dict(), indent=indent)`` gives, NaN and
         Infinity included. That call is avoided because with ``indent``
         set json runs its pure-Python encoder, slower on a 2,000-point
-        report than the whole diagnosis; here audit rows fill one template,
-        point lists are joined, and json.dumps encodes only the small
-        parts (inputs, bounds, knee, evidence).
+        report than the whole diagnosis. Here _Layout writes every part
+        itself: the audit by columns into one list joined once, point
+        lists joined, and the small parts (inputs, bounds, knee,
+        evidence) by a recursive encoder of their few value types.
         """
         layout = _Layout(indent)
         findings = [layout.container("{}", [
@@ -122,16 +122,36 @@ class Report:
 
 
 class _Layout:
-    """JSON text laid out exactly as ``json.dumps(..., indent=indent)`` lays it out."""
+    """JSON text laid out exactly as ``json.dumps(..., indent=indent)`` lays it out.
+
+    Each method encodes one part of a report placed at nesting ``depth``;
+    the audit table is written by columns, without a container per row.
+    """
 
     def __init__(self, indent: int):
         self.indent = indent
         self.unit = " " * indent
 
     def dumps(self, value, depth: int) -> str:
-        """json.dumps of ``value`` placed at nesting ``depth``."""
-        # encoded strings never hold a raw newline, so every one is layout
-        return json.dumps(value, indent=self.indent).replace("\n", "\n" + self.unit * depth)
+        """``value`` as json.dumps encodes it, placed at nesting ``depth``:
+        None, bools, ints, floats (NaN and the infinities included),
+        strings, and lists and str-keyed dicts of those."""
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _json_float(value)
+        if isinstance(value, dict):
+            return self.container("{}", [(key, self.dumps(item, depth + 1))
+                                         for key, item in value.items()], depth)
+        if isinstance(value, (list, tuple)):
+            return self.container("[]", [self.dumps(item, depth + 1) for item in value], depth)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
     def container(self, brackets: str, items, depth: int) -> str:
         """A list of encoded items, or a dict of (key, encoded value) pairs
@@ -147,11 +167,27 @@ class _Layout:
                 + "\n" + self.unit * depth + brackets[1])
 
     def audit(self, audit: Audit, depth: int) -> str:
-        row = self.container("{}", [(name, "%s") for name in AUDIT_FIELDS], depth + 1)
+        """The audit as a list of one object per row, filled in by columns:
+        slot k of every row's template is set by one slice assignment."""
+        rows = len(audit)
+        if not rows:
+            return "[]"
+        # the row object cut at its values: text, value, text, ..., value, text
+        pieces = self.container("{}", [(name, "%s") for name in AUDIT_FIELDS], depth + 1).split("%s")
         columns = [map(int.__repr__, audit.n_was.tolist())]
         columns += [map(float.__repr__ if np.isfinite(c).all() else _json_float, c.tolist())
                     for c in audit.columns[1:]]
-        return self.container("[]", map(row.__mod__, zip(*columns)), depth)
+        inner = "\n" + self.unit * (depth + 1)
+        width = len(pieces) + len(columns)
+        out = [""] * (width * rows)
+        out[0::width] = ["," + inner + pieces[0]] * rows
+        out[0] = "[" + inner + pieces[0]
+        for k, piece in enumerate(pieces[1:], 1):
+            out[2 * k::width] = [piece] * rows
+        for k, column in enumerate(columns):
+            out[2 * k + 1::width] = column
+        out.append("\n" + self.unit * depth + "]")
+        return "".join(out)
 
 
 def _json_float(value: float) -> str:

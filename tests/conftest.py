@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -69,3 +71,22 @@ def load_series(draw, max_points=8):
         points.append(LoadPoint(n=n, x=x, r=r))
     z = draw(st.one_of(st.none(), think_times))
     return LoadSeries(points=tuple(points), configured_think_time=z)
+
+
+def gen0_collections(call, threshold: int = 100) -> int:
+    """Gen-0 collections during ``call()`` with the gen-0 threshold at
+    ``threshold``, counted from a fresh collection: nonzero once the
+    objects the collector tracks (lists, tuples, dicts, ...) net of those
+    freed rise by more than ``threshold`` at any point in the call."""
+    enabled, old = gc.isenabled(), gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(threshold, *old[1:])
+    gc.enable()
+    try:
+        before = gc.get_stats()[0]["collections"]
+        call()
+        return gc.get_stats()[0]["collections"] - before
+    finally:
+        gc.set_threshold(*old)
+        if not enabled:
+            gc.disable()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, reject
@@ -367,6 +368,44 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "argument --z: think time must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-3", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("flag", ["bound-tol", "retro-tol", "plateau-tol", "span-factor",
+                                      "think-tol", "slope-fraction"])
+    def test_bad_tolerance_exit_1(self, capsys, capped_csv, profile_path, flag, value):
+        self._assert_usage_error(capsys, ["diagnose", capped_csv, "--profile", profile_path,
+                                          f"--{flag}", value], flag)
+
+    @pytest.mark.parametrize("value", ["0", "1", "-3", "nan", "inf", "2.5"])
+    def test_bad_min_growth_points_exit_1(self, capsys, capped_csv, profile_path, value):
+        self._assert_usage_error(capsys, ["diagnose", capped_csv, "--profile", profile_path,
+                                          "--min-growth-points", value], "min-growth-points")
+
+    @staticmethod
+    def _assert_usage_error(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        *usage, error = captured.err.splitlines()
+        assert captured.out == "" and usage[0].startswith("usage: loadlaw diagnose")
+        assert all(line.startswith(" ") for line in usage[1:])
+        assert error.startswith(f"loadlaw diagnose: error: argument --{flag}: ")
+
+    @pytest.mark.parametrize("rows", [
+        [(10, 0.99, 0.011), (20, 1.98, 0.011)],  # no point beyond the knee at 2002 users
+        [(10, 0.99, 0.011), (3000, 199.0, 5.0)],  # one point beyond it
+    ], ids=["none-past-knee", "one-past-knee"])
+    @pytest.mark.parametrize("extra", [[], ["--bound-tol", "0", "--slope-fraction", "0"]])
+    def test_smallest_valid_tolerances_run_without_warnings(self, capsys, tmp_path, profile_path,
+                                                            rows, extra):
+        series = tmp_path / "s.csv"
+        series.write_text("n,x,r\n" + "".join(f"{n},{x},{r}\n" for n, x, r in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["diagnose", str(series), "--profile", profile_path, "--z", "10",
+                  "--min-growth-points", "2", *extra])
+        assert json.loads(capsys.readouterr().out)["findings"]
 
 
 class TestNonUtf8Input:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlaw import (
@@ -12,6 +12,7 @@ from loadlaw import (
     AuditRow,
     LoadPoint,
     LoadSeries,
+    ServiceProfile,
     audit_littles_law,
     bounds_summary,
     classify_growth,
@@ -21,6 +22,7 @@ from loadlaw import (
     detect_retrograde,
     detect_think_time_violation,
     detect_thread_throttling,
+    diagnose_series,
     effective_think_time,
     estimate_knee,
     solve_reference,
@@ -361,3 +363,56 @@ def test_array_detectors_match_row_loops(series, tol, span_factor):
     violation = detect_think_time_violation(series, rel_tol=tol)
     if violation is not None:
         assert violation.evidence["median_effective_think_time"] == loop_think_time_median(series)
+
+
+# -- metamorphic properties ------------------------------------------------------
+
+def _scaled(series, profile, c):
+    """Every time scaled by ``c``: r, Z and the service times by c, x by 1/c."""
+    z = series.configured_think_time
+    scaled = LoadSeries.from_arrays(series.n, series.x / c, series.r * c,
+                                    configured_think_time=None if z is None else z * c)
+    return scaled, ServiceProfile.from_service_times([s.service_time * c for s in profile.stages],
+                                                     think_time=profile.think_time * c)
+
+
+def _verdict_and_pairs(report):
+    return report.verdict, {(f.detector, f.severity) for f in report.findings if f.severity != INFO}
+
+
+@settings(max_examples=200, deadline=None)
+@given(load_series(), profiles(), st.sampled_from([2.0 ** -8, 0.5, 2.0, 2.0 ** 8]))
+def test_scaling_every_time_keeps_the_verdict_and_the_fired_detectors(series, profile, c):
+    # a power of two scales exactly unless a value leaves the normal range
+    times = [*series.r, series.configured_think_time or 0.0, profile.think_time,
+             *(s.service_time for s in profile.stages)]
+    for values, k in ((np.array(series.x), 1 / c), (np.array(times), c)):
+        scaled = values * k
+        assume(np.isfinite(scaled).all() and np.array_equal(scaled / k, values)
+               and not ((values != 0) & (np.abs(scaled) < np.finfo(float).tiny)).any())
+    scaled, scaled_profile = _scaled(series, profile, c)
+    assert (_verdict_and_pairs(diagnose_series(scaled, scaled_profile))
+            == _verdict_and_pairs(diagnose_series(series, profile)))
+    assert _verdict_and_pairs(diagnose_series(scaled)) == _verdict_and_pairs(diagnose_series(series))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),
+       st.floats(min_value=0.0, max_value=30.0), st.randoms(use_true_random=False))
+def test_permuting_the_stages_keeps_bounds_and_curves(times, z, rnd):
+    labels = [f"s{k}" for k in range(len(times))]
+    order = list(range(len(times)))
+    rnd.shuffle(order)
+    profile = ServiceProfile.from_service_times(times, think_time=z, labels=labels)
+    permuted = ServiceProfile.from_service_times([times[k] for k in order], think_time=z,
+                                                 labels=[labels[k] for k in order])
+    b, p = bounds_summary(profile), bounds_summary(permuted)
+    for name in ("x_max", "r_min", "n_opt", "s_max", "z"):
+        assert getattr(p, name) == pytest.approx(getattr(b, name), rel=1e-12)
+    assert {p.bottleneck_label, *p.tied_labels} == {b.bottleneck_label, *b.tied_labels}
+    c, d = solve_reference(profile, 60), solve_reference(permuted, 60)
+    np.testing.assert_allclose(d.x, c.x, rtol=1e-12)
+    np.testing.assert_allclose(d.r, c.r, rtol=1e-12)
+    for j, k in enumerate(order):
+        np.testing.assert_allclose(d.q[:, j], c.q[:, k], rtol=1e-12)
+        assert permuted.stages[j].label == profile.stages[k].label

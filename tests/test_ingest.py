@@ -23,7 +23,7 @@ from loadlaw import (
 
 from loadlaw import ingest
 
-from .conftest import load_series
+from .conftest import gen0_collections, load_series
 
 
 class TestLoadPointValidation:
@@ -242,7 +242,7 @@ def test_row_reader_matches_csv_reader(lines):
         if line.strip() and not line.strip().startswith("#"):
             expected.append((lineno, [c.strip() for c in next(csv.reader([line]))]))
     assert [(lineno, [c.strip() for c in cells])
-            for lineno, cells in ingest._rows(text)] == expected
+            for lineno, cells in ingest._rows(text.splitlines())] == expected
 
 
 @given(load_series())
@@ -454,7 +454,7 @@ def reference_parse_series(raw, fmt=None):
     """parse_series as a loop that checks each row as it reads it; returns (n, x, r) lists."""
     if fmt is None:
         fmt = SeriesFormat()
-    rows = ingest._rows(ingest._as_text(raw))
+    rows = ingest._rows(ingest._as_text(raw).splitlines())
     header_line, columns = ingest._header(rows, ("n", "x"))
     present = [name for name in ingest._R_COLUMN_UNITS if name in columns]
     if not present:
@@ -494,7 +494,7 @@ def reference_parse_series(raw, fmt=None):
 
 def reference_parse_trace(raw):
     """parse_trace as a loop that checks each row as it reads it; returns (t, x) lists."""
-    rows = ingest._rows(ingest._as_text(raw))
+    rows = ingest._rows(ingest._as_text(raw).splitlines())
     _, columns = ingest._header(rows, ("t", "x_inst"))
     t_idx, x_idx = columns["t"], columns["x_inst"]
     samples = []
@@ -636,3 +636,65 @@ def test_steady_state_average_matches_the_loop_bit_for_bit(rows, all_negative_ze
         return
     x_bar, (w0, w1) = steady_state_average(ThroughputTrace(samples), frac)
     assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
+
+
+# (series text, trace text, the path the body takes): "columns" when it is
+# converted a whole column at a time, "rows" when the row loop reads it
+PARSE_PATHS = {
+    "all-valid": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n2,3\n", "columns"),
+    "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', "rows"),
+    "two-widths": ("n,x,r\n1,2,0.1\n2,3,0.2,extra\n3,4,0.3\n",
+                   "t,x_inst\n0,1\n1,2,extra\n2,3\n", "rows"),
+    "short-row": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4\n", "t,x_inst\n0,1\n1,2\n2\n", "rows"),
+    "all-rows-short": ("n,x,r\n1,2\n2,3\n", "t,x_inst,y\n0\n1\n", "rows"),
+    "bad-cell-after-good-rows": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,oops,0.3\n",
+                                 "t,x_inst\n0,1\n1,2\n2,oops\n", "rows"),
+    "out-of-order-before-bad-cell": ("n,x,r\n2,2,0.1\n1,3,0.2\n3,oops,0.3\n",
+                                     "t,x_inst\n1,1\n0,2\n2,oops\n", "rows"),
+    "out-of-order-every-cell-converts": ("n,x,r\n2,2,0.1\n1,3,0.2\n3,4,0.3\n",
+                                         "t,x_inst\n1,1\n0,2\n2,3\n", "columns"),
+    "bad-value-every-cell-converts": ("n,x,r\n1,2,0.1\n2,-3,0.2\n", "t,x_inst\n0,1\n1,nan\n",
+                                      "columns"),
+    "comment-blank-crlf-formfeed": ("# c\r\nn,x,r\r\n\r\n1,2,0.1\x0c2,3,0.2\r\n  # note\n 3 , 4 ,0.3",
+                                    "# c\r\nt,x_inst\r\n\r\n0,1\x0c1,2\r\n  # note\n 2 , 3 ",
+                                    "columns"),
+    "header-with-no-rows": ("n,x,r\n# none\n\n", "t,x_inst\n", "rows"),
+}
+
+
+@pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("kind", ["series", "trace"])
+@pytest.mark.parametrize("name", sorted(PARSE_PATHS))
+def test_each_parse_path_matches_the_row_loop(monkeypatch, name, kind, block_lines):
+    series_text, trace_text, path = PARSE_PATHS[name]
+    parse, reference, text = ((parse_series, reference_parse_series, series_text) if kind == "series"
+                              else (parse_trace, reference_parse_trace, trace_text))
+    taken = []
+    bulk = ingest._bulk_columns
+
+    def spy(*args):
+        columns = bulk(*args)
+        taken.append("rows" if columns is None else "columns")
+        return columns
+
+    monkeypatch.setattr(ingest, "_bulk_columns", spy)
+    monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
+    assert _outcome(parse, text) == _outcome(reference, text)
+    assert taken == [path]
+
+
+def _sweep_csv(rows: int) -> str:
+    return "n,x,r_ms\n" + "".join(f"{n},{n * 0.0987654321!r},{10.5 + n * 1e-3!r}\n"
+                                    for n in range(1, rows + 1))
+
+
+def _trace_csv(samples: int) -> str:
+    return "t,x_inst\n" + "".join(f"{t * 0.731!r},{100 + t % 17 * 0.37!r}\n" for t in range(samples))
+
+
+@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)),
+                                         (parse_trace, _trace_csv(5000))], ids=["series", "trace"])
+def test_parsing_keeps_no_container_per_row(parse, text):
+    """A container kept alive per row costs gen-0 collections on every file."""
+    assert parse(text).x.size == 5000
+    assert gen0_collections(lambda: parse(text)) == 0

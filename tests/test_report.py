@@ -25,7 +25,8 @@ from loadlaw import (
     solve_reference,
 )
 
-from .conftest import capped_pool_series, load_series, profiles, three_stage_profile
+from .conftest import (capped_pool_series, gen0_collections, load_series, profiles,
+                       three_stage_profile)
 
 
 def reference_dict(report: Report) -> dict:
@@ -193,3 +194,10 @@ def test_plot_rows_matches_the_per_point_loops(series, profile):
     # the loop divided by a zero floor plus think time; Bounds gives the ceiling there
     assume(knee.r_min + knee.z > 0)
     assert repr(plot_rows(series, knee)) == repr(reference_plot_rows(series, knee=knee))
+
+
+def test_to_json_keeps_no_container_per_audit_row():
+    """A container kept alive per row costs gen-0 collections on every report."""
+    report = audit_series(solve_reference(three_stage_profile(), 5000).as_series())
+    assert len(report.audit) == 5000
+    assert gen0_collections(report.to_json) == 0
