@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from ._version import __version__
@@ -19,6 +20,8 @@ from .ingest import (
     InsufficientSteadyStateError,
     ParseError,
     SeriesFormat,
+    _float_texts,
+    _int_texts,
     parse_profile,
     parse_series,
     parse_trace,
@@ -39,6 +42,14 @@ COMBINED_PLOT_CAVEAT = ("combined throughput-delay view: the optimal-load knee c
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value that starts with "-" as a number only in the
+        # forms -1 and -.5, so "-inf" or "-1e-3" would be taken for an option
+        # and the flag before it would lack its value: anything that starts
+        # like a number is a value, left to the flag's own type check
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
     # argparse exits 2 on bad usage by default; our contract reserves 2
     # for input parse failures
     def error(self, message):
@@ -282,20 +293,23 @@ def _print_diagnose_text(report: Report) -> None:
     _print_findings(report)
 
 
+def _csv_body(columns) -> str:
+    """Rows of the columns' texts, each line ended by a newline."""
+    return "".join([",".join(row) + "\n" for row in zip(*columns)])
+
+
 def _write_plot_csv(path: str, series, report: Report) -> None:
-    rows = plot_rows(series, report.knee)
+    n, *floats = zip(*plot_rows(series, report.knee))
     with open(path, "w") as fh:
         fh.write("n,x_measured,r_measured,x_upper_bound,r_lower_bound\n")
-        for n, x, r, xb, rb in rows:
-            fh.write(f"{n},{x!r},{r!r},{xb!r},{rb!r}\n")
+        fh.write(_csv_body([_int_texts(n), *map(_float_texts, floats)]))
 
 
 def _write_combined_csv(path: str, series) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {COMBINED_PLOT_CAVEAT}\n")
         fh.write("x,r,n\n")
-        for n, x, r in zip(series.n.tolist(), series.x.tolist(), series.r.tolist()):
-            fh.write(f"{x!r},{r!r},{n}\n")
+        fh.write(_csv_body([_float_texts(series.x), _float_texts(series.r), _int_texts(series.n)]))
 
 
 def cmd_steady(args: argparse.Namespace) -> int:

@@ -25,7 +25,8 @@ end. The cycle time still adds one residence time per stage, in stage
 order, with plain float additions (not ``sum()``, which compensates
 from Python 3.12, and not a multiplicity-weighted product, which rounds
 differently), so every bit matches the stage-by-stage recursion.
-``write_csv`` likewise formats each distinct queue column once.
+``write_csv`` likewise formats each distinct queue column once, a whole
+column per orjson call (its shortest round-trip text is ``repr``'s).
 
 ``solve_oracle`` recomputes the same stationary quantities for small
 instances by brute force: it enumerates every split of the population
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import LoadSeries, _float_texts, _int_texts
 from .model import ServiceProfile
 
 # solve_oracle enumerates every population split; beyond these caps the
@@ -95,7 +97,9 @@ class CanonicalCurves:
     def write_csv(self, dest) -> None:
         """Write n,x,r plus one q_<label> column per stage.
 
-        ``dest`` is a path or an open text file.
+        ``dest`` is a path or an open text file. Each block's columns are
+        converted to text by orjson (``ingest._float_texts``), the bytes
+        ``repr`` would write; each distinct queue column once.
         """
         if hasattr(dest, "write"):
             self._write_csv(dest)
@@ -115,10 +119,9 @@ class CanonicalCurves:
             source.append(j if np.array_equal(bits[:, j], bits[:, k]) else k)
         for start in range(0, len(self.n), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            cells = {j: list(map(repr, self.q[block, j].tolist())) for j in set(source)}
-            columns = [map(str, self.n[block].tolist()),
-                       map(repr, self.x[block].tolist()),
-                       map(repr, self.r[block].tolist())] + [cells[j] for j in source]
+            cells = {j: _float_texts(self.q[block, j]) for j in set(source)}
+            columns = [_int_texts(self.n[block]), _float_texts(self.x[block]),
+                       _float_texts(self.r[block])] + [cells[j] for j in source]
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
     def to_csv_text(self) -> str:
@@ -135,8 +138,6 @@ class CanonicalCurves:
         not match what it actually did, or None for no declared pacing.
         The series' ``source_label`` is ``"reference"``.
         """
-        from .ingest import LoadSeries
-
         if configured_think_time is _PROFILE_Z:
             configured_think_time = self.profile.think_time
         if ns is None:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from ._version import __version__
 from .diagnostics import (
     CRITICAL,
@@ -38,7 +36,7 @@ from .diagnostics import (
     estimate_knee,
     post_knee,
 )
-from .ingest import LoadSeries
+from .ingest import LoadSeries, _float_texts, _int_texts
 from .model import Bounds, ServiceProfile, bounds_summary
 
 VERDICT_CLEAN = "clean"
@@ -100,7 +98,10 @@ class Report:
         report than the whole diagnosis. Here _Layout writes every part
         itself: the audit by columns into one list joined once, point
         lists joined, and the small parts (inputs, bounds, knee,
-        evidence) by a recursive encoder of their few value types.
+        evidence) by a recursive encoder of their few value types. The
+        audit's numbers and the point lists are written a column at a
+        time by orjson (``ingest._float_texts``, ``ingest._int_texts``),
+        whose text is ``repr``'s to the byte.
         """
         layout = _Layout(indent)
         findings = [layout.container("{}", [
@@ -108,7 +109,7 @@ class Report:
             ("severity", encode_basestring_ascii(f.severity)),
             ("message", encode_basestring_ascii(f.message)),
             ("evidence", layout.dumps(dict(f.evidence), 3)),
-            ("affected_points", layout.container("[]", map(int.__repr__, f.affected_points), 3)),
+            ("affected_points", layout.container("[]", _int_texts(f.affected_points), 3)),
         ], 2) for f in self.findings]
         return layout.container("{}", [
             ("version", layout.dumps(self.tool_version, 1)),
@@ -125,7 +126,8 @@ class _Layout:
     """JSON text laid out exactly as ``json.dumps(..., indent=indent)`` lays it out.
 
     Each method encodes one part of a report placed at nesting ``depth``;
-    the audit table is written by columns, without a container per row.
+    the audit table is written by columns, without a container per row,
+    each column's numbers converted by one orjson call.
     """
 
     def __init__(self, indent: int):
@@ -174,9 +176,8 @@ class _Layout:
             return "[]"
         # the row object cut at its values: text, value, text, ..., value, text
         pieces = self.container("{}", [(name, "%s") for name in AUDIT_FIELDS], depth + 1).split("%s")
-        columns = [map(int.__repr__, audit.n_was.tolist())]
-        columns += [map(float.__repr__ if np.isfinite(c).all() else _json_float, c.tolist())
-                    for c in audit.columns[1:]]
+        columns = [_int_texts(audit.n_was)]
+        columns += [_float_texts(c, _json_float) for c in audit.columns[1:]]
         inner = "\n" + self.unit * (depth + 1)
         width = len(pieces) + len(columns)
         out = [""] * (width * rows)

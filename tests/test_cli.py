@@ -8,7 +8,8 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import loadlaw.cli
-from loadlaw import DetectorConfig, ParseError, Report, parse_trace, solve_reference
+from loadlaw import (DetectorConfig, ParseError, Report, diagnose_series, parse_profile,
+                     parse_series, parse_trace, plot_rows, solve_reference)
 from loadlaw.cli import build_parser, main
 
 from .conftest import CAPPED_POOL_ROWS, three_stage_profile
@@ -222,6 +223,30 @@ class TestDiagnose:
         assert "cannot" in combined_lines[0]
         assert combined_lines[1] == "x,r,n"
 
+    # r = 5e-5 s, x from 1e16 up, and with Z = 1e6 s bound lines below 1e-4:
+    # numbers repr writes in exponent form
+    EXPONENT_SERIES = "n,x,r\n1,1.0,5e-05\n2,1.5,3e-05\n3,1e16,0.001\n4,2e16,1.0\n5,2.5e-07,0.0\n"
+    EXPONENT_PROFILE = PROFILE_JSON.replace('"think_time": 10000', '"think_time": 1e9')
+
+    @pytest.mark.parametrize("case", ["capped", "exponent-forms"])
+    def test_plot_and_combined_csv_match_the_row_writers(self, capsys, tmp_path, capped_csv,
+                                                         profile_path, case):
+        series_path, profile = capped_csv, profile_path
+        if case == "exponent-forms":
+            series_path, profile = tmp_path / "tiny.csv", tmp_path / "far.json"
+            series_path.write_text(self.EXPONENT_SERIES)
+            profile.write_text(self.EXPONENT_PROFILE)
+        plot, combined = tmp_path / "plot.csv", tmp_path / "combined.csv"
+        main(["diagnose", str(series_path), "--profile", str(profile), "--no-fail",
+              "--plot-csv", str(plot), "--combined-csv", str(combined)])
+        series = parse_series(open(series_path, "rb").read())
+        report = diagnose_series(series, parse_profile(open(profile, "rb").read()))
+        assert plot.read_text() == reference_plot_csv(series, report)
+        assert combined.read_text() == reference_combined_csv(series)
+        if case == "exponent-forms":
+            assert "e-05" in plot.read_text() and "e+16" in combined.read_text()
+            assert "e-07" in plot.read_text().splitlines()[1].split(",")[3]
+
     def test_json_deterministic(self, capsys, capped_csv, profile_path):
         main(["diagnose", capped_csv, "--profile", profile_path, "--no-fail"])
         first = capsys.readouterr().out
@@ -245,6 +270,22 @@ class TestDiagnose:
         assert out == ""
         assert "--plot-csv" in err and "knee estimate unavailable" in err
         assert not plot.exists()
+
+
+def reference_plot_csv(series, report) -> str:
+    """The --plot-csv text as the row-by-row writer wrote it: one repr per value."""
+    lines = ["n,x_measured,r_measured,x_upper_bound,r_lower_bound\n"]
+    for n, x, r, xb, rb in plot_rows(series, report.knee):
+        lines.append(f"{n},{x!r},{r!r},{xb!r},{rb!r}\n")
+    return "".join(lines)
+
+
+def reference_combined_csv(series) -> str:
+    """The --combined-csv text as the row-by-row writer wrote it."""
+    lines = [f"# {loadlaw.cli.COMBINED_PLOT_CAVEAT}\n", "x,r,n\n"]
+    for n, x, r in zip(series.n.tolist(), series.x.tolist(), series.r.tolist()):
+        lines.append(f"{x!r},{r!r},{n}\n")
+    return "".join(lines)
 
 
 class TestSteady:
@@ -381,16 +422,42 @@ class TestUsage:
         self._assert_usage_error(capsys, ["diagnose", capped_csv, "--profile", profile_path,
                                           "--min-growth-points", value], "min-growth-points")
 
+    # a value that starts with "-" but not as -1 or -.5 does: argparse would take it for an option
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("diagnose", "bound-tol", "-inf", "tolerance must be finite, got -inf"),
+        ("diagnose", "bound-tol", "-1e-3", "tolerance must be >= 0.0, got -0.001"),
+        ("diagnose", "slope-fraction", "-Infinity", "tolerance must be finite, got -inf"),
+        ("diagnose", "z", "-inf", "think time must be finite, got -inf"),
+        ("diagnose", "z", "-NaN", "think time must be finite, got nan"),
+        ("audit", "z", "-2.5E+3", "think time must be >= 0.0, got -2500.0"),
+        ("audit", "plateau-tol", "-1x", "could not convert string to float: '-1x'"),
+        ("diagnose", "min-growth-points", "-1e3", "must be an integer, got '-1e3'"),
+        ("diagnose", "min-growth-points", "-x", "expected one argument"),
+    ])
+    def test_negative_number_forms_reach_the_flag_check(self, capsys, capped_csv, command, flag,
+                                                        value, message):
+        error = self._assert_usage_error(capsys, [command, capped_csv, f"--{flag}", value], flag,
+                                         command)
+        assert error == f"loadlaw {command}: error: argument --{flag}: {message}"
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-0.5"])
+    def test_negative_warmup_reaches_the_range_check(self, capsys, tmp_path, value):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x_inst\n0,5\n10,5\n")
+        assert main(["steady", str(trace), "--warmup", value]) == 1
+        assert capsys.readouterr() == ("", "loadlaw: error: --warmup must be in [0, 1)\n")
+
     @staticmethod
-    def _assert_usage_error(capsys, argv, flag):
+    def _assert_usage_error(capsys, argv, flag, command="diagnose"):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         captured = capsys.readouterr()
         *usage, error = captured.err.splitlines()
-        assert captured.out == "" and usage[0].startswith("usage: loadlaw diagnose")
+        assert captured.out == "" and usage[0].startswith(f"usage: loadlaw {command}")
         assert all(line.startswith(" ") for line in usage[1:])
-        assert error.startswith(f"loadlaw diagnose: error: argument --{flag}: ")
+        assert error.startswith(f"loadlaw {command}: error: argument --{flag}: ")
+        return error
 
     @pytest.mark.parametrize("rows", [
         [(10, 0.99, 0.011), (20, 1.98, 0.011)],  # no point beyond the knee at 2002 users

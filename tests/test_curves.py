@@ -314,6 +314,18 @@ def test_hand_built_curves_write_their_own_columns():
     assert text == "n,x,r,q_a,q_b,q_c,q_d\r\n1,1.0,nan,0.0,-0.0,nan,nan\r\n2,-0.0,2.0,1.5,1.5,1.5,inf\r\n"
 
 
+@pytest.mark.parametrize("times, z, exponent", [
+    ([0.0035, 0.005, 0.002], 1e6, "e-"),  # x = n / (R + Z) below 1e-4 for n < 100
+    ([1e-17, 2e-17, 1e-17], 0.0, "e+"),  # x = 1 / S_max from 5e16 up
+], ids=["x-below-1e-4", "x-from-1e16"])
+def test_exponent_forms_are_written_as_the_row_writer_wrote_them(monkeypatch, times, z, exponent):
+    monkeypatch.setattr(curves_module, "_CSV_BLOCK_ROWS", 64)
+    c = solve_reference(ServiceProfile.from_service_times(times, think_time=z), 150)
+    text = c.to_csv_text()
+    assert text == reference_csv_text(c)
+    assert exponent in text.splitlines()[1].split(",")[1]
+
+
 def test_csv_is_written_in_blocks(monkeypatch):
     # a curve longer than one block gives the same text as the row-by-row writer
     monkeypatch.setattr(curves_module, "_CSV_BLOCK_ROWS", 7)

@@ -22,6 +22,7 @@ from loadlaw import (
 )
 
 from loadlaw import ingest
+from loadlaw.report import _json_float
 
 from .conftest import gen0_collections, load_series
 
@@ -245,12 +246,34 @@ def test_row_reader_matches_csv_reader(lines):
             for lineno, cells in ingest._rows(text.splitlines())] == expected
 
 
+def reference_serialize_series(series):
+    """serialize_series as it was before it wrote by columns: one repr per value."""
+    lines = ["n,x,r"]
+    for n, x, r in zip(series.n.tolist(), series.x.tolist(), series.r.tolist()):
+        lines.append(f"{n},{x!r},{r!r}")
+    return "\n".join(lines) + "\n"
+
+
 @given(load_series())
 def test_serialize_parse_round_trip(series):
-    back = parse_series(serialize_series(series),
-                        configured_think_time=series.configured_think_time,
+    text = serialize_series(series)
+    assert text == reference_serialize_series(series)
+    back = parse_series(text, configured_think_time=series.configured_think_time,
                         source_label=series.source_label)
     assert back == series
+
+
+# values repr writes in exponent form (below 1e-4 or from 1e16 up) among ones it does not
+EXPONENT_FORM_SERIES = LoadSeries.from_arrays(
+    [1, 2, 3, 4, 5, 6], [1e16, 0.0, 5e-5, 2.5e20, 1e-4, 9999999999999998.0],
+    [5e-5, 5e-324, 0.0, 1e-4, 1e16, 3.0e-7])
+
+
+def test_serialize_series_writes_exponent_forms_as_repr_does():
+    text = serialize_series(EXPONENT_FORM_SERIES)
+    assert text == reference_serialize_series(EXPONENT_FORM_SERIES)
+    assert text.splitlines()[1:4] == ["1,1e+16,5e-05", "2,0.0,5e-324", "3,5e-05,0.0"]
+    assert parse_series(text) == EXPONENT_FORM_SERIES
 
 
 class TestParseProfile:
@@ -698,3 +721,73 @@ def test_parsing_keeps_no_container_per_row(parse, text):
     """A container kept alive per row costs gen-0 collections on every file."""
     assert parse(text).x.size == 5000
     assert gen0_collections(lambda: parse(text)) == 0
+
+
+def _edge_floats() -> list[float]:
+    """Zeros, subnormals, the extremes, NaN, the infinities, and the
+    nextafter neighbours of +-1e-4 and +-1e16, where repr turns to and
+    from exponent form."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    for edge in (1e-4, -1e-4, 1e16, -1e16):
+        values.append(edge)
+        below = above = edge
+        for _ in range(3):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            values += [float(below), float(above)]
+    return values
+
+
+EDGE_BITS = np.array(_edge_floats()).view(np.uint64).tolist()
+
+
+def _assert_float_texts(column):
+    assert ingest._float_texts(column) == list(map(float.__repr__, column.tolist()))
+    assert ingest._float_texts(column, _json_float) == list(map(_json_float, column.tolist()))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2 ** 64 - 1) | st.sampled_from(EDGE_BITS), max_size=60),
+       st.integers(1, 4))
+def test_float_texts_are_repr_for_every_bit_pattern(bits, step):
+    column = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_float_texts(column)
+    _assert_float_texts(column[::step])  # a strided view, not contiguous for step > 1
+
+
+def test_float_texts_of_the_edge_values():
+    _assert_float_texts(np.array(_edge_floats()))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e16])
+def test_float_texts_fix_up_values_among_many_ordinary_ones(scale):
+    column = np.random.default_rng(3).uniform(0.5, 2.0, 3000) * scale
+    column[[0, 1234, 2999]] = _edge_floats()[:3]
+    _assert_float_texts(column)
+    table = np.stack([column, -column], axis=1)  # its columns are strided, as a curve's q columns
+    _assert_float_texts(table[:, 1])
+
+
+@pytest.mark.parametrize("column", [np.array([], dtype=np.float64), [], np.empty((0, 3))[:, 1]],
+                         ids=["array", "list", "strided"])
+def test_float_texts_of_an_empty_column(column):
+    assert ingest._float_texts(column) == []
+    assert ingest._float_texts(column, _json_float) == []
+
+
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60), st.integers(1, 3))
+def test_int_texts_are_repr_of_int64_columns(values, step):
+    column = np.array(values, dtype=np.int64)
+    assert ingest._int_texts(column) == list(map(int.__repr__, values))
+    assert ingest._int_texts(column[::step]) == list(map(int.__repr__, values[::step]))
+
+
+@given(st.lists(st.integers(-2 ** 53, 2 ** 53), max_size=60))
+def test_int_texts_are_repr_of_int_sequences(values):
+    assert ingest._int_texts(tuple(values)) == list(map(int.__repr__, values))
+    assert ingest._int_texts(values) == list(map(int.__repr__, values))
+
+
+@pytest.mark.parametrize("values", [(), [], np.array([], dtype=np.int64)], ids=["tuple", "list", "array"])
+def test_int_texts_of_no_values(values):
+    assert ingest._int_texts(values) == []

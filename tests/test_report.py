@@ -131,6 +131,12 @@ ENCODER_CASES = {
         verdict="clean"),
     "nonfinite-audit": lambda: audit_series(LoadSeries(points=(
         LoadPoint(1, 1e200, 1e200), LoadPoint(2, 1.0, 0.5)))),
+    # r = 5e-5 s, n_run below 1e-4, x and n_run from 1e16 up: repr's exponent forms
+    "exponent-form-audit": lambda: diagnose_series(LoadSeries(points=(
+        LoadPoint(1, 1.0, 5e-5), LoadPoint(2, 1.5, 3e-5), LoadPoint(3, 1e16, 1e-3),
+        LoadPoint(4, 2e16, 1.0), LoadPoint(5, 2.5e-7, 0.0))), three_stage_profile()),
+    "exponent-form-audit-only": lambda: audit_series(LoadSeries(points=(
+        LoadPoint(1, 1.0, 5e-5), LoadPoint(9, 1e16, 1e-3)), configured_think_time=1e-5)),
     "nan-audit-column": lambda: Report(
         tool_version=__version__, inputs={}, bounds=None, knee=None,
         audit=Audit(*(np.array(c) for c in ([1, 2], [1.0, math.nan], [0.5, 1.0], [0.5, math.inf],
