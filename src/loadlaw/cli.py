@@ -19,7 +19,7 @@ from .curves import solve_reference
 from .ingest import (
     InsufficientSteadyStateError,
     ParseError,
-    SeriesFormat,
+    _csv_lines,
     _float_texts,
     _int_texts,
     parse_profile,
@@ -75,7 +75,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate",
                        help="write the lawful reference curves for a profile as CSV")
     p.add_argument("profile", help="profile JSON path")
-    p.add_argument("--n-max", type=int, required=True, help="largest client count to solve")
+    p.add_argument("--n-max", type=_integer_at_least(1), required=True,
+                   help="largest client count to solve")
     p.add_argument("--out", required=True, help="output CSV path, or - for stdout")
     p.set_defaults(func=cmd_simulate)
 
@@ -109,7 +110,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("steady",
                        help="steady-state time-averaged throughput of an instantaneous trace")
     p.add_argument("trace", help="trace CSV path (t,x_inst)")
-    p.add_argument("--warmup", type=float, default=0.25,
+    p.add_argument("--warmup", type=_warmup, default=0.25,
                    help="fraction of the trace span to discard as warm-up (default 0.25)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_steady)
@@ -137,15 +138,28 @@ _think_time = _nonnegative("think time")
 _tolerance = _nonnegative("tolerance")
 
 
-def _growth_points(text: str) -> int:
-    # a line through fewer than two points is not determined
+def _warmup(text: str) -> float:
+    """An argparse type for a warm-up fraction: finite and in [0, 1)."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value!r}")
     return value
+
+
+def _integer_at_least(minimum: int):
+    """An argparse type for an integer >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _tolerance_flags(p: argparse.ArgumentParser, names) -> None:
@@ -158,7 +172,8 @@ def _tolerance_flags(p: argparse.ArgumentParser, names) -> None:
         "think-tol": ("think_time_rel_tol", _tolerance, "relative deviation allowed for implied think time"),
         "slope-fraction": ("slope_fraction", _tolerance,
                            "fraction of the bottleneck slope below which response is flat"),
-        "min-growth-points": ("min_growth_points", _growth_points,
+        # a line through fewer than two points is not determined
+        "min-growth-points": ("min_growth_points", _integer_at_least(2),
                               "post-knee points needed to classify growth"),
     }
     for name in names:
@@ -185,8 +200,7 @@ def _load_profile(path: str):
 
 
 def _load_series(args: argparse.Namespace):
-    fmt = SeriesFormat(r_unit=args.r_unit)
-    return parse_series(_read_file(args.series), fmt,
+    return parse_series(_read_file(args.series), r_unit=args.r_unit,
                         configured_think_time=args.z, source_label=args.series)
 
 
@@ -206,8 +220,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise _UsageError("--n-max must be >= 1")
     curves = solve_reference(_load_profile(args.profile), args.n_max)
     if args.out == "-":
         curves.write_csv(sys.stdout)
@@ -293,28 +305,21 @@ def _print_diagnose_text(report: Report) -> None:
     _print_findings(report)
 
 
-def _csv_body(columns) -> str:
-    """Rows of the columns' texts, each line ended by a newline."""
-    return "".join([",".join(row) + "\n" for row in zip(*columns)])
-
-
 def _write_plot_csv(path: str, series, report: Report) -> None:
     n, *floats = zip(*plot_rows(series, report.knee))
     with open(path, "w") as fh:
         fh.write("n,x_measured,r_measured,x_upper_bound,r_lower_bound\n")
-        fh.write(_csv_body([_int_texts(n), *map(_float_texts, floats)]))
+        fh.write(_csv_lines([_int_texts(n), *map(_float_texts, floats)]))
 
 
 def _write_combined_csv(path: str, series) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {COMBINED_PLOT_CAVEAT}\n")
         fh.write("x,r,n\n")
-        fh.write(_csv_body([_float_texts(series.x), _float_texts(series.r), _int_texts(series.n)]))
+        fh.write(_csv_lines([_float_texts(series.x), _float_texts(series.r), _int_texts(series.n)]))
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.warmup < 1.0:
-        raise _UsageError("--warmup must be in [0, 1)")
     trace = parse_trace(_read_file(args.trace))
     try:
         x_bar, window = steady_state_average(trace, warmup_fraction=args.warmup)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import LoadSeries, _float_texts, _int_texts
+from .ingest import LoadSeries, _csv_lines, _float_texts, _int_texts
 from .model import ServiceProfile
 
 # solve_oracle enumerates every population split; beyond these caps the
@@ -122,7 +122,7 @@ class CanonicalCurves:
             cells = {j: _float_texts(self.q[block, j]) for j in set(source)}
             columns = [_int_texts(self.n[block]), _float_texts(self.x[block]),
                        _float_texts(self.r[block])] + [cells[j] for j in source]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+            fh.write(_csv_lines(columns, "\r\n"))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

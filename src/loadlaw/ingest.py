@@ -9,10 +9,10 @@ Three inputs are understood:
 * trace CSV: header ``t,x_inst`` with instantaneous throughput samples.
 
 Response-time units are never guessed. A suffixed header (``r_ms``,
-``r_s``) declares its own unit; a bare ``r`` takes the unit from the
-format descriptor, which defaults to seconds. Everything is converted to
-seconds on the way in, because mixed-unit arithmetic is precisely the
-kind of mistake this toolkit exists to catch.
+``r_s``) declares its own unit; a bare ``r`` takes the unit from
+parse_series' ``r_unit`` argument, which defaults to seconds. Everything
+is converted to seconds on the way in, because mixed-unit arithmetic is
+precisely the kind of mistake this toolkit exists to catch.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ class InsufficientSteadyStateError(ValueError):
 MAX_N = 2 ** 53
 
 
+def _n_error(n: int) -> str:
+    """Why ``n``, outside 1..MAX_N, is not a load."""
+    return f"n must be >= 1, got {n}" if n < 1 else f"n must be <= 2**53, got {n}"
+
+
 @dataclass(frozen=True)
 class LoadPoint:
     """One measured (N, X, R) triple, R in seconds."""
@@ -68,10 +74,8 @@ class LoadPoint:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.n > MAX_N:
-            raise ValueError(f"n must be <= 2**53, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(_n_error(self.n))
         for name in ("x", "r"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -303,21 +307,6 @@ class ThroughputTrace:
         return f"ThroughputTrace(samples={self.samples!r})"
 
 
-@dataclass(frozen=True)
-class SeriesFormat:
-    """Unit declaration for series CSVs.
-
-    ``r_unit`` applies when the response column is a bare ``r``;
-    suffixed headers declare themselves.
-    """
-
-    r_unit: str = "s"
-
-    def __post_init__(self):
-        if self.r_unit not in _UNIT_DIVISOR:
-            raise ValueError(f"unknown response-time unit {self.r_unit!r}; use one of {sorted(_UNIT_DIVISOR)}")
-
-
 def _as_text(raw) -> str:
     # a text-mode file decodes inside read(), so both steps share the handler
     try:
@@ -333,13 +322,18 @@ def _as_text(raw) -> str:
     return raw.removeprefix("\ufeff")
 
 
+def _cells(line: str) -> list[str]:
+    """The cells of one line, unstripped."""
+    # csv.reader splits a line without quotes exactly where str.split does
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
 def _rows(lines: list[str]):
     """(line number, cells) of each non-comment, non-blank line; cells unstripped."""
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            # csv.reader splits a line without quotes exactly where str.split does
-            yield lineno, next(csv.reader([line])) if '"' in line else line.split(",")
+            yield lineno, _cells(line)
 
 
 def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
@@ -354,131 +348,133 @@ def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
     raise ParseError("empty file: expected a header row")
 
 
-def _body(lines: list[str], header_line: int) -> list[str]:
-    """The non-comment, non-blank lines after the header, as _rows keeps them."""
-    return [line for line in itertools.islice(lines, header_line, None)
-            if (stripped := line.strip()) and stripped[0] != "#"]
-
-
-def _bulk_columns(body: list[str], indices: tuple[int, ...],
-                  kinds: tuple[type, ...]) -> list[np.ndarray] | None:
-    """The columns at ``indices`` of ``body``, converted by ``kinds`` (int to
-    int64, float to float64) a whole column at a time.
-
-    None when a line holds a quote, the lines differ in width or are too
-    short for ``indices``, or a cell does not convert: the row loop then
-    names the first bad row.
-    """
-    widths = set(map(str.count, body, itertools.repeat(",")))
-    if len(widths) != 1:
-        return None
-    width = widths.pop() + 1
-    if width <= max(indices):
-        return None
-    columns = [np.empty(len(body), dtype=np.int64 if kind is int else np.float64) for kind in kinds]
-    for start in range(0, len(body), _BULK_LINES):
-        block = body[start:start + _BULK_LINES]
-        text = ",".join(block)
-        if '"' in text:
-            return None
-        cells, count = text.split(","), len(block)
-        for column, i, kind in zip(columns, indices, kinds):
-            try:
-                column[start:start + count] = np.fromiter(map(kind, map(str.strip, cells[i::width])),
-                                                          column.dtype, count)
-            except (ValueError, OverflowError):
-                return None
-    return columns
-
-
-def _row_columns(rows, indices: tuple[int, ...], kinds: tuple[type, ...]):
-    """Lists of the cells at ``indices`` converted by ``kinds``, row by row, up
-    to the first row too short or with a cell that does not convert; with
-    that row's ParseError, or None when every row converts."""
-    width = max(indices)
-    columns = tuple([] for _ in indices)
-    for lineno, cells in rows:
-        try:
-            values = [kind(cells[i].strip()) for i, kind in zip(indices, kinds)]
-        except (IndexError, ValueError):
-            return columns, _row_error(lineno, cells, width)
-        for column, value in zip(columns, values):
-            column.append(value)
-    return columns, None
-
-
 def _joined(cells: list[str]) -> str:
     return ",".join(c.strip() for c in cells)
 
 
-def _row_error(lineno: int, cells: list[str], width: int) -> ParseError:
-    """The error for a row too short for the columns read or with a cell that does not convert."""
-    if len(cells) <= width:
-        return ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
-    return ParseError(f"malformed row: {_joined(cells)!r}", line=lineno)
+def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
+             columns: list[np.ndarray], start: int) -> None:
+    """Write the cells at ``indices`` of ``block``, converted by ``kinds``,
+    into ``columns`` from row ``start``, each column by one np.fromiter.
+
+    An unquoted block of one width is cut by one join and split; any other
+    is cut line by line, keeping only the wanted cells. Raises IndexError,
+    ValueError or OverflowError when a row is too short or a cell does not
+    convert into its column.
+    """
+    text = ",".join(block)
+    widths = set(map(str.count, block, itertools.repeat(",")))
+    width = widths.pop() + 1 if len(widths) == 1 else 0
+    if width > max(indices) and '"' not in text:
+        cells = text.split(",")
+    else:
+        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*indices), map(_cells, block))))
+        indices, width = range(len(indices)), len(indices)
+    for column, i, kind in zip(columns, indices, kinds):
+        column[start:start + len(block)] = np.fromiter(map(kind, map(str.strip, cells[i::width])),
+                                                       column.dtype, len(block))
 
 
-def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
-    """(line number, cells) of the ``i``-th row after the header, 0-based."""
+def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> tuple[int, str]:
+    """The index in ``block`` of the first row too short for ``indices``, with
+    a cell that does not convert, or with an n past int64, and its error."""
+    width, pick = max(indices), operator.itemgetter(*indices)
+    # n is the one column read as int; past int64 it has no cell to go into
+    reads_n = kinds[0] is int
+    for j, line in enumerate(block):
+        cells = _cells(line)
+        if len(cells) <= width:
+            return j, f"expected at least {width + 1} columns, got {len(cells)}"
+        try:
+            values = [kind(cell.strip()) for kind, cell in zip(kinds, pick(cells))]
+        except ValueError:
+            return j, f"malformed row: {_joined(cells)!r}"
+        if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
+            return j, _n_error(values[0])
+
+
+def _data_row(lines: list[str], header_line: int, dense: bool, i: int) -> tuple[int, list[str]]:
+    """(line number, cells) of the ``i``-th row after the header, 0-based;
+    counted, not searched for, when ``dense``: no comment or blank line
+    follows the header."""
+    if dense:
+        return header_line + i + 1, _cells(lines[header_line + i])
     return next(itertools.islice(_rows(lines), i + 1, None))
 
 
-def parse_series(raw, fmt: SeriesFormat | None = None, *,
-                 configured_think_time: float | None = None,
+def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
+                  kinds: tuple[type, ...], build, check, refuse=None):
+    """``build(*columns)`` of the body after ``header_line``: the columns at
+    ``indices``, converted by ``kinds`` (int to int64, float to float64).
+
+    The body is converted ``_BULK_LINES`` lines at a time. When a block
+    does not convert, a row loop finds its first row that is too short,
+    has a cell that does not convert or an n past int64; the rows before
+    it are converted and ``check``ed, and that row's error is raised only
+    if they pass. A ``_RowError`` from ``build`` or ``check`` is raised as
+    a ParseError on the row's line, worded by
+    ``refuse(error, cells, *columns)`` when given.
+    """
+    body = [line for line in itertools.islice(lines, header_line, None)
+            if (stripped := line.strip()) and stripped[0] != "#"]
+    if not body:
+        raise ParseError("no data rows")
+    dense = len(body) == len(lines) - header_line
+    columns = [np.empty(len(body), dtype=np.int64 if kind is int else np.float64) for kind in kinds]
+    failure = None
+    for start in range(0, len(body), _BULK_LINES):
+        block = body[start:start + _BULK_LINES]
+        try:
+            _convert(block, indices, kinds, columns, start)
+        except (IndexError, ValueError, OverflowError):
+            j, message = _refused(block, indices, kinds)
+            _convert(block[:j], indices, kinds, columns, start)
+            columns = [column[:start + j] for column in columns]
+            failure = start + j, message
+            break
+    del body  # free the line list before build copies the columns
+    try:
+        if failure is None:
+            return build(*columns)
+        check(*columns)
+    except _RowError as exc:
+        lineno, cells = _data_row(lines, header_line, dense, exc.row)
+        message = refuse(exc, cells, *columns) if refuse else str(exc)
+        raise ParseError(message, line=lineno) from None
+    i, message = failure
+    raise ParseError(message, line=_data_row(lines, header_line, dense, i)[0])
+
+
+def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None,
                  source_label: str = "") -> LoadSeries:
     """Parse a load-series CSV into a validated LoadSeries in seconds.
 
-    The body is converted a whole column at a time when every row is
-    unquoted and of one width; any other file goes through a row loop
-    that stops at the first row too short or with a cell that does not
-    convert. The value and order checks then run once, on the columns.
+    ``r_unit`` ("s" or "ms") is the unit of a bare ``r`` column; suffixed
+    ``r_s`` and ``r_ms`` headers declare themselves. The body is converted
+    by columns and checked once, on the columns (see _read_columns).
 
     Raises ParseError with the offending line number for malformed rows,
     duplicate or out-of-order load points, and unit/header problems. The
     first bad row in the file is the one reported.
     """
-    if fmt is None:
-        fmt = SeriesFormat()
+    if r_unit not in _UNIT_DIVISOR:
+        raise ValueError(f"unknown response-time unit {r_unit!r}; use one of {sorted(_UNIT_DIVISOR)}")
     lines = _as_text(raw).splitlines()
-    rows = _rows(lines)
-    header_line, columns = _header(rows, ("n", "x"))
+    header_line, columns = _header(_rows(lines), ("n", "x"))
     present = [name for name in _R_COLUMN_UNITS if name in columns]
     if not present:
         raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
                          line=header_line)
     if len(present) > 1:
         raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
-    indices = columns["n"], columns["x"], columns[present[0]]
-    divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or fmt.r_unit]
+    divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
-    failure = None
-    converted = _bulk_columns(_body(lines, header_line), indices, (int, float, float))
-    if converted is None:
-        (ns, xs, rs), failure = _row_columns(rows, indices, (int, float, float))
-        try:
-            n = np.array(ns, dtype=np.int64)
-        except OverflowError:
-            # an n past int64 has no column to go into; the first n out of LoadPoint's
-            # range ends the rows, as a conversion failure would, after the rows before it
-            i = next(i for i, v in enumerate(ns) if not 1 <= v <= MAX_N)
-            try:
-                LoadPoint(ns[i], xs[i], rs[i])
-            except ValueError as exc:
-                failure = ParseError(str(exc), line=_data_row(lines, i)[0])
-            n, xs, rs = np.array(ns[:i], dtype=np.int64), xs[:i], rs[:i]
-        converted = n, np.array(xs, dtype=np.float64), np.array(rs, dtype=np.float64)
-    n, x, r = converted
-    r = r / divisor
-    try:
-        if failure is None:
-            if not len(n):
-                raise ParseError("no data rows")
-            return LoadSeries.from_arrays(n, x, r, configured_think_time=configured_think_time,
-                                          source_label=source_label)
-        _check_points(n, x, r)
-        raise failure
-    except _RowError as exc:
-        raise ParseError(str(exc), line=_data_row(lines, exc.row)[0]) from None
+    def build(n, x, r):
+        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time,
+                                      source_label=source_label)
+
+    return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
+                         (int, float, float), build, lambda n, x, r: _check_points(n, x, r / divisor))
 
 
 def _float_texts(column, nonfinite=float.__repr__) -> list[str]:
@@ -516,48 +512,38 @@ def _int_texts(values) -> list[str]:
     return text[1:-1].decode().split(",") if len(text) > 2 else []
 
 
+def _csv_lines(columns, end: str = "\n") -> str:
+    """The rows of ``columns`` (lists of cell texts, at least one row) joined
+    by commas, each line ended by ``end``."""
+    return end.join(map(",".join, zip(*columns))) + end
+
+
 def serialize_series(series: LoadSeries) -> str:
     """Series back to CSV (seconds); parse_series inverts this exactly."""
-    rows = map(",".join, zip(_int_texts(series.n), _float_texts(series.x), _float_texts(series.r)))
-    return "\n".join(["n,x,r", *rows]) + "\n"
+    return "n,x,r\n" + _csv_lines([_int_texts(series.n), _float_texts(series.x), _float_texts(series.r)])
 
 
 def parse_trace(raw) -> ThroughputTrace:
     """Parse a t,x_inst trace CSV.
 
-    Converted as parse_series converts: whole columns when every row is
-    unquoted and of one width, else a row loop up to the first row that
-    does not convert; the order and value checks then run once.
+    Converted and checked as parse_series converts and checks a series.
 
     Raises ParseError with the line number of the first bad row in the
     file: too short, malformed, out of order, or not finite with
     x_inst >= 0.
     """
     lines = _as_text(raw).splitlines()
-    rows = _rows(lines)
-    header_line, columns = _header(rows, ("t", "x_inst"))
-    indices = columns["t"], columns["x_inst"]
+    header_line, columns = _header(_rows(lines), ("t", "x_inst"))
+    return _read_columns(lines, header_line, (columns["t"], columns["x_inst"]), (float, float),
+                         ThroughputTrace.from_arrays, _check_samples, _sample_refusal)
 
-    failure = None
-    converted = _bulk_columns(_body(lines, header_line), indices, (float, float))
-    if converted is None:
-        (ts, xs), failure = _row_columns(rows, indices, (float, float))
-        converted = np.array(ts, dtype=np.float64), np.array(xs, dtype=np.float64)
-    t, x = converted
-    try:
-        if failure is None:
-            if not len(t):
-                raise ParseError("no data rows")
-            return ThroughputTrace.from_arrays(t, x)
-        _check_samples(t, x)
-        raise failure
-    except _RowError as exc:
-        i = exc.row
-        lineno, cells = _data_row(lines, i)
-        if i and t[i] <= t[i - 1]:
-            raise ParseError(f"timestamps must be strictly increasing (t={t[i].item()!r})",
-                             line=lineno) from None
-        raise ParseError(f"sample must be finite with x_inst >= 0: {_joined(cells)!r}", line=lineno) from None
+
+def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarray) -> str:
+    """parse_trace's wording of a sample the trace checks refused."""
+    i = exc.row
+    if i and t[i] <= t[i - 1]:
+        return f"timestamps must be strictly increasing (t={t[i].item()!r})"
+    return f"sample must be finite with x_inst >= 0: {_joined(cells)!r}"
 
 
 def parse_profile(raw) -> ServiceProfile:

@@ -102,7 +102,9 @@ class TestSimulate:
         assert float(lines[1].split(",")[2]) == pytest.approx(0.0105)
 
     def test_n_max_zero_usage_error(self, capsys, profile_path):
-        assert main(["simulate", profile_path, "--n-max", "0", "--out", "x.csv"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", profile_path, "--n-max", "0", "--out", "x.csv"])
+        assert exc.value.code == 1
 
     def test_unwritable_output_exit_3(self, tmp_path, profile_path):
         dest = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -312,7 +314,9 @@ class TestSteady:
     def test_bad_warmup_usage_error(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x_inst\n0,5\n10,5\n")
-        assert main(["steady", str(trace), "--warmup", "1.5"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["steady", str(trace), "--warmup", "1.5"])
+        assert exc.value.code == 1
 
     def test_json_format(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -444,8 +448,34 @@ class TestUsage:
     def test_negative_warmup_reaches_the_range_check(self, capsys, tmp_path, value):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,x_inst\n0,5\n10,5\n")
-        assert main(["steady", str(trace), "--warmup", value]) == 1
-        assert capsys.readouterr() == ("", "loadlaw: error: --warmup must be in [0, 1)\n")
+        error = self._assert_usage_error(capsys, ["steady", str(trace), "--warmup", value], "warmup",
+                                         "steady")
+        assert error == f"loadlaw steady: error: argument --warmup: must be in [0, 1), got {float(value)!r}"
+
+    @pytest.mark.parametrize("value, message", [
+        ("1", "must be in [0, 1), got 1.0"),
+        ("1.5", "must be in [0, 1), got 1.5"),
+        ("nan", "must be in [0, 1), got nan"),
+        ("inf", "must be in [0, 1), got inf"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_warmup_exit_1(self, capsys, tmp_path, value, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x_inst\n0,5\n10,5\n")
+        error = self._assert_usage_error(capsys, ["steady", str(trace), "--warmup", value], "warmup",
+                                         "steady")
+        assert error == f"loadlaw steady: error: argument --warmup: {message}"
+
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be >= 1, got 0"),
+        ("-3", "must be >= 1, got -3"),
+        ("2.5", "must be an integer, got '2.5'"),
+        ("1e3", "must be an integer, got '1e3'"),
+    ])
+    def test_bad_n_max_exit_1(self, capsys, profile_path, value, message):
+        error = self._assert_usage_error(capsys, ["simulate", profile_path, "--n-max", value, "--out", "-"],
+                                         "n-max", "simulate")
+        assert error == f"loadlaw simulate: error: argument --n-max: {message}"
 
     @staticmethod
     def _assert_usage_error(capsys, argv, flag, command="diagnose"):

@@ -12,7 +12,6 @@ from loadlaw import (
     LoadPoint,
     LoadSeries,
     ParseError,
-    SeriesFormat,
     ThroughputTrace,
     parse_profile,
     parse_series,
@@ -68,11 +67,11 @@ class TestParseSeries:
         assert s.points == (LoadPoint(10, 99.0, 0.1),)
 
     def test_bare_r_with_ms_descriptor(self):
-        s = parse_series("n,x,r\n10,99,100\n", SeriesFormat(r_unit="ms"))
+        s = parse_series("n,x,r\n10,99,100\n", r_unit="ms")
         assert s.points[0].r == pytest.approx(0.1)
 
     def test_suffixed_header_wins_over_descriptor(self):
-        s = parse_series("n,x,r_s\n10,99,0.1\n", SeriesFormat(r_unit="ms"))
+        s = parse_series("n,x,r_s\n10,99,0.1\n", r_unit="ms")
         assert s.points[0].r == 0.1
 
     def test_duplicate_n_rejected_with_line(self):
@@ -109,7 +108,7 @@ class TestParseSeries:
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError, match="unknown response-time unit"):
-            SeriesFormat(r_unit="minutes")
+            parse_series("n,x,r\n10,99,100\n", r_unit="minutes")
 
     def test_negative_value_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -473,10 +472,8 @@ def test_average_invariant_under_time_shift(shift, frac):
 
 # -- the row-by-row parsers and the averaging loop, kept as references ----------
 
-def reference_parse_series(raw, fmt=None):
+def reference_parse_series(raw, r_unit="s"):
     """parse_series as a loop that checks each row as it reads it; returns (n, x, r) lists."""
-    if fmt is None:
-        fmt = SeriesFormat()
     rows = ingest._rows(ingest._as_text(raw).splitlines())
     header_line, columns = ingest._header(rows, ("n", "x"))
     present = [name for name in ingest._R_COLUMN_UNITS if name in columns]
@@ -486,7 +483,7 @@ def reference_parse_series(raw, fmt=None):
     if len(present) > 1:
         raise ParseError(f"ambiguous response-time columns {sorted(present)}", line=header_line)
     n_idx, x_idx, r_idx = columns["n"], columns["x"], columns[present[0]]
-    divisor = ingest._UNIT_DIVISOR[ingest._R_COLUMN_UNITS[present[0]] or fmt.r_unit]
+    divisor = ingest._UNIT_DIVISOR[ingest._R_COLUMN_UNITS[present[0]] or r_unit]
     width = max(n_idx, x_idx, r_idx)
     ns, xs, rs = [], [], []
     prev = 0
@@ -557,10 +554,10 @@ def reference_steady_state_average(samples, warmup_fraction):
     return area / span, (kept[0][0], kept[-1][0])
 
 
-def _outcome(parse, *args):
+def _outcome(parse, *args, **kwargs):
     """The columns a parse returns, floats as their bits, or its (message, line)."""
     try:
-        result = parse(*args)
+        result = parse(*args, **kwargs)
     except ParseError as exc:
         return str(exc), exc.line
     if isinstance(result, LoadSeries):
@@ -618,8 +615,7 @@ def _csv_text(draw, names, key, step):
        | _csv_text(["n", "x", "r_s"], "n", 1), st.sampled_from(["s", "ms"]))
 @settings(max_examples=300)
 def test_parse_series_matches_the_row_loop(text, r_unit):
-    fmt = SeriesFormat(r_unit=r_unit)
-    assert _outcome(parse_series, text, fmt) == _outcome(reference_parse_series, text, fmt)
+    assert _outcome(parse_series, text, r_unit=r_unit) == _outcome(reference_parse_series, text, r_unit)
 
 
 @given(_csv_text(["t", "x_inst"], "t", 0.5))
@@ -661,27 +657,37 @@ def test_steady_state_average_matches_the_loop_bit_for_bit(rows, all_negative_ze
     assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
 
 
-# (series text, trace text, the path the body takes): "columns" when it is
-# converted a whole column at a time, "rows" when the row loop reads it
+# (series text, trace text, whether a row does not convert): the row loop
+# (ingest._refused) runs only for files with such a row
 PARSE_PATHS = {
-    "all-valid": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n2,3\n", "columns"),
-    "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', "rows"),
+    "all-valid": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n2,3\n", False),
+    "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', False),
+    "fully-quoted": ('"n","x","r"\n"1","2","0.1"\n"2","3","0.2"\n"3","4","0.3"\n',
+                     '"t","x_inst"\n"0","1"\n"1","2"\n"2","3"\n', False),
+    "quoted-comma-in-unread-column": ('n,x,r,note\n1,2,0.1,"a,b"\n2,3,0.2,c\n3,4,0.3,"d,e,f"\n',
+                                      't,x_inst,note\n0,1,"a,b"\n1,2,c\n2,3,"d,e,f"\n', False),
     "two-widths": ("n,x,r\n1,2,0.1\n2,3,0.2,extra\n3,4,0.3\n",
-                   "t,x_inst\n0,1\n1,2,extra\n2,3\n", "rows"),
-    "short-row": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4\n", "t,x_inst\n0,1\n1,2\n2\n", "rows"),
-    "all-rows-short": ("n,x,r\n1,2\n2,3\n", "t,x_inst,y\n0\n1\n", "rows"),
+                   "t,x_inst\n0,1\n1,2,extra\n2,3\n", False),
+    "ragged": ("n,x,r\n1,2,0.1,\n2,3,0.2\n3,4,0.3,a,b\n4,5,0.4,\n",
+               "t,x_inst\n0,1,\n1,2\n2,3,a,b\n3,4,\n", False),
+    "one-width-block-then-quoted-block": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n4,5,0.4\n',
+                                          't,x_inst\n0,1\n1,2\n2,"3"\n3,4\n', False),
+    "short-row": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4\n", "t,x_inst\n0,1\n1,2\n2\n", True),
+    "all-rows-short": ("n,x,r\n1,2\n2,3\n", "t,x_inst,y\n0\n1\n", True),
     "bad-cell-after-good-rows": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,oops,0.3\n",
-                                 "t,x_inst\n0,1\n1,2\n2,oops\n", "rows"),
+                                 "t,x_inst\n0,1\n1,2\n2,oops\n", True),
+    "bad-cell-in-quoted-block": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n4,oops,0.4\n',
+                                 't,x_inst\n0,1\n1,2\n2,"3"\n3,oops\n', True),
     "out-of-order-before-bad-cell": ("n,x,r\n2,2,0.1\n1,3,0.2\n3,oops,0.3\n",
-                                     "t,x_inst\n1,1\n0,2\n2,oops\n", "rows"),
+                                     "t,x_inst\n1,1\n0,2\n2,oops\n", True),
     "out-of-order-every-cell-converts": ("n,x,r\n2,2,0.1\n1,3,0.2\n3,4,0.3\n",
-                                         "t,x_inst\n1,1\n0,2\n2,3\n", "columns"),
+                                         "t,x_inst\n1,1\n0,2\n2,3\n", False),
     "bad-value-every-cell-converts": ("n,x,r\n1,2,0.1\n2,-3,0.2\n", "t,x_inst\n0,1\n1,nan\n",
-                                      "columns"),
+                                      False),
     "comment-blank-crlf-formfeed": ("# c\r\nn,x,r\r\n\r\n1,2,0.1\x0c2,3,0.2\r\n  # note\n 3 , 4 ,0.3",
                                     "# c\r\nt,x_inst\r\n\r\n0,1\x0c1,2\r\n  # note\n 2 , 3 ",
-                                    "columns"),
-    "header-with-no-rows": ("n,x,r\n# none\n\n", "t,x_inst\n", "rows"),
+                                    False),
+    "header-with-no-rows": ("n,x,r\n# none\n\n", "t,x_inst\n", False),
 }
 
 
@@ -689,21 +695,20 @@ PARSE_PATHS = {
 @pytest.mark.parametrize("kind", ["series", "trace"])
 @pytest.mark.parametrize("name", sorted(PARSE_PATHS))
 def test_each_parse_path_matches_the_row_loop(monkeypatch, name, kind, block_lines):
-    series_text, trace_text, path = PARSE_PATHS[name]
+    series_text, trace_text, bad_row = PARSE_PATHS[name]
     parse, reference, text = ((parse_series, reference_parse_series, series_text) if kind == "series"
                               else (parse_trace, reference_parse_trace, trace_text))
-    taken = []
-    bulk = ingest._bulk_columns
+    calls = []
+    refused = ingest._refused
 
     def spy(*args):
-        columns = bulk(*args)
-        taken.append("rows" if columns is None else "columns")
-        return columns
+        calls.append(args)
+        return refused(*args)
 
-    monkeypatch.setattr(ingest, "_bulk_columns", spy)
+    monkeypatch.setattr(ingest, "_refused", spy)
     monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
     assert _outcome(parse, text) == _outcome(reference, text)
-    assert taken == [path]
+    assert len(calls) == bad_row
 
 
 def _sweep_csv(rows: int) -> str:
@@ -715,8 +720,15 @@ def _trace_csv(samples: int) -> str:
     return "t,x_inst\n" + "".join(f"{t * 0.731!r},{100 + t % 17 * 0.37!r}\n" for t in range(samples))
 
 
+def _quoted(text: str) -> str:
+    """``text`` with every cell quoted, as some spreadsheet exports write it."""
+    return "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines())
+
+
 @pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)),
-                                         (parse_trace, _trace_csv(5000))], ids=["series", "trace"])
+                                         (parse_series, _quoted(_sweep_csv(5000))),
+                                         (parse_trace, _trace_csv(5000))],
+                         ids=["series", "quoted-series", "trace"])
 def test_parsing_keeps_no_container_per_row(parse, text):
     """A container kept alive per row costs gen-0 collections on every file."""
     assert parse(text).x.size == 5000
