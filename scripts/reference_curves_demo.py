@@ -9,12 +9,7 @@ lines whose intersection marks the optimal load.
 import argparse
 import math
 
-from loadlaw import (
-    ServiceProfile,
-    bounds_summary,
-    compute_n_opt,
-    solve_reference,
-)
+from loadlaw import ServiceProfile, bounds_summary, solve_reference
 
 
 def main():
@@ -28,7 +23,7 @@ def main():
     profile = ServiceProfile.from_service_times(
         [0.0035, 0.005, 0.002], think_time=10.0, labels=["parse", "lookup", "commit"])
     summary = bounds_summary(profile)
-    n_max = max(2, math.ceil(args.span * compute_n_opt(profile)))
+    n_max = max(2, math.ceil(args.span * summary.n_opt))
 
     curves = solve_reference(profile, n_max)
     curves_path = f"{args.out_prefix}_curves.csv"

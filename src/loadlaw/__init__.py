@@ -15,7 +15,6 @@ from .curves import (
     ORACLE_MAX_N,
     ORACLE_MAX_STAGES,
     CanonicalCurves,
-    CurveRow,
     solve_oracle,
     solve_reference,
 )
@@ -32,7 +31,6 @@ from .diagnostics import (
     Audit,
     AuditRow,
     Finding,
-    GrowthFit,
     audit_littles_law,
     classify_growth,
     detect_bound_violation,
@@ -40,7 +38,6 @@ from .diagnostics import (
     detect_retrograde,
     detect_think_time_violation,
     detect_thread_throttling,
-    effective_think_time,
     estimate_knee,
 )
 from .ingest import (
@@ -61,10 +58,7 @@ from .model import (
     Stage,
     bounds_summary,
     compute_n_opt,
-    compute_r_min,
     compute_x_max,
-    response_lower_bound,
-    throughput_upper_bound,
 )
 from .report import (
     DetectorConfig,
@@ -72,8 +66,6 @@ from .report import (
     audit_series,
     diagnose_series,
     plot_rows,
-    sort_findings,
-    verdict_for,
 )
 
 __all__ = [
@@ -81,7 +73,6 @@ __all__ = [
     "ORACLE_MAX_N",
     "ORACLE_MAX_STAGES",
     "CanonicalCurves",
-    "CurveRow",
     "solve_oracle",
     "solve_reference",
     "BOUND_VIOLATION",
@@ -96,7 +87,6 @@ __all__ = [
     "Audit",
     "AuditRow",
     "Finding",
-    "GrowthFit",
     "audit_littles_law",
     "classify_growth",
     "detect_bound_violation",
@@ -104,7 +94,6 @@ __all__ = [
     "detect_retrograde",
     "detect_think_time_violation",
     "detect_thread_throttling",
-    "effective_think_time",
     "estimate_knee",
     "InsufficientSteadyStateError",
     "LoadPoint",
@@ -121,15 +110,10 @@ __all__ = [
     "Stage",
     "bounds_summary",
     "compute_n_opt",
-    "compute_r_min",
     "compute_x_max",
-    "response_lower_bound",
-    "throughput_upper_bound",
     "DetectorConfig",
     "Report",
     "audit_series",
     "diagnose_series",
     "plot_rows",
-    "sort_findings",
-    "verdict_for",
 ]

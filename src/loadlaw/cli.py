@@ -239,8 +239,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         _print_audit_text(report)
-    has_critical = any(f.severity == "critical" for f in report.findings)
-    if has_critical and not args.no_fail:
+    if report.verdict == "broken" and not args.no_fail:
         return EXIT_DIAGNOSTIC
     return EXIT_OK
 

@@ -38,7 +38,6 @@ to cross-check it.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -123,11 +122,6 @@ class CanonicalCurves:
             columns = [_int_texts(self.n[block]), _float_texts(self.x[block]),
                        _float_texts(self.r[block])] + [cells[j] for j in source]
             fh.write(_csv_lines(columns, "\r\n"))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
 
     def as_series(self, ns=None, configured_think_time=_PROFILE_Z):
         """Sample the curves into a LoadSeries, e.g. to feed the detectors.

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ingest import LoadPoint, LoadSeries
-from .model import Bounds, ServiceProfile, bounds_summary, compute_x_max
+from .ingest import LoadSeries
+from .model import Bounds, ServiceProfile, bounds_summary
 
 BOUND_VIOLATION = "BOUND_VIOLATION"
 THREAD_THROTTLING = "THREAD_THROTTLING"
@@ -72,12 +72,6 @@ class AuditRow:
     n_run: float
     n_idle: float
 
-    @classmethod
-    def from_point(cls, point: LoadPoint) -> "AuditRow":
-        n_run = point.x * point.r
-        return cls(n_was=point.n, x_was=point.x, r_was=point.r,
-                   n_run=n_run, n_idle=point.n - n_run)
-
 
 AUDIT_FIELDS = tuple(f.name for f in fields(AuditRow))
 
@@ -120,10 +114,8 @@ class GrowthFit:
 
     n_points: int
     linear_slope: float | None = None
-    linear_intercept: float | None = None
     linear_ss: float | None = None
     exp_rate: float | None = None
-    exp_scale: float | None = None
     exp_ss: float | None = None
     note: str = ""
 
@@ -191,17 +183,6 @@ def detect_thread_throttling(audit: Audit, plateau_tol: float = 0.05,
     )
 
 
-def effective_think_time(point: LoadPoint) -> float:
-    """Think time implied by N = X * (R + Z): n/x - r.
-
-    A negative result is itself a red flag: the three measurements are
-    mutually inconsistent for any closed system.
-    """
-    if point.x <= 0:
-        raise ValueError(f"effective think time undefined at zero throughput (n={point.n})")
-    return point.n / point.x - point.r
-
-
 def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Finding | None:
     """Compare declared pacing against what the measurements imply.
 
@@ -216,7 +197,7 @@ def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Fin
     if not usable.any():
         return None
     n = series.n[usable]
-    with np.errstate(over="ignore"):  # effective_think_time per point
+    with np.errstate(over="ignore"):  # n/x - r, the think time each point implies
         z_effs = n / series.x[usable] - series.r[usable]
     # statistics.median, not np.median: the evidence keeps its exact bits
     med = statistics.median(z_effs.tolist())
@@ -253,7 +234,7 @@ def detect_bound_violation(observed_x: float, profile: ServiceProfile,
     """
     if observed_x < 0 or not math.isfinite(observed_x):
         raise ValueError(f"observed_x must be finite and >= 0, got {observed_x!r}")
-    x_max = compute_x_max(profile)
+    x_max = bounds_summary(profile).x_max
     if observed_x <= (1.0 + rel_tol) * x_max:
         return None
     excess = observed_x - x_max
@@ -381,7 +362,7 @@ def classify_growth(series: LoadSeries, knee: Bounds, min_points: int = 4,
     b, a = np.polyfit(ns, rs, 1)
     linear_ss = float(np.sum((a + b * ns - rs) ** 2))
 
-    exp_rate = exp_scale = exp_ss = None
+    exp_rate = exp_ss = None
     note = ""
     if np.all(rs > 0):
         d, log_c = np.polyfit(ns, np.log(rs), 1)
@@ -389,15 +370,14 @@ def classify_growth(series: LoadSeries, knee: Bounds, min_points: int = 4,
             predicted = np.exp(log_c + d * ns)
             residual = float(np.sum((predicted - rs) ** 2))
         if math.isfinite(residual):
-            exp_rate, exp_scale, exp_ss = float(d), float(math.exp(log_c)), residual
+            exp_rate, exp_ss = float(d), residual
         else:
             note = "exponential fit overflowed; treated as non-exponential"
     else:
         note = "nonpositive response times; exponential fit skipped"
 
-    fit = GrowthFit(n_points=count, linear_slope=float(b), linear_intercept=float(a),
-                    linear_ss=linear_ss, exp_rate=exp_rate, exp_scale=exp_scale,
-                    exp_ss=exp_ss, note=note)
+    fit = GrowthFit(n_points=count, linear_slope=float(b), linear_ss=linear_ss,
+                    exp_rate=exp_rate, exp_ss=exp_ss, note=note)
     if exp_ss is not None and exp_rate is not None and exp_ss < 0.5 * linear_ss and exp_rate > 0:
         return "exponential", fit
     if float(b) < slope_fraction * knee.s_max:

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,9 +59,10 @@ class InsufficientSteadyStateError(ValueError):
 MAX_N = 2 ** 53
 
 
-def _n_error(n: int) -> str:
-    """Why ``n``, outside 1..MAX_N, is not a load."""
-    return f"n must be >= 1, got {n}" if n < 1 else f"n must be <= 2**53, got {n}"
+def _n_error(n: int | float) -> str:
+    """Why ``n``, outside 1..MAX_N, is not a load; an infinite ``n`` is too long to print."""
+    got = f"an integer of more than {sys.get_int_max_str_digits()} digits" if abs(n) == math.inf else n
+    return f"n must be >= 1, got {got}" if n < 1 else f"n must be <= 2**53, got {got}"
 
 
 @dataclass(frozen=True)
@@ -360,19 +362,33 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
     An unquoted block of one width is cut by one join and split; any other
     is cut line by line, keeping only the wanted cells. Raises IndexError,
     ValueError or OverflowError when a row is too short or a cell does not
-    convert into its column.
+    convert into its column, or when a converted cell holds ``_``.
     """
     text = ",".join(block)
     widths = set(map(str.count, block, itertools.repeat(",")))
     width = widths.pop() + 1 if len(widths) == 1 else 0
-    if width > max(indices) and '"' not in text:
+    if width > max(indices) and '"' not in text and "_" not in text:
         cells = text.split(",")
     else:
         cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*indices), map(_cells, block))))
         indices, width = range(len(indices)), len(indices)
+        if "_" in text and any("_" in cell for cell in cells):
+            raise ValueError("digit separator in a converted cell")
     for column, i, kind in zip(columns, indices, kinds):
         column[start:start + len(block)] = np.fromiter(map(kind, map(str.strip, cells[i::width])),
                                                        column.dtype, len(block))
+
+
+def _read(kind: type, text: str) -> int | float:
+    """``kind(text)`` refusing ``_`` separators; an int too long for int() reads as +-inf."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        if kind is int and (text[1:] if text[:1] in "+-" else text).isdecimal():
+            return -math.inf if text[0] == "-" else math.inf
+        raise
 
 
 def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> tuple[int, str]:
@@ -386,7 +402,7 @@ def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
         if len(cells) <= width:
             return j, f"expected at least {width + 1} columns, got {len(cells)}"
         try:
-            values = [kind(cell.strip()) for kind, cell in zip(kinds, pick(cells))]
+            values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
         except ValueError:
             return j, f"malformed row: {_joined(cells)!r}"
         if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:

@@ -164,40 +164,12 @@ class Bounds:
 
 def compute_x_max(profile: ServiceProfile) -> float:
     """Throughput ceiling 1 / S_max in transactions per second."""
-    return 1.0 / profile.s_max
-
-
-def compute_r_min(profile: ServiceProfile) -> float:
-    """Response-time floor: the contention-free trip through all stages."""
-    return profile.r_min
+    return bounds_summary(profile).x_max
 
 
 def compute_n_opt(profile: ServiceProfile) -> float:
     """Optimal client count (R_min + Z) / S_max, reported unrounded."""
-    return (profile.r_min + profile.think_time) / profile.s_max
-
-
-def throughput_upper_bound(profile: ServiceProfile, n: float) -> float:
-    """Best achievable throughput at load n.
-
-    min(n / (R_min + Z), X_max); the two branches cross exactly at
-    N_opt. The linear branch is what n users would get if they never
-    queued behind each other.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    return float(bounds_summary(profile).x_upper(n))
-
-
-def response_lower_bound(profile: ServiceProfile, n: float) -> float:
-    """Best achievable response time at load n.
-
-    max(R_min, n * S_max - Z); the sloping branch is the saturation
-    asymptote whose slope is exactly the bottleneck service time.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    return float(bounds_summary(profile).r_lower(n))
+    return bounds_summary(profile).n_opt
 
 
 def bounds_summary(profile: ServiceProfile) -> Bounds:

@@ -15,12 +15,11 @@ from loadlaw import (
     ORACLE_MAX_STAGES,
     CanonicalCurves,
     ServiceProfile,
+    bounds_summary,
     compute_n_opt,
     compute_x_max,
-    response_lower_bound,
     solve_oracle,
     solve_reference,
-    throughput_upper_bound,
 )
 from loadlaw import curves as curves_module
 from loadlaw.cli import main
@@ -114,9 +113,10 @@ def test_curves_monotone(p, n_max):
 @given(profiles(), st.integers(min_value=1, max_value=60))
 def test_curves_respect_bounds(p, n_max):
     c = solve_reference(p, n_max)
+    b = bounds_summary(p)
     for row in map(c.row, range(1, len(c) + 1)):
-        assert row.x <= throughput_upper_bound(p, row.n) * (1 + 1e-12) + 1e-15
-        assert row.r >= response_lower_bound(p, row.n) * (1 - 1e-12) - 1e-15
+        assert row.x <= float(b.x_upper(row.n)) * (1 + 1e-12) + 1e-15
+        assert row.r >= float(b.r_lower(row.n)) * (1 - 1e-12) - 1e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,17 +142,24 @@ def test_handle_slope_converges_to_bottleneck(times, z):
     assert c.x[-1] == pytest.approx(compute_x_max(p), rel=0.01)
 
 
+def csv_text(curves):
+    """What write_csv writes to an open text file."""
+    buf = io.StringIO()
+    curves.write_csv(buf)
+    return buf.getvalue()
+
+
 class TestCsvExport:
     def test_header_and_shape(self):
         c = solve_reference(three_stage_profile(), 3)
-        text = c.to_csv_text()
+        text = csv_text(c)
         lines = text.strip().splitlines()
         assert lines[0] == "n,x,r,q_parse,q_lookup,q_commit"
         assert len(lines) == 4
 
     def test_values_round_trip(self):
         c = solve_reference(three_stage_profile(), 2)
-        lines = c.to_csv_text().strip().splitlines()
+        lines = csv_text(c).strip().splitlines()
         cells = lines[1].split(",")
         assert int(cells[0]) == 1
         assert float(cells[1]) == c.row(1).x
@@ -298,7 +305,7 @@ def test_merged_stages_match_per_stage_recursion_bit_for_bit(p, n_max):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags["C_CONTIGUOUS"]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert c.to_csv_text() == reference_csv_text(c)
+    assert csv_text(c) == reference_csv_text(c)
 
 
 def test_hand_built_curves_write_their_own_columns():
@@ -309,7 +316,7 @@ def test_hand_built_curves_write_their_own_columns():
                   [1.5, 1.5, 1.5, np.inf]])
     c = CanonicalCurves(profile=p, n=np.array([1, 2], dtype=np.int64),
                         x=np.array([1.0, -0.0]), r=np.array([np.nan, 2.0]), q=q)
-    text = c.to_csv_text()
+    text = csv_text(c)
     assert text == reference_csv_text(c)
     assert text == "n,x,r,q_a,q_b,q_c,q_d\r\n1,1.0,nan,0.0,-0.0,nan,nan\r\n2,-0.0,2.0,1.5,1.5,1.5,inf\r\n"
 
@@ -321,7 +328,7 @@ def test_hand_built_curves_write_their_own_columns():
 def test_exponent_forms_are_written_as_the_row_writer_wrote_them(monkeypatch, times, z, exponent):
     monkeypatch.setattr(curves_module, "_CSV_BLOCK_ROWS", 64)
     c = solve_reference(ServiceProfile.from_service_times(times, think_time=z), 150)
-    text = c.to_csv_text()
+    text = csv_text(c)
     assert text == reference_csv_text(c)
     assert exponent in text.splitlines()[1].split(",")[1]
 

@@ -10,6 +10,7 @@ from loadlaw import (
     INFO,
     WARNING,
     AuditRow,
+    Bounds,
     LoadPoint,
     LoadSeries,
     ServiceProfile,
@@ -23,7 +24,6 @@ from loadlaw import (
     detect_think_time_violation,
     detect_thread_throttling,
     diagnose_series,
-    effective_think_time,
     estimate_knee,
     solve_reference,
 )
@@ -40,6 +40,17 @@ from .conftest import (
 
 def series_of(tuples, **kwargs):
     return LoadSeries(points=tuple(LoadPoint(n, x, r) for n, x, r in tuples), **kwargs)
+
+
+def audit_row(point):
+    """Little's law on one point, as audit_littles_law applies it to each row."""
+    n_run = point.x * point.r
+    return AuditRow(n_was=point.n, x_was=point.x, r_was=point.r, n_run=n_run, n_idle=point.n - n_run)
+
+
+def implied_think_time(point):
+    """Think time implied by N = X * (R + Z): n/x - r."""
+    return point.n / point.x - point.r
 
 
 def reference_series(profile, span=10.0, count=30, **kwargs):
@@ -59,12 +70,12 @@ class TestAuditLittlesLaw:
             assert row.n_idle == pytest.approx(n_idle, abs=0.005)
 
     def test_first_row(self):
-        row = AuditRow.from_point(LoadPoint(1, 24.0, 0.040))
+        row = audit_row(LoadPoint(1, 24.0, 0.040))
         assert row.n_run == pytest.approx(0.96, abs=0.005)
         assert row.n_idle == pytest.approx(0.04, abs=0.005)
 
     def test_zero_throughput(self):
-        row = AuditRow.from_point(LoadPoint(10, 0.0, 0.5))
+        row = audit_row(LoadPoint(10, 0.0, 0.5))
         assert row.n_run == 0.0
         assert row.n_idle == 10.0
 
@@ -76,7 +87,7 @@ class TestAuditLittlesLaw:
 @given(st.integers(min_value=1, max_value=1_000_000),
        st.floats(min_value=0, max_value=2000), st.floats(min_value=0, max_value=1000))
 def test_audit_identity_exact(n, x, r):
-    row = AuditRow.from_point(LoadPoint(n, x, r))
+    row = audit_row(LoadPoint(n, x, r))
     assert row.n_run == x * r
     assert row.n_idle == n - row.n_run
     assert row.n_run + row.n_idle == n
@@ -104,15 +115,16 @@ class TestThreadThrottling:
 
 
 class TestEffectiveThinkTime:
+    @staticmethod
+    def median(point):
+        finding = detect_think_time_violation(series_of([point], configured_think_time=10.0))
+        return finding.evidence["median_effective_think_time"]
+
     def test_worked_value(self):
-        assert effective_think_time(LoadPoint(200, 428.0, 0.279)) == pytest.approx(0.1883, abs=0.0005)
+        assert self.median((200, 428.0, 0.279)) == pytest.approx(0.1883, abs=0.0005)
 
     def test_zero_think(self):
-        assert effective_think_time(LoadPoint(1, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_undefined_at_zero_throughput(self):
-        with pytest.raises(ValueError, match="zero throughput"):
-            effective_think_time(LoadPoint(10, 0.0, 0.1))
+        assert self.median((1, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestThinkTimeViolation:
@@ -269,6 +281,13 @@ class TestClassifyGrowth:
         assert "skipped" in fit.note
         assert cls in ("linear", "sublinear")
 
+    def test_decaying_response_with_a_huge_log_intercept_is_classified(self):
+        # log r = 800 - 0.8 n: the exponential fit is finite, exp(800) is not
+        series = series_of([(n, 1.0, math.exp(800 - 0.8 * n)) for n in (1000, 1001, 1002, 1003)])
+        cls, fit = classify_growth(series, Bounds(s_max=1.0, r_min=0.0, z=0.0, basis="data"))
+        assert (cls, fit.n_points) == ("sublinear", 4)
+        diagnose_series(series)  # raised OverflowError while the fit kept exp(800)
+
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
@@ -329,7 +348,7 @@ def loop_retrograde(series, rel_tol=0.02):
 
 def loop_think_time_median(series):
     import statistics
-    return statistics.median([effective_think_time(p) for p in series.points if p.x > 0])
+    return statistics.median([implied_think_time(p) for p in series.points if p.x > 0])
 
 
 @st.composite
@@ -351,7 +370,7 @@ def plateau_series(draw, max_points=30):
        st.sampled_from([0.01, 0.05, 0.2]), st.sampled_from([1.0, 1.5, 3.0]))
 def test_array_detectors_match_row_loops(series, tol, span_factor):
     rows = audit_littles_law(series)
-    assert list(rows) == [AuditRow.from_point(p) for p in series.points]
+    assert list(rows) == [audit_row(p) for p in series.points]
 
     expected = loop_thread_throttling(list(rows), tol, span_factor)
     finding = detect_thread_throttling(rows, plateau_tol=tol, span_factor=span_factor)

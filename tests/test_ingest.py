@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -125,7 +127,9 @@ class TestParseSeries:
 
 
 # (input, exact message, line) for every way a series row is refused, as
-# the csv.reader-based parser worded them
+# the csv.reader-based parser worded them; it read "1_000" as 1000, and
+# refused an n too long for int() as a malformed row that echoed every digit
+_LONG = "9" * 5000
 SERIES_ERRORS = {
     "too-few-columns": ("n,x,r\n1,2,0.1\n2,3\n", "line 3: expected at least 3 columns, got 2", 3),
     "malformed-cell": ("n,x,r\n1,2,0.1\n2,oops,0.2\n", "line 3: malformed row: '2,oops,0.2'", 3),
@@ -149,6 +153,16 @@ SERIES_ERRORS = {
     "missing-column": ("n,r\n1,2\n", "line 1: missing required column 'x'", 1),
     "empty": ("", "empty file: expected a header row", None),
     "header-only": ("n,x,r\n", "no data rows", None),
+    "underscore-n": ("n,x,r\n1,1,0.1\n1_000,1,0.1\n", "line 3: malformed row: '1_000,1,0.1'", 3),
+    "underscore-x": ("n,x,r\n1,1_0.5,0.1\n", "line 2: malformed row: '1,1_0.5,0.1'", 2),
+    "underscore-r_ms": ("n,x,r_ms\n1,1,1_0\n", "line 2: malformed row: '1,1,1_0'", 2),
+    "underscore-quoted": ('n,x,r\n1,"1_0",0.1\n', "line 2: malformed row: '1,1_0,0.1'", 2),
+    "n-too-long-for-int": (f"n,x,r\n1,1,0.1\n{_LONG},1,0.1\n",
+                           "line 3: n must be <= 2**53, got an integer of more than 4300 digits", 3),
+    "signed-n-too-long-for-int": (f"n,x,r\n+{_LONG},1,0.1\n",
+                                  "line 2: n must be <= 2**53, got an integer of more than 4300 digits", 2),
+    "negative-n-too-long-for-int": (f"n,x,r\n-{_LONG},1,0.1\n",
+                                    "line 2: n must be >= 1, got an integer of more than 4300 digits", 2),
 }
 
 
@@ -319,7 +333,8 @@ class TestParseTrace:
         with pytest.raises(ParseError, match="x_inst"):
             parse_trace("t,x\n0,10\n")
 
-    # (input, samples or (exact message, line)) as the csv.reader-based parser had them
+    # (input, samples or (exact message, line)) as the csv.reader-based parser
+    # had them, except that it read "1_0" as 10
     OUTCOMES = {
         "quoted-cells": ('t,x_inst\n"0",1\n1," 2 "\n', ((0.0, 1.0), (1.0, 2.0))),
         "crlf-comment": ("# c\r\nt,x_inst\r\n0,1\r\n\r\n1,2\r\n", ((0.0, 1.0), (1.0, 2.0))),
@@ -333,6 +348,8 @@ class TestParseTrace:
         "quoted-comma": ('t,x_inst\n"0",1\n1,"2,0"\n', ("line 3: malformed row: '1,2,0'", 3)),
         "header-only": ("t,x_inst\n", ("no data rows", None)),
         "empty": ("", ("empty file: expected a header row", None)),
+        "underscore-t": ("t,x_inst\n0,1\n1_0,1\n", ("line 3: malformed row: '1_0,1'", 3)),
+        "underscore-x": ("t,x_inst\n0,1_0\n", ("line 2: malformed row: '0,1_0'", 2)),
     }
 
     @pytest.mark.parametrize("name", sorted(OUTCOMES))
@@ -490,12 +507,22 @@ def reference_parse_series(raw, r_unit="s"):
     for lineno, cells in rows:
         if len(cells) <= width:
             raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", line=lineno)
+        texts = [cells[i].strip() for i in (n_idx, x_idx, r_idx)]
         try:
-            n = int(cells[n_idx].strip())
-            x = float(cells[x_idx].strip())
-            r = float(cells[r_idx].strip()) / divisor
+            if any("_" in text for text in texts):
+                raise ValueError("digit separator")
+            if re.fullmatch(r"[+-]?\d+", texts[0]) and len(texts[0].lstrip("+-")) > sys.get_int_max_str_digits():
+                n = None  # past int(); its range error waits for x and r to convert
+            else:
+                n = int(texts[0])
+            x = float(texts[1])
+            r = float(texts[2]) / divisor
         except ValueError:
             raise ParseError(f"malformed row: {ingest._joined(cells)!r}", line=lineno) from None
+        if n is None:
+            bound = "n must be >= 1" if texts[0][0] == "-" else "n must be <= 2**53"
+            raise ParseError(f"{bound}, got an integer of more than {sys.get_int_max_str_digits()} digits",
+                             line=lineno)
         if not (1 <= n <= ingest.MAX_N and 0.0 <= x < math.inf and 0.0 <= r < math.inf):
             try:
                 LoadPoint(n=n, x=x, r=r)
@@ -523,6 +550,8 @@ def reference_parse_trace(raw):
             raise ParseError(f"expected at least {max(t_idx, x_idx) + 1} columns, got {len(cells)}",
                              line=lineno)
         try:
+            if "_" in cells[t_idx] + cells[x_idx]:
+                raise ValueError("digit separator")
             t = float(cells[t_idx].strip())
             x = float(cells[x_idx].strip())
         except ValueError:
@@ -570,7 +599,8 @@ def _outcome(parse, *args, **kwargs):
 
 # cells a sweep or trace export gets wrong, beside well-formed numbers
 _BAD_CELLS = ["nan", "inf", "-inf", "-0.0", "-1", "0", "abc", "", " 7 ", "1.5", "2\x1f", "1_0",
-              "1e308", str(2 ** 53 + 1), str(2 ** 63), str(10 ** 30), str(-10 ** 30)]
+              "1e308", str(2 ** 53 + 1), str(2 ** 63), str(10 ** 30), str(-10 ** 30),
+              "9" * 4301, "-" + "9" * 4301]
 
 
 def _cell(draw, good):
@@ -688,6 +718,11 @@ PARSE_PATHS = {
                                     "# c\r\nt,x_inst\r\n\r\n0,1\x0c1,2\r\n  # note\n 2 , 3 ",
                                     False),
     "header-with-no-rows": ("n,x,r\n# none\n\n", "t,x_inst\n", False),
+    # int() and float() read "4_0" as 40; a "_" in a column that is not read is legal
+    "underscore-in-unread-column": ("n,x,r,note\n1,2,0.1,a_b\n2,3,0.2,c\n3,4,0.3,d_e\n",
+                                    "t,x_inst,note\n0,1,a_b\n1,2,c\n2,3,d_e\n", False),
+    "underscore-in-read-cell": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4_0,0.3\n",
+                                "t,x_inst\n0,1\n1,2\n2,3_0\n", True),
 }
 
 

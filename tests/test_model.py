@@ -9,10 +9,7 @@ from loadlaw import (
     Stage,
     bounds_summary,
     compute_n_opt,
-    compute_r_min,
     compute_x_max,
-    response_lower_bound,
-    throughput_upper_bound,
 )
 
 from .conftest import profiles, three_stage_profile
@@ -52,14 +49,14 @@ class TestXMax:
 
 class TestRMin:
     def test_three_stage_example(self):
-        assert compute_r_min(three_stage_profile()) == pytest.approx(0.0105, rel=1e-12)
+        assert bounds_summary(three_stage_profile()).r_min == pytest.approx(0.0105, rel=1e-12)
 
     def test_single_stage(self):
-        assert compute_r_min(ServiceProfile.from_service_times([1.0])) == 1.0
+        assert bounds_summary(ServiceProfile.from_service_times([1.0])).r_min == 1.0
 
     def test_think_time_excluded(self):
         p = ServiceProfile.from_service_times([0.002], think_time=10.0)
-        assert compute_r_min(p) == 0.002
+        assert bounds_summary(p).r_min == 0.002
 
 
 class TestNOpt:
@@ -78,30 +75,26 @@ class TestNOpt:
 class TestThroughputUpperBound:
     def test_branches_meet_at_n_opt(self):
         p = three_stage_profile()
-        assert throughput_upper_bound(p, compute_n_opt(p)) == pytest.approx(200.0, rel=1e-12)
+        assert float(bounds_summary(p).x_upper(compute_n_opt(p))) == pytest.approx(200.0, rel=1e-12)
 
     def test_zero_load(self):
-        assert throughput_upper_bound(three_stage_profile(), 0) == 0.0
+        assert float(bounds_summary(three_stage_profile()).x_upper(0)) == 0.0
 
     def test_ceiling_branch(self):
-        assert throughput_upper_bound(three_stage_profile(), 4000) == 200.0
-
-    def test_rejects_negative_load(self):
-        with pytest.raises(ValueError):
-            throughput_upper_bound(three_stage_profile(), -1)
+        assert float(bounds_summary(three_stage_profile()).x_upper(4000)) == 200.0
 
 
 class TestResponseLowerBound:
     def test_floor_below_knee(self):
-        assert response_lower_bound(three_stage_profile(), 1) == pytest.approx(0.0105, rel=1e-12)
+        assert float(bounds_summary(three_stage_profile()).r_lower(1)) == pytest.approx(0.0105, rel=1e-12)
 
     def test_asymptote_branch(self):
         # 4000 * 0.005 - 10 = 10.0
-        assert response_lower_bound(three_stage_profile(), 4000) == pytest.approx(10.0, rel=1e-12)
+        assert float(bounds_summary(three_stage_profile()).r_lower(4000)) == pytest.approx(10.0, rel=1e-12)
 
     def test_batch_single_stage(self):
         p = ServiceProfile.from_service_times([1.0])
-        assert response_lower_bound(p, 5) == pytest.approx(5.0)
+        assert float(bounds_summary(p).r_lower(5)) == pytest.approx(5.0)
 
 
 class TestBoundsSummary:
@@ -137,10 +130,9 @@ def test_vectorized_bounds_match_the_scalar_bounds_bit_for_bit(p, loads):
     b = bounds_summary(p)
     n = np.array(loads, dtype=np.int64)
     for k, x_vec, r_vec in zip(loads, b.x_upper(n).tolist(), b.r_lower(n).tolist()):
-        x, r = throughput_upper_bound(p, k), response_lower_bound(p, k)
-        assert type(x) is float and type(r) is float
+        x, r = float(b.x_upper(k)), float(b.r_lower(k))
         # the scalar formulas as they were written before Bounds held them
-        x_ref = min(k / (p.r_min + p.think_time), compute_x_max(p))
+        x_ref = min(k / (p.r_min + p.think_time), 1.0 / p.s_max)
         r_ref = max(p.r_min, k * p.s_max - p.think_time)
         assert x.hex() == x_vec.hex() == x_ref.hex()
         assert r.hex() == r_vec.hex() == r_ref.hex()
@@ -160,8 +152,9 @@ def test_bound_branches_cross_exactly_at_n_opt(p):
 @given(profiles(), st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6))
 def test_bounds_nondecreasing_in_load(p, n1, n2):
     lo, hi = min(n1, n2), max(n1, n2)
-    assert throughput_upper_bound(p, lo) <= throughput_upper_bound(p, hi) + 1e-12
-    assert response_lower_bound(p, lo) <= response_lower_bound(p, hi) + 1e-12
+    b = bounds_summary(p)
+    assert float(b.x_upper(lo)) <= float(b.x_upper(hi)) + 1e-12
+    assert float(b.r_lower(lo)) <= float(b.r_lower(hi)) + 1e-12
 
 
 @given(profiles(), st.floats(min_value=1e-3, max_value=1e3))
@@ -169,7 +162,7 @@ def test_time_rescaling(p, c):
     scaled = ServiceProfile.from_service_times(
         [s.service_time * c for s in p.stages], think_time=p.think_time * c)
     assert compute_x_max(scaled) == pytest.approx(compute_x_max(p) / c, rel=1e-9)
-    assert compute_r_min(scaled) == pytest.approx(compute_r_min(p) * c, rel=1e-9)
+    assert bounds_summary(scaled).r_min == pytest.approx(bounds_summary(p).r_min * c, rel=1e-9)
     assert compute_n_opt(scaled) == pytest.approx(compute_n_opt(p), rel=1e-9)
 
 
