@@ -30,6 +30,7 @@ from .diagnostics import (
     WARNING,
     Audit,
     AuditRow,
+    DetectorConfig,
     Finding,
     audit_littles_law,
     classify_growth,
@@ -61,7 +62,6 @@ from .model import (
     compute_x_max,
 )
 from .report import (
-    DetectorConfig,
     Report,
     audit_series,
     diagnose_series,
@@ -86,6 +86,7 @@ __all__ = [
     "WARNING",
     "Audit",
     "AuditRow",
+    "DetectorConfig",
     "Finding",
     "audit_littles_law",
     "classify_growth",
@@ -111,7 +112,6 @@ __all__ = [
     "bounds_summary",
     "compute_n_opt",
     "compute_x_max",
-    "DetectorConfig",
     "Report",
     "audit_series",
     "diagnose_series",

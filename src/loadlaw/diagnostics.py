@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ingest import LoadSeries
+from .ingest import LoadSeries, _Rows
 from .model import Bounds, ServiceProfile, bounds_summary
 
 BOUND_VIOLATION = "BOUND_VIOLATION"
@@ -37,6 +36,21 @@ DETECTOR_IDS = (BOUND_VIOLATION, THREAD_THROTTLING, THINK_TIME_VIOLATION,
 INFO = "info"
 WARNING = "warning"
 CRITICAL = "critical"
+
+
+@dataclass
+class DetectorConfig:
+    """Tolerances for the detector suite; defaults catch the gross cases
+    with margin while absorbing ordinary sampling noise. Each detector's
+    keyword defaults are these."""
+
+    bound_rel_tol: float = 0.02
+    retrograde_rel_tol: float = 0.02
+    plateau_tol: float = 0.05
+    span_factor: float = 1.5
+    think_time_rel_tol: float = 0.5
+    slope_fraction: float = 0.5
+    min_growth_points: int = 4
 
 
 @dataclass(frozen=True)
@@ -76,36 +90,16 @@ class AuditRow:
 AUDIT_FIELDS = tuple(f.name for f in fields(AuditRow))
 
 
-@dataclass(frozen=True, eq=False)
-class Audit(Sequence):
-    """The Little's-law reconstruction of a whole series, one column per
-    AuditRow field; indexing and iteration build AuditRows on demand."""
+class Audit(_Rows):
+    """The Little's-law reconstruction of a whole series: ``columns`` holds
+    one array per AuditRow field, each also the attribute of its name;
+    indexing and iteration build AuditRows on demand."""
 
-    n_was: np.ndarray
-    x_was: np.ndarray
-    r_was: np.ndarray
-    n_run: np.ndarray
-    n_idle: np.ndarray
+    __slots__ = AUDIT_FIELDS
 
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in AUDIT_FIELDS)
-
-    def __len__(self) -> int:
-        return len(self.n_was)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        return AuditRow(int(self.n_was[i]), *(float(c[i]) for c in self.columns[1:]))
-
-    def __iter__(self):
-        return map(AuditRow, *(c.tolist() for c in self.columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Audit):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+    def __init__(self, n_was, x_was, r_was, n_run, n_idle):
+        super().__init__(AuditRow, n_was, x_was, r_was, n_run, n_idle)
+        self.n_was, self.x_was, self.r_was, self.n_run, self.n_idle = self.columns
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,8 @@ def post_knee(series: LoadSeries, knee: Bounds) -> np.ndarray:
     return series.n > knee.n_opt
 
 
-def detect_thread_throttling(audit: Audit, plateau_tol: float = 0.05,
-                             span_factor: float = 1.5) -> Finding | None:
+def detect_thread_throttling(audit: Audit, plateau_tol: float = DetectorConfig.plateau_tol,
+                             span_factor: float = DetectorConfig.span_factor) -> Finding | None:
     """Flag a load generator whose running-thread count has hit a cap.
 
     Looks for the longest suffix of the audit whose n_run values stay
@@ -183,7 +177,8 @@ def detect_thread_throttling(audit: Audit, plateau_tol: float = 0.05,
     )
 
 
-def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Finding | None:
+def detect_think_time_violation(series: LoadSeries,
+                                rel_tol: float = DetectorConfig.think_time_rel_tol) -> Finding | None:
     """Compare declared pacing against what the measurements imply.
 
     Uses the median of per-point implied think times (robust to the
@@ -224,7 +219,7 @@ def detect_think_time_violation(series: LoadSeries, rel_tol: float = 0.5) -> Fin
 
 
 def detect_bound_violation(observed_x: float, profile: ServiceProfile,
-                           rel_tol: float = 0.02) -> Finding | None:
+                           rel_tol: float = DetectorConfig.bound_rel_tol) -> Finding | None:
     """Check a claimed throughput against the service-time ceiling.
 
     Fires exactly when observed_x / x_max > 1 + rel_tol. The excess over
@@ -273,7 +268,8 @@ def estimate_knee(series: LoadSeries, profile: ServiceProfile | None = None) -> 
                   z=series.configured_think_time or 0.0, basis="data")
 
 
-def detect_retrograde(series: LoadSeries, rel_tol: float = 0.02) -> list[Finding]:
+def detect_retrograde(series: LoadSeries,
+                      rel_tol: float = DetectorConfig.retrograde_rel_tol) -> list[Finding]:
     """Flag points where throughput falls below its running maximum.
 
     Healthy closed-system throughput is nondecreasing in load; a drop
@@ -304,7 +300,7 @@ def detect_retrograde(series: LoadSeries, rel_tol: float = 0.02) -> list[Finding
 
 
 def detect_response_flattening(series: LoadSeries, knee: Bounds,
-                               slope_fraction: float = 0.5) -> Finding | None:
+                               slope_fraction: float = DetectorConfig.slope_fraction) -> Finding | None:
     """Flag a post-knee response curve that climbs far too slowly.
 
     Past the knee a lawful response curve rises with slope ~S_max per
@@ -338,8 +334,9 @@ def detect_response_flattening(series: LoadSeries, knee: Bounds,
     )
 
 
-def classify_growth(series: LoadSeries, knee: Bounds, min_points: int = 4,
-                    slope_fraction: float = 0.5) -> tuple[str, GrowthFit]:
+def classify_growth(series: LoadSeries, knee: Bounds,
+                    min_points: int = DetectorConfig.min_growth_points,
+                    slope_fraction: float = DetectorConfig.slope_fraction) -> tuple[str, GrowthFit]:
     """Classify post-knee response growth: linear, exponential, sublinear.
 
     Fits r = a + b*n by ordinary least squares and r = c*exp(d*n) by

@@ -60,8 +60,11 @@ MAX_N = 2 ** 53
 
 
 def _n_error(n: int | float) -> str:
-    """Why ``n``, outside 1..MAX_N, is not a load; an infinite ``n`` is too long to print."""
-    got = f"an integer of more than {sys.get_int_max_str_digits()} digits" if abs(n) == math.inf else n
+    """Why ``n``, outside 1..MAX_N, is not a load; one too long for str() is worded by its length."""
+    try:
+        got = str(int(n))
+    except (OverflowError, ValueError):
+        got = f"an integer of more than {sys.get_int_max_str_digits()} digits"
     return f"n must be >= 1, got {got}" if n < 1 else f"n must be <= 2**53, got {got}"
 
 
@@ -89,24 +92,24 @@ class LoadPoint:
 
 
 class _Rows(Sequence):
-    """Rows of equal-length columns, each built by ``row`` only when indexed or iterated."""
+    """Rows of equal-length ``columns``, each built by ``row`` only when indexed or iterated."""
 
-    __slots__ = ("_row", "_columns")
+    __slots__ = ("_row", "columns")
 
     def __init__(self, row, *columns: np.ndarray):
         self._row = row
-        self._columns = columns
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
-        return self._row(*(column[i].item() for column in self._columns))
+        return self._row(*(column[i].item() for column in self.columns))
 
     def __iter__(self):
-        return map(self._row, *(column.tolist() for column in self._columns))
+        return map(self._row, *(column.tolist() for column in self.columns))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _Rows)):

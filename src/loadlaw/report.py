@@ -10,6 +10,7 @@ otherwise. Info findings never affect the verdict.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -25,6 +26,7 @@ from .diagnostics import (
     WARNING,
     AUDIT_FIELDS,
     Audit,
+    DetectorConfig,
     Finding,
     audit_littles_law,
     classify_growth,
@@ -45,20 +47,6 @@ VERDICT_BROKEN = "broken"
 
 
 @dataclass
-class DetectorConfig:
-    """Tolerances for the detector suite; defaults catch the gross cases
-    with margin while absorbing ordinary sampling noise."""
-
-    bound_rel_tol: float = 0.02
-    retrograde_rel_tol: float = 0.02
-    plateau_tol: float = 0.05
-    span_factor: float = 1.5
-    think_time_rel_tol: float = 0.5
-    slope_fraction: float = 0.5
-    min_growth_points: int = 4
-
-
-@dataclass
 class Report:
     """Everything one diagnosis produced, JSON-serializable.
 
@@ -75,27 +63,20 @@ class Report:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.tool_version,
-            "inputs": dict(self.inputs),
-            "bounds": _bounds_dict(self.bounds),
-            "knee": _knee_dict(self.knee),
-            "audit": [dict(zip(AUDIT_FIELDS, values))
-                      for values in zip(*(c.tolist() for c in self.audit.columns))]
-            if self.audit is not None else None,
-            "findings": [_finding_dict(f) for f in self.findings],
-            "verdict": self.verdict,
-        }
+        """``json.loads(self.to_json())``: the report's keys and values, NaN
+        and the infinities as floats."""
+        return json.loads(self.to_json())
 
-    def to_json(self, indent: int = 2) -> str:
-        """The report as JSON text: the single serialization point.
+    def to_json(self) -> str:
+        """The report as JSON text: the single serialization point, and
+        the one place the report's keys are written.
 
         Every JSON report the CLI emits, on stdout and in ``--out`` files,
         is this string, so both carry the same bytes: the bytes
-        ``json.dumps(self.to_dict(), indent=indent)`` gives, NaN and
-        Infinity included. That call is avoided because with ``indent``
-        set json runs its pure-Python encoder, slower on a 2,000-point
-        report than the whole diagnosis. Here _Layout writes every part
+        ``json.dumps(..., indent=2)`` gives, NaN and Infinity included.
+        That call is avoided because with an indent json runs its
+        pure-Python encoder, slower on a 2,000-point report than the
+        whole diagnosis. Here _Layout writes every part
         itself: the audit by columns into one list joined once, point
         lists joined, and the small parts (inputs, bounds, knee,
         evidence) by a recursive encoder of their few value types. The
@@ -103,7 +84,7 @@ class Report:
         time by orjson (``ingest._float_texts``, ``ingest._int_texts``),
         whose text is ``repr``'s to the byte.
         """
-        layout = _Layout(indent)
+        layout = _Layout()
         findings = [layout.container("{}", [
             ("detector", encode_basestring_ascii(f.detector)),
             ("severity", encode_basestring_ascii(f.severity)),
@@ -123,16 +104,14 @@ class Report:
 
 
 class _Layout:
-    """JSON text laid out exactly as ``json.dumps(..., indent=indent)`` lays it out.
+    """JSON text laid out exactly as ``json.dumps(..., indent=2)`` lays it out.
 
     Each method encodes one part of a report placed at nesting ``depth``;
     the audit table is written by columns, without a container per row,
     each column's numbers converted by one orjson call.
     """
 
-    def __init__(self, indent: int):
-        self.indent = indent
-        self.unit = " " * indent
+    unit = "  "
 
     def dumps(self, value, depth: int) -> str:
         """``value`` as json.dumps encodes it, placed at nesting ``depth``:
@@ -214,16 +193,6 @@ def _knee_dict(knee: Bounds | None) -> dict | None:
         return None
     return {"s_max_hat": knee.s_max_hat, "r_min_hat": knee.r_min_hat,
             "n_opt_hat": knee.n_opt_hat, "basis": knee.basis}
-
-
-def _finding_dict(finding: Finding) -> dict:
-    return {
-        "detector": finding.detector,
-        "severity": finding.severity,
-        "message": finding.message,
-        "evidence": dict(finding.evidence),
-        "affected_points": list(finding.affected_points),
-    }
 
 
 def verdict_for(findings: list[Finding]) -> str:

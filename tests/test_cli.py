@@ -256,6 +256,13 @@ class TestDiagnose:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("flag, name", [("--out", "r.json"), ("--plot-csv", "p.csv")])
+    def test_unwritable_output_exit_3(self, capsys, tmp_path, capped_csv, flag, name):
+        dest = tmp_path / "nodir" / name
+        assert main(["diagnose", capped_csv, "--no-fail", flag, str(dest)]) == 3
+        assert capsys.readouterr().err == (f"loadlaw: cannot write output: [Errno 2] "
+                                           f"No such file or directory: {str(dest)!r}\n")
+
     def test_parse_failure_exit_2(self, tmp_path, profile_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("n,x,r\n5,1,0.1\n5,1,0.1\n")

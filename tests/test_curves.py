@@ -189,6 +189,17 @@ class TestAsSeries:
         c = solve_reference(three_stage_profile(), 2)
         assert c.as_series(configured_think_time=None).configured_think_time is None
 
+    @pytest.mark.parametrize("select, message", [
+        (lambda c: c.as_series(ns=[0]), "population 0 outside solved range 1..4"),
+        (lambda c: c.as_series(ns=[2, 5, 9]), "population 5 outside solved range 1..4"),
+        (lambda c: c.row(5), "population 5 outside solved range 1..4"),
+        (lambda c: c.row(0), "population 0 outside solved range 1..4"),
+    ], ids=["as-series-zero", "as-series-past-n-max", "row-past-n-max", "row-zero"])
+    def test_populations_outside_the_solved_range(self, select, message):
+        with pytest.raises(IndexError) as exc:
+            select(solve_reference(three_stage_profile(), 4))
+        assert str(exc.value) == message
+
 
 def _tied_profile_50():
     """50 stages whose times are quantized to 0.1 ms, so several are equal."""

@@ -11,6 +11,7 @@ from loadlaw import (
     WARNING,
     AuditRow,
     Bounds,
+    Finding,
     LoadPoint,
     LoadSeries,
     ServiceProfile,
@@ -59,6 +60,18 @@ def reference_series(profile, span=10.0, count=30, **kwargs):
     curves = solve_reference(profile, n_max)
     ns = sorted(set(np.linspace(1, n_max, count).astype(int)))
     return curves.as_series(ns=ns, **kwargs)
+
+
+@pytest.mark.parametrize("detector, severity, message", [
+    ("BOUND", CRITICAL, "unknown detector 'BOUND'"),
+    ("growth_class", INFO, "unknown detector 'growth_class'"),
+    ("GROWTH_CLASS", "error", "unknown severity 'error'"),
+    ("GROWTH_CLASS", "INFO", "unknown severity 'INFO'"),
+], ids=["unknown-detector", "lowercase-detector", "unknown-severity", "uppercase-severity"])
+def test_finding_refuses_unknown_detector_and_severity(detector, severity, message):
+    with pytest.raises(ValueError) as exc:
+        Finding(detector=detector, severity=severity, message="m")
+    assert str(exc.value) == message
 
 
 class TestAuditLittlesLaw:

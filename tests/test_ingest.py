@@ -41,6 +41,22 @@ class TestLoadPointValidation:
         with pytest.raises(ValueError):
             LoadPoint(n=1, x=1.0, r=float("nan"))
 
+    # an n too long for str() is worded by its length, as the CSV path words it
+    @pytest.mark.parametrize("n, x, message", [
+        (10 ** 5000, 1.0, "n must be <= 2**53, got an integer of more than 4300 digits"),
+        (-10 ** 5000, 1.0, "n must be >= 1, got an integer of more than 4300 digits"),
+        (10 ** 30, 1.0, f"n must be <= 2**53, got {10 ** 30}"),
+        (1.0, 1.0, "n must be an integer, got 1.0"),
+        (True, 1.0, "n must be an integer, got True"),
+        (1, "2", "x must be a number, got '2'"),
+        (1, None, "x must be a number, got None"),
+    ], ids=["n-too-long-to-print", "negative-n-too-long-to-print", "n-beyond-2**53",
+            "float-n", "bool-n", "str-x", "none-x"])
+    def test_refusal_messages(self, n, x, message):
+        with pytest.raises(ValueError) as exc:
+            LoadPoint(n, x, 0.1)
+        assert str(exc.value) == message
+
 
 class TestLoadSeriesValidation:
     def test_rejects_duplicate_n(self):
@@ -228,6 +244,21 @@ class TestFromArrays:
         with pytest.raises(ValueError, match=message):
             LoadSeries.from_arrays(n, x, r)
 
+    @pytest.mark.parametrize("n, x, r, z, message", [
+        ([1, 2], [1.0], [1.0, 1.0], None,
+         "n, x and r must be 1-d and of one length, got shapes (2,), (1,), (2,)"),
+        ([[1]], [[1.0]], [[1.0]], None,
+         "n, x and r must be 1-d and of one length, got shapes (1, 1), (1, 1), (1, 1)"),
+        ([1], [1.0], [1.0], -1, "configured_think_time must be finite and >= 0, got -1"),
+        ([1], [1.0], [1.0], math.nan, "configured_think_time must be finite and >= 0, got nan"),
+        ([1], [1.0], [1.0], True, "configured_think_time must be finite and >= 0, got True"),
+        ([1], [1.0], [1.0], "10", "configured_think_time must be finite and >= 0, got '10'"),
+    ], ids=["mismatched-lengths", "two-d", "negative-z", "nan-z", "bool-z", "str-z"])
+    def test_refuses_bad_shapes_and_think_times(self, n, x, r, z, message):
+        with pytest.raises(ValueError) as exc:
+            LoadSeries.from_arrays(n, x, r, configured_think_time=z)
+        assert str(exc.value) == message
+
     def test_negative_zero_series_equal_and_hash_alike(self):
         # -0 passes the x >= 0 check; its bytes differ from 0's, its value does not
         minus, plus = parse_series("n,x,r\n1,-0,0\n"), parse_series("n,x,r\n1,0,0\n")
@@ -318,6 +349,30 @@ class TestParseProfile:
     def test_negative_think_time_rejected(self):
         with pytest.raises(ParseError, match="think_time"):
             parse_profile('{"stages":[{"label":"a","service_time":1}],"think_time":-2,"time_unit":"s"}')
+
+    STAGE = '{"label":"a","service_time":1}'
+    REFUSALS = {
+        "not-an-object": ("[1, 2]", "profile must be a JSON object"),
+        "missing-think-time": (f'{{"stages":[{STAGE}],"time_unit":"s"}}',
+                               "profile is missing 'think_time'"),
+        "string-think-time": (f'{{"stages":[{STAGE}],"think_time":"10","time_unit":"s"}}',
+                              "think_time must be a number, got '10'"),
+        "bool-think-time": (f'{{"stages":[{STAGE}],"think_time":true,"time_unit":"s"}}',
+                            "think_time must be a number, got True"),
+        "stage-not-an-object": (f'{{"stages":[{STAGE},5],"think_time":0,"time_unit":"s"}}',
+                                "stage #2 must be an object with 'label' and 'service_time'"),
+        "stage-without-label": ('{"stages":[{"service_time":1}],"think_time":0,"time_unit":"s"}',
+                                "stage #1 must be an object with 'label' and 'service_time'"),
+        "string-service-time": ('{"stages":[{"label":"a","service_time":"1"}],"think_time":0,"time_unit":"s"}',
+                                "stage #1: service_time must be a number, got '1'"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_messages(self, name):
+        raw, message = self.REFUSALS[name]
+        with pytest.raises(ParseError) as exc:
+            parse_profile(raw)
+        assert (str(exc.value), exc.value.line) == (message, None)
 
 
 class TestParseTrace:

@@ -30,6 +30,19 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             ServiceProfile.from_service_times([1.0], think_time=bad)
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Stage("", 1.0), ValueError, "stage label must be a nonempty string, got ''"),
+        (lambda: Stage(None, 1.0), ValueError, "stage label must be a nonempty string, got None"),
+        (lambda: ServiceProfile(stages=(Stage("a", 1.0), 1.0)), TypeError,
+         "stages must be Stage instances, got 1.0"),
+        (lambda: ServiceProfile.from_service_times([1.0, 2.0], labels=["a"]), ValueError,
+         "labels and service_times must have the same length"),
+    ], ids=["empty-label", "no-label", "non-stage", "labels-length"])
+    def test_refusal_messages(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_labels_default_to_stage_order(self):
         p = ServiceProfile.from_service_times([0.1, 0.2])
         assert [s.label for s in p.stages] == ["stage1", "stage2"]

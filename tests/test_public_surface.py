@@ -1,13 +1,15 @@
-"""What the scripts, the benchmark and the acceptance suite use of the
-package exists: every name they import from ``loadlaw`` or reach as
-``loadlaw.<name>`` is exported, and every attribute the benchmark's
-tracer wraps resolves. Without this, deleting a name that only they use
-passes every other test."""
+"""What the scripts, the benchmark, the acceptance suite and the README
+use of the package exists: every name they import from ``loadlaw`` or
+reach as ``loadlaw.<name>`` is exported, every attribute the benchmark's
+tracer wraps resolves, and the README's Library section runs and names
+only attributes that exist. Without this, deleting a name that only they
+use passes every other test."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import loadlaw
 
@@ -58,3 +60,26 @@ def test_every_wrap_point_of_the_benchmark_tracer_resolves():
         if not callable(target):
             unresolved.append(f"{module}.{attr}")
     assert not unresolved, f"wrap points whose spans would go missing: {unresolved}"
+
+
+def readme_library_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", readme_library_section(), re.M | re.S)
+    assert blocks, "the Library section has no python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_public_attribute_the_readme_library_names_resolves():
+    prose = re.sub(r"^```.*?^```", "", readme_library_section(), flags=re.M | re.S)
+    named = {(name, attr) for span in re.findall(r"`([^`]+)`", prose)
+             for name, attr in re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+             if name in loadlaw.__all__}
+    assert ("Report", "to_dict") in named
+    missing = sorted(f"{name}.{attr}" for name, attr in named
+                     if not hasattr(getattr(loadlaw, name), attr))
+    assert not missing, f"README names attributes that do not exist: {missing}"
