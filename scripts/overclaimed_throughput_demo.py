@@ -31,7 +31,6 @@ def main():
     claimed = LoadSeries(
         points=(LoadPoint(n=3000, x=300.0, r=0.05),),
         configured_think_time=10.0,
-        source_label="rig's claimed steady-state result",
     )
     report = diagnose_series(claimed, profile)
     print(f"diagnosing the claimed {claimed.points[0].x:g} TPS:")

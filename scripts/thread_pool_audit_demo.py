@@ -23,10 +23,7 @@ SWEEP = [
 
 
 def main():
-    series = LoadSeries(
-        points=tuple(LoadPoint(n=n, x=x, r=r) for n, x, r in SWEEP),
-        source_label="three-tier app behind a stress-tool client",
-    )
+    series = LoadSeries(points=tuple(LoadPoint(n=n, x=x, r=r) for n, x, r in SWEEP))
     report = diagnose_series(series)
 
     print(f"{'n_was':>7} {'x_was':>8} {'r_was':>8} {'n_run':>8} {'n_idle':>8}")

@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: bounds, simulate, audit, diagnose, steady. Exit codes are a
-stable contract: 0 clean, 1 usage, 2 input parse, 3 output I/O, 4
-diagnostic failure (suppressible with --no-fail where diagnosis is the
-point of the command).
+stable contract, mapped only in ``main``: 0 clean, 1 usage, 2 input parse
+or read, 3 output I/O (stdout included), 4 diagnostic failure (suppressible
+with --no-fail where diagnosis is the point of the command). Every output flag
+takes ``-`` for stdout; diagnose writes format output, --out, --plot-csv, --combined-csv in order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
 
@@ -29,7 +32,8 @@ from .ingest import (
 )
 from .diagnostics import RESPONSE_FLATTENING
 from .model import _check_finite_number, bounds_summary
-from .report import DetectorConfig, Report, audit_series, diagnose_series, plot_rows
+from .report import (VERDICT_BROKEN, VERDICT_CLEAN, DetectorConfig, Report, audit_series,
+                     diagnose_series, plot_rows)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,24 +195,28 @@ def _config_from(args: argparse.Namespace) -> DetectorConfig:
 
 
 def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The bytes of an input file; an OSError here is the input's, not the output's."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _UnreadableInput(exc) from None
 
 
-def _load_profile(path: str):
-    return parse_profile(_read_file(path))
+def _open_output(path: str):
+    """A context manager for the text file ``path``, or for stdout, left open, when ``path`` is ``-``."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
 
 
 def _load_series(args: argparse.Namespace):
-    return parse_series(_read_file(args.series), r_unit=args.r_unit,
-                        configured_think_time=args.z, source_label=args.series)
+    return parse_series(_read_file(args.series), r_unit=args.r_unit, configured_think_time=args.z)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    summary = bounds_summary(_load_profile(args.profile))
+    summary = bounds_summary(parse_profile(_read_file(args.profile)))
     if args.format == "json":
         report = Report(tool_version=__version__, inputs={"profile": args.profile},
-                        bounds=summary, knee=None, audit=None, findings=[], verdict="clean")
+                        bounds=summary, knee=None, audit=None, findings=[], verdict=VERDICT_CLEAN)
         print(report.to_json())
     else:
         tie = f" (tied with: {', '.join(summary.tied_labels)})" if summary.tied_labels else ""
@@ -220,15 +228,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    curves = solve_reference(_load_profile(args.profile), args.n_max)
-    if args.out == "-":
-        curves.write_csv(sys.stdout)
-    else:
-        try:
-            curves.write_csv(args.out)
-        except OSError as exc:
-            print(f"loadlaw: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_OUTPUT
+    curves = solve_reference(parse_profile(_read_file(args.profile)), args.n_max)
+    with _open_output(args.out) as fh:
+        curves.write_csv(fh)
     return EXIT_OK
 
 
@@ -239,7 +241,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         _print_audit_text(report)
-    if report.verdict == "broken" and not args.no_fail:
+    if report.verdict == VERDICT_BROKEN and not args.no_fail:
         return EXIT_DIAGNOSTIC
     return EXIT_OK
 
@@ -261,7 +263,7 @@ def _print_findings(report: Report) -> None:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     series = _load_series(args)
-    profile = _load_profile(args.profile) if args.profile else None
+    profile = parse_profile(_read_file(args.profile)) if args.profile else None
     inputs = {"series": args.series}
     if args.profile:
         inputs["profile"] = args.profile
@@ -276,18 +278,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print(report_json)
     else:
         _print_diagnose_text(report)
-    try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(report_json + "\n")
-        if args.plot_csv:
-            _write_plot_csv(args.plot_csv, series, report)
-        if args.combined_csv:
-            _write_combined_csv(args.combined_csv, series)
-    except OSError as exc:
-        print(f"loadlaw: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    if report.verdict != "clean" and not args.no_fail:
+    if args.out:
+        with _open_output(args.out) as fh:
+            fh.write(report_json + "\n")
+    if args.plot_csv:
+        _write_plot_csv(args.plot_csv, series, report)
+    if args.combined_csv:
+        _write_combined_csv(args.combined_csv, series)
+    if report.verdict != VERDICT_CLEAN and not args.no_fail:
         return EXIT_DIAGNOSTIC
     return EXIT_OK
 
@@ -306,25 +304,20 @@ def _print_diagnose_text(report: Report) -> None:
 
 def _write_plot_csv(path: str, series, report: Report) -> None:
     n, *floats = zip(*plot_rows(series, report.knee))
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write("n,x_measured,r_measured,x_upper_bound,r_lower_bound\n")
         fh.write(_csv_lines([_int_texts(n), *map(_float_texts, floats)]))
 
 
 def _write_combined_csv(path: str, series) -> None:
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(f"# {COMBINED_PLOT_CAVEAT}\n")
         fh.write("x,r,n\n")
         fh.write(_csv_lines([_float_texts(series.x), _float_texts(series.r), _int_texts(series.n)]))
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
-    trace = parse_trace(_read_file(args.trace))
-    try:
-        x_bar, window = steady_state_average(trace, warmup_fraction=args.warmup)
-    except InsufficientSteadyStateError as exc:
-        print(f"loadlaw: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
+    x_bar, window = steady_state_average(parse_trace(_read_file(args.trace)), warmup_fraction=args.warmup)
     if args.format == "json":
         print(json.dumps({"x_bar": x_bar, "window": list(window)}))
     else:
@@ -337,20 +330,35 @@ class _UsageError(Exception):
     pass
 
 
+class _UnreadableInput(Exception):
+    """An OSError that ``_read_file`` met, carried past main's output handler."""
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
-        print(f"loadlaw: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except ParseError as exc:
-        print(f"loadlaw: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, message = EXIT_PARSE, f"parse error: {exc}"
+    except _UnreadableInput as exc:
+        code, message = EXIT_PARSE, f"cannot read input: {exc}"
+    except InsufficientSteadyStateError as exc:
+        code, message = EXIT_DIAGNOSTIC, str(exc)
     except OSError as exc:
-        print(f"loadlaw: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, message = EXIT_OUTPUT, f"cannot write output: {exc}"
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout itself failed: point it at devnull (the signal docs' EPIPE recipe) or exit fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    print(f"loadlaw: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

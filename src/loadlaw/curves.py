@@ -130,7 +130,6 @@ class CanonicalCurves:
         ``configured_think_time`` defaults to the profile's think time;
         pass something else to mimic a harness whose declared pacing does
         not match what it actually did, or None for no declared pacing.
-        The series' ``source_label`` is ``"reference"``.
         """
         if configured_think_time is _PROFILE_Z:
             configured_think_time = self.profile.think_time
@@ -143,8 +142,7 @@ class CanonicalCurves:
                 self.row(int(rows[outside.argmax()]))  # raises the out-of-range IndexError
             rows -= 1
         return LoadSeries.from_arrays(self.n[rows], self.x[rows], self.r[rows],
-                                      configured_think_time=configured_think_time,
-                                      source_label="reference")
+                                      configured_think_time=configured_think_time)
 
 
 def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:

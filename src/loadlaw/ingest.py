@@ -38,6 +38,8 @@ _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
 # columns: only one block's cells are alive at once, not the whole file's
 _BULK_LINES = 4096
 
+_ECHO_CHARS = 80  # characters of a refused row that its error message quotes
+
 
 class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number when known."""
@@ -151,19 +153,16 @@ class LoadSeries:
     x: np.ndarray
     r: np.ndarray
     configured_think_time: float | None
-    source_label: str
 
-    def __init__(self, points, configured_think_time: float | None = None,
-                 source_label: str = ""):
+    def __init__(self, points, configured_think_time: float | None = None):
         points = tuple(points)
         self._set_columns(np.array([p.n for p in points], dtype=np.int64),
                           np.array([p.x for p in points], dtype=np.float64),
                           np.array([p.r for p in points], dtype=np.float64),
-                          configured_think_time, source_label)
+                          configured_think_time)
 
     @classmethod
-    def from_arrays(cls, n, x, r, configured_think_time: float | None = None,
-                    source_label: str = "") -> "LoadSeries":
+    def from_arrays(cls, n, x, r, configured_think_time: float | None = None) -> "LoadSeries":
         """A series from columns, checked as LoadPoint and LoadSeries check points.
 
         ``n`` must hold integers; the columns are copied. The first bad
@@ -180,10 +179,10 @@ class LoadSeries:
             raise ValueError(f"n, x and r must be 1-d and of one length, got shapes "
                              f"{n.shape}, {x.shape}, {r.shape}")
         series = cls.__new__(cls)
-        series._set_columns(n, x, r, configured_think_time, source_label)
+        series._set_columns(n, x, r, configured_think_time)
         return series
 
-    def _set_columns(self, n, x, r, configured_think_time, source_label) -> None:
+    def _set_columns(self, n, x, r, configured_think_time) -> None:
         if not len(n):
             raise ValueError("series needs at least one point")
         _check_points(n, x, r)
@@ -194,8 +193,7 @@ class LoadSeries:
             z = float(z)
         for column in (n, x, r):
             column.flags.writeable = False
-        for name, value in (("n", n), ("x", x), ("r", r), ("configured_think_time", z),
-                            ("source_label", source_label)):
+        for name, value in (("n", n), ("x", x), ("r", r), ("configured_think_time", z)):
             object.__setattr__(self, name, value)
 
     @property
@@ -207,17 +205,15 @@ class LoadSeries:
             return NotImplemented
         return (np.array_equal(self.n, other.n) and np.array_equal(self.x, other.x)
                 and np.array_equal(self.r, other.r)
-                and self.configured_think_time == other.configured_think_time
-                and self.source_label == other.source_label)
+                and self.configured_think_time == other.configured_think_time)
 
     def __hash__(self):
         # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
         return hash((tuple(self.n.tolist()), tuple(self.x.tolist()), tuple(self.r.tolist()),
-                     self.configured_think_time, self.source_label))
+                     self.configured_think_time))
 
     def __repr__(self) -> str:
-        return (f"LoadSeries(points={self.points!r}, configured_think_time="
-                f"{self.configured_think_time!r}, source_label={self.source_label!r})")
+        return f"LoadSeries(points={self.points!r}, configured_think_time={self.configured_think_time!r})"
 
 
 def _order_error(n: int, prev: int) -> str:
@@ -354,7 +350,11 @@ def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
 
 
 def _joined(cells: list[str]) -> str:
-    return ",".join(c.strip() for c in cells)
+    """The row as an error message quotes it: its stripped cells joined by commas,
+    repr'd, and past ``_ECHO_CHARS`` cut and followed by its length, so that
+    one huge cell does not make a huge message."""
+    text = ",".join(c.strip() for c in cells)
+    return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
@@ -407,17 +407,13 @@ def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
         try:
             values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
         except ValueError:
-            return j, f"malformed row: {_joined(cells)!r}"
+            return j, f"malformed row: {_joined(cells)}"
         if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
             return j, _n_error(values[0])
 
 
-def _data_row(lines: list[str], header_line: int, dense: bool, i: int) -> tuple[int, list[str]]:
-    """(line number, cells) of the ``i``-th row after the header, 0-based;
-    counted, not searched for, when ``dense``: no comment or blank line
-    follows the header."""
-    if dense:
-        return header_line + i + 1, _cells(lines[header_line + i])
+def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
+    """(line number, cells) of the ``i``-th row after the header, 0-based."""
     return next(itertools.islice(_rows(lines), i + 1, None))
 
 
@@ -438,7 +434,6 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
             if (stripped := line.strip()) and stripped[0] != "#"]
     if not body:
         raise ParseError("no data rows")
-    dense = len(body) == len(lines) - header_line
     columns = [np.empty(len(body), dtype=np.int64 if kind is int else np.float64) for kind in kinds]
     failure = None
     for start in range(0, len(body), _BULK_LINES):
@@ -457,15 +452,14 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
             return build(*columns)
         check(*columns)
     except _RowError as exc:
-        lineno, cells = _data_row(lines, header_line, dense, exc.row)
+        lineno, cells = _data_row(lines, exc.row)
         message = refuse(exc, cells, *columns) if refuse else str(exc)
         raise ParseError(message, line=lineno) from None
     i, message = failure
-    raise ParseError(message, line=_data_row(lines, header_line, dense, i)[0])
+    raise ParseError(message, line=_data_row(lines, i)[0])
 
 
-def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None,
-                 source_label: str = "") -> LoadSeries:
+def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None) -> LoadSeries:
     """Parse a load-series CSV into a validated LoadSeries in seconds.
 
     ``r_unit`` ("s" or "ms") is the unit of a bare ``r`` column; suffixed
@@ -489,8 +483,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
     def build(n, x, r):
-        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time,
-                                      source_label=source_label)
+        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time)
 
     return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
                          (int, float, float), build, lambda n, x, r: _check_points(n, x, r / divisor))
@@ -562,7 +555,7 @@ def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarr
     i = exc.row
     if i and t[i] <= t[i - 1]:
         return f"timestamps must be strictly increasing (t={t[i].item()!r})"
-    return f"sample must be finite with x_inst >= 0: {_joined(cells)!r}"
+    return f"sample must be finite with x_inst >= 0: {_joined(cells)}"
 
 
 def parse_profile(raw) -> ServiceProfile:

@@ -37,7 +37,7 @@ def three_stage_profile(think_time=10.0):
 
 def capped_pool_series(**kwargs):
     points = tuple(LoadPoint(n=n, x=x, r=r) for n, x, r in CAPPED_POOL_ROWS)
-    return LoadSeries(points=points, source_label="capped-pool", **kwargs)
+    return LoadSeries(points=points, **kwargs)
 
 
 def random_profile(rng, max_stages=4, s_lo=1e-3, s_hi=1.0, z_hi=30.0):

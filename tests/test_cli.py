@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject
@@ -68,7 +72,10 @@ class TestBounds:
         assert doc["verdict"] == "clean"
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
-        assert main(["bounds", str(tmp_path / "nope.json")]) == 2
+        path = str(tmp_path / "nope.json")
+        assert main(["bounds", path]) == 2
+        assert capsys.readouterr().err == (f"loadlaw: cannot read input: [Errno 2] "
+                                           f"No such file or directory: {path!r}\n")
 
     def test_malformed_profile_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -106,9 +113,11 @@ class TestSimulate:
             main(["simulate", profile_path, "--n-max", "0", "--out", "x.csv"])
         assert exc.value.code == 1
 
-    def test_unwritable_output_exit_3(self, tmp_path, profile_path):
+    def test_unwritable_output_exit_3(self, capsys, tmp_path, profile_path):
         dest = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["simulate", profile_path, "--n-max", "2", "--out", str(dest)]) == 3
+        assert capsys.readouterr().err == (f"loadlaw: cannot write output: [Errno 2] "
+                                           f"No such file or directory: {str(dest)!r}\n")
 
     def test_stdout(self, capsys, profile_path):
         assert main(["simulate", profile_path, "--n-max", "2", "--out", "-"]) == 0
@@ -241,8 +250,8 @@ class TestDiagnose:
         plot, combined = tmp_path / "plot.csv", tmp_path / "combined.csv"
         main(["diagnose", str(series_path), "--profile", str(profile), "--no-fail",
               "--plot-csv", str(plot), "--combined-csv", str(combined)])
-        series = parse_series(open(series_path, "rb").read())
-        report = diagnose_series(series, parse_profile(open(profile, "rb").read()))
+        series = parse_series(Path(series_path).read_bytes())
+        report = diagnose_series(series, parse_profile(Path(profile).read_bytes()))
         assert plot.read_text() == reference_plot_csv(series, report)
         assert combined.read_text() == reference_combined_csv(series)
         if case == "exponent-forms":
@@ -535,3 +544,54 @@ class TestNonUtf8Input:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"loadlaw: parse error: {message}\n"
+
+
+def run_cli(argv, cwd, stdout=subprocess.PIPE):
+    """``python -m loadlaw argv`` in a fresh interpreter, stdout block-buffered
+    as it is in a pipeline: PYTHONUNBUFFERED is taken out of the environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "loadlaw", *argv], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+class TestOutputToStdout:
+    """A failed write to stdout is an output error: exit 3 with one stderr
+    line, and nothing more when the interpreter exits."""
+
+    COMMANDS = {  # name -> argv, with {series} and {profile} filled in
+        "diagnose": ["diagnose", "{series}"],
+        "audit-json": ["audit", "{series}", "--format", "json"],
+        "bounds": ["bounds", "{profile}"],
+        # 2,000 rows overflow stdout's buffer, so the write fails inside the command
+        "simulate": ["simulate", "{profile}", "--n-max", "2000", "--out", "-"],
+    }
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_failed_stdout_exit_3(self, tmp_path, capped_csv, profile_path, name, sink):
+        argv = [a.format(series=capped_csv, profile=profile_path) for a in self.COMMANDS[name]]
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = run_cli(argv, tmp_path, stdout=full)
+            errno = "[Errno 28] No space left on device"
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_cli(argv, tmp_path, stdout=write_end)
+            finally:
+                os.close(write_end)
+            errno = "[Errno 32] Broken pipe"
+        assert (proc.returncode, proc.stderr.decode()) == (3, f"loadlaw: cannot write output: {errno}\n")
+
+    def test_dash_out_writes_the_report_to_stdout(self, tmp_path, capped_csv):
+        argv = ["diagnose", capped_csv, "--no-fail", "--format", "text"]
+        to_stdout = run_cli(argv + ["--out", "-"], tmp_path)
+        to_file = run_cli(argv + ["--out", "report.json"], tmp_path)
+        assert to_stdout.returncode == to_file.returncode == 0
+        assert to_stdout.stdout == to_file.stdout + (tmp_path / "report.json").read_bytes()
+        assert not (tmp_path / "-").exists()

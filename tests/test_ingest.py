@@ -136,10 +136,9 @@ class TestParseSeries:
         s = parse_series("n,x,r,errors\n1,2,0.5,99\n")
         assert s.points[0].x == 2.0
 
-    def test_think_time_and_label_attached(self):
-        s = parse_series("n,x,r\n1,2,0.5\n", configured_think_time=10.0, source_label="run1")
+    def test_think_time_attached(self):
+        s = parse_series("n,x,r\n1,2,0.5\n", configured_think_time=10.0)
         assert s.configured_think_time == 10.0
-        assert s.source_label == "run1"
 
 
 # (input, exact message, line) for every way a series row is refused, as
@@ -179,6 +178,9 @@ SERIES_ERRORS = {
                                   "line 2: n must be <= 2**53, got an integer of more than 4300 digits", 2),
     "negative-n-too-long-for-int": (f"n,x,r\n-{_LONG},1,0.1\n",
                                     "line 2: n must be >= 1, got an integer of more than 4300 digits", 2),
+    # the echo of a long row stops after 80 characters and gives the row's length
+    "malformed-long-row": (f"n,x,r\n{_LONG}.5,1,0.1\n",
+                           f"line 2: malformed row: '{_LONG[:80]}'... (5008 characters)", 2),
 }
 
 
@@ -226,10 +228,10 @@ def test_points_is_a_view_that_builds_nothing_to_count(monkeypatch):
 class TestFromArrays:
     def test_equals_points_constructor(self):
         series = LoadSeries.from_arrays([1, 5, 10], [24.0, 48.0, 99.0], [0.04, 0.102, 0.1],
-                                        configured_think_time=10, source_label="s")
+                                        configured_think_time=10)
         assert series == LoadSeries(points=(LoadPoint(1, 24.0, 0.04), LoadPoint(5, 48.0, 0.102),
                                             LoadPoint(10, 99.0, 0.1)),
-                                    configured_think_time=10.0, source_label="s")
+                                    configured_think_time=10.0)
 
     @pytest.mark.parametrize("n, x, r, message", [
         ([1, 0], [1.0, 1.0], [1.0, 1.0], "n must be >= 1, got 0"),
@@ -302,8 +304,7 @@ def reference_serialize_series(series):
 def test_serialize_parse_round_trip(series):
     text = serialize_series(series)
     assert text == reference_serialize_series(series)
-    back = parse_series(text, configured_think_time=series.configured_think_time,
-                        source_label=series.source_label)
+    back = parse_series(text, configured_think_time=series.configured_think_time)
     assert back == series
 
 
@@ -405,6 +406,10 @@ class TestParseTrace:
         "empty": ("", ("empty file: expected a header row", None)),
         "underscore-t": ("t,x_inst\n0,1\n1_0,1\n", ("line 3: malformed row: '1_0,1'", 3)),
         "underscore-x": ("t,x_inst\n0,1_0\n", ("line 2: malformed row: '0,1_0'", 2)),
+        "long-inf-t": (f"t,x_inst\n0,1\n{_LONG},2\n",
+                       (f"line 3: sample must be finite with x_inst >= 0: '{_LONG[:80]}'... (5002 characters)", 3)),
+        "long-malformed": (f"t,x_inst\n0,1\n1,{_LONG}x\n",
+                           (f"line 3: malformed row: '1,{_LONG[:78]}'... (5003 characters)", 3)),
     }
 
     @pytest.mark.parametrize("name", sorted(OUTCOMES))
@@ -573,7 +578,7 @@ def reference_parse_series(raw, r_unit="s"):
             x = float(texts[1])
             r = float(texts[2]) / divisor
         except ValueError:
-            raise ParseError(f"malformed row: {ingest._joined(cells)!r}", line=lineno) from None
+            raise ParseError(f"malformed row: {ingest._joined(cells)}", line=lineno) from None
         if n is None:
             bound = "n must be >= 1" if texts[0][0] == "-" else "n must be <= 2**53"
             raise ParseError(f"{bound}, got an integer of more than {sys.get_int_max_str_digits()} digits",
@@ -610,11 +615,11 @@ def reference_parse_trace(raw):
             t = float(cells[t_idx].strip())
             x = float(cells[x_idx].strip())
         except ValueError:
-            raise ParseError(f"malformed row: {ingest._joined(cells)!r}", line=lineno) from None
+            raise ParseError(f"malformed row: {ingest._joined(cells)}", line=lineno) from None
         if samples and t <= samples[-1][0]:
             raise ParseError(f"timestamps must be strictly increasing (t={t!r})", line=lineno)
         if not (math.isfinite(t) and math.isfinite(x)) or x < 0:
-            raise ParseError(f"sample must be finite with x_inst >= 0: {ingest._joined(cells)!r}",
+            raise ParseError(f"sample must be finite with x_inst >= 0: {ingest._joined(cells)}",
                              line=lineno)
         samples.append((t, x))
     if not samples:
