@@ -335,8 +335,13 @@ class _UnreadableInput(Exception):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # argparse has buffered --help or --version and is exiting: a failed write is exit 3 here
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()
         return code

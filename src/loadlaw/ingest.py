@@ -13,6 +13,11 @@ Response-time units are never guessed. A suffixed header (``r_ms``,
 parse_series' ``r_unit`` argument, which defaults to seconds. Everything
 is converted to seconds on the way in, because mixed-unit arithmetic is
 precisely the kind of mistake this toolkit exists to catch.
+
+Number cells read as ``float()`` and ``int()`` read them, to the bit. A
+CSV column whose every cell is a JSON number of the column's type is
+read by one ``orjson.loads`` (see _json_numbers); any other column, one
+cell at a time by ``float()`` or ``int()``.
 """
 
 from __future__ import annotations
@@ -357,15 +362,42 @@ def _joined(cells: list[str]) -> str:
     return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
+def _json_numbers(cells: list[str], kind: type) -> list | None:
+    """``cells`` as orjson reads them, one JSON array, when that gives one
+    value of type ``kind`` per cell; None otherwise.
+
+    Only then is each cell one JSON number, with at most JSON's whitespace
+    (a subset of what str.strip drops) around it, and for such a cell
+    orjson's float or int is ``kind(cell.strip())`` to the bit. Every
+    cell on which the two grammars part fails the gate: ``+1``, ``.5``,
+    ``1.``, ``007``, ``nan``, ``inf``, ``1e400`` (refused), non-ASCII
+    digits, ``true``/``null``/``[1]``; in a float column any integer text,
+    ``-0`` (orjson's int 0) among them; in an int column a float text or
+    an integer past 2**64 (which orjson reads as a float).
+    """
+    try:
+        # a column whose first cell fails, such as integer texts in a float
+        # column, is turned away before the whole column is read
+        if not cells or type(orjson.loads(cells[0])) is not kind:
+            return None
+        values = orjson.loads("[" + ",".join(cells) + "]")
+    except orjson.JSONDecodeError:
+        return None
+    return values if len(values) == len(cells) and set(map(type, values)) == {kind} else None
+
+
 def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
              columns: list[np.ndarray], start: int) -> None:
     """Write the cells at ``indices`` of ``block``, converted by ``kinds``,
     into ``columns`` from row ``start``, each column by one np.fromiter.
 
     An unquoted block of one width is cut by one join and split; any other
-    is cut line by line, keeping only the wanted cells. Raises IndexError,
-    ValueError or OverflowError when a row is too short or a cell does not
-    convert into its column, or when a converted cell holds ``_``.
+    is cut line by line, keeping only the wanted cells. A column that
+    passes _json_numbers' gate is read by orjson; any other by ``kind``
+    per stripped cell. Either way it holds the bits ``float()``/``int()``
+    give. Raises IndexError, ValueError or OverflowError when a row is too
+    short or a cell does not convert into its column, or when a converted
+    cell holds ``_``.
     """
     text = ",".join(block)
     widths = set(map(str.count, block, itertools.repeat(",")))
@@ -378,8 +410,11 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
         if "_" in text and any("_" in cell for cell in cells):
             raise ValueError("digit separator in a converted cell")
     for column, i, kind in zip(columns, indices, kinds):
-        column[start:start + len(block)] = np.fromiter(map(kind, map(str.strip, cells[i::width])),
-                                                       column.dtype, len(block))
+        texts = cells[i::width]
+        values = _json_numbers(texts, kind)
+        if values is None:
+            values = map(kind, map(str.strip, texts))
+        column[start:start + len(block)] = np.fromiter(values, column.dtype, len(block))
 
 
 def _read(kind: type, text: str) -> int | float:

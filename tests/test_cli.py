@@ -566,6 +566,10 @@ class TestOutputToStdout:
         "bounds": ["bounds", "{profile}"],
         # 2,000 rows overflow stdout's buffer, so the write fails inside the command
         "simulate": ["simulate", "{profile}", "--n-max", "2000", "--out", "-"],
+        # argparse writes these itself, then exits
+        "help": ["--help"],
+        "version": ["--version"],
+        "diagnose-help": ["diagnose", "--help"],
     }
 
     @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])

@@ -1,7 +1,10 @@
 """The runtime dependencies declared in pyproject.toml and README are the
-third-party modules the package imports, no more and no fewer."""
+third-party modules the package imports, no more and no fewer; and the
+installed orjson reads numbers as float() does."""
 
 import ast
+import decimal
+import math
 import pathlib
 import re
 import sys
@@ -38,3 +41,50 @@ def test_readme_names_the_declared_packages():
     sentence = re.search(r"the runtime dependencies are ([^.;]+)", (ROOT / "README.md").read_text())
     assert sentence, "README has no 'the runtime dependencies are ...' sentence"
     assert set(re.split(r",\s*|\s+and\s+", sentence.group(1).strip())) == declared()
+
+
+def _halfway_texts() -> list[str]:
+    """The exact decimal halfway point between each anchor and the next
+    double up, and decimals a hair below and above it (the last of 30 and
+    of 60 significant digits), all of which a correctly rounding reader
+    must round to the right side."""
+    anchors = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-5, 0.1,
+               1.0, 123.456, 9007199254740992.0, 1e16, 1e23, 2.0 ** 64, 1.7976931348623155e308]
+    texts = []
+    with decimal.localcontext() as context:
+        context.prec = 1200  # every double's exact decimal fits
+        for anchor in anchors:
+            low, high = decimal.Decimal(anchor), decimal.Decimal(math.nextafter(anchor, math.inf))
+            middle = (low + high) / 2
+            texts.append(format(middle, "e"))
+            for digits in (30, 60):
+                hair = decimal.Decimal(10) ** (middle.adjusted() - digits)
+                texts += [format(middle - hair, "e"), format(middle + hair, "e")]
+    return texts
+
+
+# decimals on which readers are known to go wrong
+HARD_DECIMALS = _halfway_texts() + [
+    "2.2250738585072011e-308",  # hung Java's and PHP's readers
+    "2.4703282292062327e-324", "2.4703282292062328e-324",  # either side of half the smallest subnormal
+    "7.4109846876186981e-324", "7.4109846876186982e-324",  # either side of 1.5 times it
+    "5e-324", "4.9406564584124654e-324",
+    "9007199254740993.0", "9007199254740993e0", "9.007199254740993e15",  # 2**53 + 1
+    "1.234567890123456789012345", "9.999999999999999999999999e22",  # 25 digits
+    "1.234567890123456789012345678901234567890e-100", "0.9999999999999999999999999999999999999999",  # 40
+    "0.1000000000000000055511151231257827021181583404541015625",  # 0.1 exactly
+    "1.7976931348623157e308", "1.7976931348623158e308",  # rounds down to the largest finite value
+    "1e-400", "18446744073709551616", str(10 ** 30),  # underflow to 0; integers orjson reads as floats
+]
+
+
+def test_installed_orjson_reads_hard_decimals_as_float_does():
+    """pyproject admits any orjson>=3.8; ingest reads number columns with it,
+    so one whose reader rounds differently must fail here rather than
+    change parsed bits."""
+    from loadlaw import ingest
+
+    texts = HARD_DECIMALS + ["-" + text for text in HARD_DECIMALS]
+    numbers = ingest._json_numbers(texts, float)
+    assert numbers is not None, "orjson refused or retyped a hard decimal"
+    assert [v.hex() for v in numbers] == [float(text).hex() for text in texts]

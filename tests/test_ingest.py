@@ -747,8 +747,9 @@ def test_steady_state_average_matches_the_loop_bit_for_bit(rows, all_negative_ze
     assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
 
 
-# (series text, trace text, whether a row does not convert): the row loop
-# (ingest._refused) runs only for files with such a row
+# (series text, trace text, whether a row does not convert: one flag for
+# both, or a (series, trace) pair): the row loop (ingest._refused) runs only
+# for files with such a row
 PARSE_PATHS = {
     "all-valid": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n2,3\n", False),
     "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', False),
@@ -786,6 +787,46 @@ PARSE_PATHS = {
 }
 
 
+def _in_x(cell: str, bad_row: bool):
+    """A PARSE_PATHS entry whose second row holds ``cell`` as x and as x_inst."""
+    return (f"n,x,r\n1,2.5,0.1\n2,{cell},0.2\n3,4.5,0.3\n", f"t,x_inst\n0.5,1.5\n1.5,{cell}\n2.5,3.5\n",
+            bad_row)
+
+
+def _in_n(cell: str, bad_t: bool = False):
+    """A PARSE_PATHS entry whose second row holds ``cell`` as n, which does
+    not convert into the int64 column, and as t."""
+    return f"n,x,r\n1,2.5,0.1\n{cell},3.5,0.2\n", f"t,x_inst\n0.5,1.5\n{cell},2.5\n", (True, bad_t)
+
+
+# cells where JSON's number grammar and float()'s or int()'s part: orjson
+# reads a column only when every cell in it is a JSON number of the
+# column's type, so each of these takes the float()/int() reader
+PARSE_PATHS |= {
+    "negative-zero-x": _in_x("-0", False),  # orjson reads the int 0; x must stay -0.0
+    "plus-sign-x": _in_x("+1.5", False),
+    "no-leading-digit-x": _in_x(".5", False),
+    "no-trailing-digit-x": _in_x("1.", False),
+    "leading-zeros-x": _in_x("007", False),
+    "overflowing-x": _in_x("1E400", False),  # inf, refused by the value check
+    "arabic-indic-digit-x": _in_x("\u0665", False),
+    "formfeed-padded-x": _in_x("\x0c2.5\x0c", True),  # splitlines breaks the line at \x0c
+    "unit-separator-padded-x": _in_x("\x1f2.5\x1f", False),
+    "no-break-space-padded-x": _in_x("\xa02.5\xa0", False),
+    "json-whitespace-padded-x": _in_x(" 2.5\t", False),
+    "true-x": _in_x("true", True),
+    "null-x": _in_x("null", True),
+    "array-x": _in_x("[1]", True),
+    "quoted-comma-x": _in_x('"2.5,3.5"', True),  # one cell, two JSON numbers
+    "float-text-n": _in_n("1.0"),
+    "exponent-n": _in_n("1e3"),
+    "n-of-2**63": _in_n(str(2 ** 63)),  # orjson's int, past int64
+    "n-of-2**64": _in_n(str(2 ** 64)),  # orjson's float
+    "n-of-10**30": _in_n(str(10 ** 30)),
+    "true-n": _in_n("true", True),  # a bool, not an int
+}
+
+
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
 @pytest.mark.parametrize("kind", ["series", "trace"])
 @pytest.mark.parametrize("name", sorted(PARSE_PATHS))
@@ -803,7 +844,7 @@ def test_each_parse_path_matches_the_row_loop(monkeypatch, name, kind, block_lin
     monkeypatch.setattr(ingest, "_refused", spy)
     monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
     assert _outcome(parse, text) == _outcome(reference, text)
-    assert len(calls) == bad_row
+    assert len(calls) == (bad_row if isinstance(bad_row, bool) else bad_row[kind == "trace"])
 
 
 def _sweep_csv(rows: int) -> str:
@@ -864,6 +905,53 @@ def test_float_texts_are_repr_for_every_bit_pattern(bits, step):
 
 def test_float_texts_of_the_edge_values():
     _assert_float_texts(np.array(_edge_floats()))
+
+
+def _bits_of(value: float) -> int:
+    return np.float64(value).view(np.uint64).item()
+
+
+def _integer_text(value: float) -> str:
+    """``value`` as an integer literal (``-0`` for -0.0) when it is integral and below 1e20, else its repr."""
+    if not (value.is_integer() and abs(value) < 1e20):
+        return repr(value)
+    return ("-" if math.copysign(1.0, value) < 0 else "") + str(abs(int(value)))
+
+
+# the ways an exporter writes a float; integer literals past 2**64 are JSON floats to orjson
+CELL_WRITERS = {"repr": repr, "%.17g": "%.17g".__mod__, "%.25e": "%.25e".__mod__, "integer": _integer_text}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2 ** 64 - 1) | st.sampled_from(EDGE_BITS)
+                | st.integers(-10 ** 20, 10 ** 20).map(lambda i: _bits_of(float(i))), min_size=1, max_size=60))
+def test_float_cells_read_as_float_reads_them_for_every_bit_pattern(bits):
+    """The reader's mirror of test_float_texts_are_repr_for_every_bit_pattern."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+    gate, accepted = ingest._json_numbers, []
+
+    def spy(cells, kind):
+        numbers = gate(cells, kind)
+        accepted.append(numbers is not None)
+        return numbers
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_json_numbers", spy)
+        for name, write in CELL_WRITERS.items():
+            accepted.clear()
+            # one cell a line, any sign, NaN and the infinities, against float() itself
+            texts = list(map(write, values))
+            column = np.empty(len(texts))
+            ingest._convert(texts, (0,), (float,), [column], 0)
+            assert column.view(np.uint64).tolist() == [_bits_of(float(text)) for text in texts]
+            # the magnitudes (and -0.0, which the value checks pass) as files, against the row loops
+            texts = [write(v if v == 0 else abs(v)) for v in values]
+            series = "n,x,r_ms\n" + "".join(f"{n},{text},{text}\n" for n, text in enumerate(texts, 1))
+            trace = "t,x_inst\n" + "".join(f"{t}.5,{text}\n" for t, text in enumerate(texts))
+            assert _outcome(parse_series, series) == _outcome(reference_parse_series, series)
+            assert _outcome(parse_trace, trace) == _outcome(reference_parse_trace, trace)
+            if name == "repr" and all(map(math.isfinite, values)):
+                assert all(accepted)  # orjson, not float(), read every column
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e16])
