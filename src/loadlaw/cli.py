@@ -60,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # argparse drops an OSError from any write it makes; one to stdout (--help,
+    # --version) is the output's, so it reaches main as exit 3
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 @functools.cache
 def build_parser() -> _Parser:

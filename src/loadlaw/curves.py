@@ -24,9 +24,16 @@ group, and copies each group's queue column out to its stages at the
 end. The cycle time still adds one residence time per stage, in stage
 order, with plain float additions (not ``sum()``, which compensates
 from Python 3.12, and not a multiplicity-weighted product, which rounds
-differently), so every bit matches the stage-by-stage recursion.
-``write_csv`` likewise formats each distinct queue column once, a whole
-column per orjson call (its shortest round-trip text is ``repr``'s).
+differently), so every bit matches the stage-by-stage recursion. One
+pass over the groups per population computes each queue and, from it,
+the residence time for the next population. The values of
+``_CSV_BLOCK_ROWS`` populations gather in plain lists and go into the
+returned arrays with one slice store per block.
+
+``write_csv`` writes the same blocks: one orjson call turns a block's
+x, r and queue values into text, whose shortest round-trip digits are
+``repr``'s; a row holding a value that orjson writes in another form
+(exponents, NaN, infinities) is written by ``repr`` instead.
 
 ``solve_oracle`` recomputes the same stationary quantities for small
 instances by brute force: it enumerates every split of the population
@@ -42,8 +49,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
-from .ingest import LoadSeries, _csv_lines, _float_texts, _int_texts
+from .ingest import LoadSeries, _csv_lines, _int_texts
 from .model import ServiceProfile
 
 # solve_oracle enumerates every population split; beyond these caps the
@@ -51,8 +59,8 @@ from .model import ServiceProfile
 ORACLE_MAX_N = 12
 ORACLE_MAX_STAGES = 4
 
-# rows per write in CanonicalCurves.write_csv: the text of one block is
-# built at a time, so memory does not grow with the curve's length
+# populations per block in solve_reference's stores and write_csv's writes:
+# one block's lists or text at a time, so memory does not grow with the curve
 _CSV_BLOCK_ROWS = 256
 
 _PROFILE_Z = object()  # sentinel: as_series defaults to the profile's think time
@@ -96,9 +104,11 @@ class CanonicalCurves:
     def write_csv(self, dest) -> None:
         """Write n,x,r plus one q_<label> column per stage.
 
-        ``dest`` is a path or an open text file. Each block's columns are
-        converted to text by orjson (``ingest._float_texts``), the bytes
-        ``repr`` would write; each distinct queue column once.
+        ``dest`` is a path or an open text file. The rows go out
+        ``_CSV_BLOCK_ROWS`` at a time, each block's numbers written by
+        one orjson call, the bytes ``repr`` would write; a row with a
+        value below 1e-4 (but not 0), from 1e16 up or not finite is
+        written by ``repr`` itself (see ``ingest._float_texts``).
         """
         if hasattr(dest, "write"):
             self._write_csv(dest)
@@ -108,20 +118,20 @@ class CanonicalCurves:
 
     def _write_csv(self, fh) -> None:
         # the header goes through csv.writer for its quoting of labels; no
-        # body cell needs quoting, so the body is joined by hand, by columns
+        # body cell needs quoting, so the body is joined by hand, by rows
         csv.writer(fh).writerow(["n", "x", "r"] + [f"q_{s.label}" for s in self.profile.stages])
-        bits = self.q.view(np.uint64)
-        first: dict[float, int] = {}
-        source = []  # stage -> the first stage whose column has the same bits
-        for k, s in enumerate(self.profile.stages):
-            j = first.setdefault(s.service_time, k)
-            source.append(j if np.array_equal(bits[:, j], bits[:, k]) else k)
         for start in range(0, len(self.n), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            cells = {j: _float_texts(self.q[block, j]) for j in set(source)}
-            columns = [_int_texts(self.n[block]), _float_texts(self.x[block]),
-                       _float_texts(self.r[block])] + [cells[j] for j in source]
-            fh.write(_csv_lines(columns, "\r\n"))
+            values = np.column_stack((self.x[block], self.r[block], self.q[block])).astype(float, copy=False)
+            rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+            magnitude = np.abs(values)
+            # a row with a value whose Ryu text is not repr's (see _float_texts) is
+            # written by repr; min and max settle the common block whole
+            if not (magnitude.min() >= 1e-4 and magnitude.max() < 1e16):
+                odd = ((magnitude < 1e-4) & (magnitude != 0)) | ~(magnitude < 1e16)
+                for i in np.flatnonzero(odd.any(axis=1)).tolist():
+                    rows[i] = ",".join(map(float.__repr__, values[i].tolist()))
+            fh.write(_csv_lines([_int_texts(self.n[block]), rows], "\r\n"))
 
     def as_series(self, ns=None, configured_think_time=_PROFILE_Z):
         """Sample the curves into a LoadSeries, e.g. to feed the detectors.
@@ -165,21 +175,28 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     qs = np.empty((n_max, len(group)), dtype=np.float64)
     solved = qs[:, :d]  # one queue column per group, spread to the stages at the end
 
-    queue = [0.0] * d
-    resid = [0.0] * d
-    for n in range(1, n_max + 1):
-        for j in range(d):
-            resid[j] = service[j] * (1.0 + queue[j])
-        r_total = 0.0
-        for j in group:  # stage order, not sum(): the bits stay the per-stage ones
-            r_total += resid[j]
-        x = n / (r_total + z)
-        for j in range(d):
-            queue[j] = x * resid[j]
-        i = n - 1
-        xs[i] = x
-        rs[i] = r_total
-        solved[i] = queue
+    # residence times for population 1: every queue is empty
+    resid = [s * (1.0 + 0.0) for s in service]
+    by_group = list(enumerate(service))
+    for start in range(0, n_max, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n_max)
+        # a block's values gather in lists, stored with one slice each
+        x_block, r_block, q_block = [], [], []
+        q_append = q_block.append
+        for n in range(start + 1, stop + 1):
+            r_total = 0.0
+            for j in group:  # stage order, not sum(): the bits stay the per-stage ones
+                r_total += resid[j]
+            x = n / (r_total + z)
+            for j, s in by_group:  # this population's queues, then the next one's residence times
+                q = x * resid[j]
+                q_append(q)
+                resid[j] = s * (1.0 + q)
+            x_block.append(x)
+            r_block.append(r_total)
+        xs[start:stop] = x_block
+        rs[start:stop] = r_block
+        solved[start:stop] = np.reshape(q_block, (stop - start, d))
     # right to left: group[k] <= k, so each group column is read before it is overwritten
     for k in reversed(range(len(group))):
         qs[:, k] = qs[:, group[k]]

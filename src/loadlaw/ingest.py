@@ -241,6 +241,19 @@ def _check_points(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
     raise _RowError(_order_error(int(n[i]), int(n[i - 1])), i)
 
 
+def _check_run(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
+    """Raise _RowError for the first row whose x * r (the audit's n_run)
+    is not finite, once the rows up to it pass _check_points: the audit
+    would write that row's n_run and n_idle as infinities."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(x * r)
+    if finite.all():
+        return
+    i = int(finite.argmin())
+    _check_points(n[:i + 1], x[:i + 1], r[:i + 1])
+    raise _RowError(f"x * r must be finite, got {x[i].item()!r} * {r[i].item()!r}", i)
+
+
 def _check_samples(t: np.ndarray, x: np.ndarray) -> None:
     """Raise _RowError for the first sample whose t does not exceed the one
     before's or that is not finite with x >= 0, checked in that order."""
@@ -502,8 +515,9 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     by columns and checked once, on the columns (see _read_columns).
 
     Raises ParseError with the offending line number for malformed rows,
-    duplicate or out-of-order load points, and unit/header problems. The
-    first bad row in the file is the one reported.
+    rows whose x * r is not finite, duplicate or out-of-order load points,
+    and unit/header problems. The first bad row in the file is the one
+    reported.
     """
     if r_unit not in _UNIT_DIVISOR:
         raise ValueError(f"unknown response-time unit {r_unit!r}; use one of {sorted(_UNIT_DIVISOR)}")
@@ -518,10 +532,17 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
     def build(n, x, r):
-        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time)
+        r = r / divisor
+        _check_run(n, x, r)
+        return LoadSeries.from_arrays(n, x, r, configured_think_time=configured_think_time)
+
+    def check(n, x, r):
+        r = r / divisor
+        _check_run(n, x, r)
+        _check_points(n, x, r)
 
     return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
-                         (int, float, float), build, lambda n, x, r: _check_points(n, x, r / divisor))
+                         (int, float, float), build, check)
 
 
 def _float_texts(column, nonfinite=float.__repr__) -> list[str]:

@@ -154,6 +154,15 @@ class TestAudit:
         empty.write_text("")
         assert main(["audit", str(empty)]) == 2
 
+    def test_overflowing_n_run_exit_2(self, capsys, tmp_path):
+        # n_run = x * r past float64 would be written as Infinity, which strict JSON refuses
+        series = tmp_path / "overflow.csv"
+        series.write_text("n,x,r\n1,1e300,1e10\n")
+        assert main(["audit", str(series), "--format", "json", "--no-fail"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "loadlaw: parse error: line 2: x * r must be finite, got 1e+300 * 10000000000.0\n"
+
 
 class TestDiagnose:
     def test_overclaimed_throughput(self, capsys, tmp_path, profile_path):
@@ -546,10 +555,13 @@ class TestNonUtf8Input:
         assert captured.err == f"loadlaw: parse error: {message}\n"
 
 
-def run_cli(argv, cwd, stdout=subprocess.PIPE):
+def run_cli(argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
     """``python -m loadlaw argv`` in a fresh interpreter, stdout block-buffered
-    as it is in a pipeline: PYTHONUNBUFFERED is taken out of the environment."""
+    as it is in a pipeline: PYTHONUNBUFFERED is taken out of the environment,
+    or set to 1 when ``unbuffered``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "loadlaw", *argv], cwd=cwd, env=env, stdout=stdout,
@@ -572,24 +584,33 @@ class TestOutputToStdout:
         "diagnose-help": ["diagnose", "--help"],
     }
 
-    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
-    @pytest.mark.parametrize("name", sorted(COMMANDS))
-    def test_failed_stdout_exit_3(self, tmp_path, capped_csv, profile_path, name, sink):
-        argv = [a.format(series=capped_csv, profile=profile_path) for a in self.COMMANDS[name]]
+    @staticmethod
+    def run_into(sink, argv, cwd, unbuffered=False):
+        """(process, expected errno text) of ``argv`` with stdout on ``sink``."""
         if sink == "dev-full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
             with open("/dev/full", "wb") as full:
-                proc = run_cli(argv, tmp_path, stdout=full)
-            errno = "[Errno 28] No space left on device"
-        else:
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                proc = run_cli(argv, tmp_path, stdout=write_end)
-            finally:
-                os.close(write_end)
-            errno = "[Errno 32] Broken pipe"
+                return run_cli(argv, cwd, stdout=full, unbuffered=unbuffered), "[Errno 28] No space left on device"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return run_cli(argv, cwd, stdout=write_end, unbuffered=unbuffered), "[Errno 32] Broken pipe"
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_failed_stdout_exit_3(self, tmp_path, capped_csv, profile_path, name, sink):
+        argv = [a.format(series=capped_csv, profile=profile_path) for a in self.COMMANDS[name]]
+        proc, errno = self.run_into(sink, argv, tmp_path)
+        assert (proc.returncode, proc.stderr.decode()) == (3, f"loadlaw: cannot write output: {errno}\n")
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("name", ["help", "version", "diagnose-help"])
+    def test_failed_unbuffered_argparse_write_exit_3(self, tmp_path, name, sink):
+        # unbuffered, argparse's own write fails, not the flush after it
+        proc, errno = self.run_into(sink, self.COMMANDS[name], tmp_path, unbuffered=True)
         assert (proc.returncode, proc.stderr.decode()) == (3, f"loadlaw: cannot write output: {errno}\n")
 
     def test_dash_out_writes_the_report_to_stdout(self, tmp_path, capped_csv):

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,15 +310,27 @@ def tied_profiles(draw):
     return ServiceProfile.from_service_times(times, think_time=z)
 
 
-@settings(max_examples=80, deadline=None)
-@given(tied_profiles(), st.integers(min_value=1, max_value=300))
-def test_merged_stages_match_per_stage_recursion_bit_for_bit(p, n_max):
-    c = solve_reference(p, n_max)
+def assert_matches_per_stage_recursion(c, p, n_max):
     for got, want in zip((c.n, c.x, c.r, c.q), reference_solve(p, n_max)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags["C_CONTIGUOUS"]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert csv_text(c) == reference_csv_text(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_profiles(), st.integers(min_value=1, max_value=300))
+def test_merged_stages_match_per_stage_recursion_bit_for_bit(p, n_max):
+    assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_profiles(), st.sampled_from([1, 6, 7, 8, 14, 15, 16]))
+def test_blocks_of_seven_match_per_stage_recursion_bit_for_bit(p, n_max):
+    # populations on both sides of a block boundary, solved and written in blocks of 7
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves_module, "_CSV_BLOCK_ROWS", 7)
+        assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
 
 
 def test_hand_built_curves_write_their_own_columns():
@@ -359,3 +373,58 @@ def test_csv_is_written_in_blocks(monkeypatch):
     c.write_csv(sink)
     assert sink.getvalue() == reference_csv_text(c)
     assert len(writes) == 1 + 5  # header, then ceil(30 / 7) blocks
+
+
+# float64 values whose shortest text is not Ryu's, or sits next to the
+# boundary where the two part, beside any bit pattern at all
+_EDGE_VALUES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 9.999999999999999e-05, 1e-4, 0.00010000000000000002,
+                -9.999999999999999e-05, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+                -1e16, 1.7976931348623157e308]
+_any_bits = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@st.composite
+def hand_built_curves(draw):
+    """Curves of 1-60 stages and 1-600 rows of plain values, with edge values
+    and arbitrary bit patterns put anywhere in x, r and q."""
+    m = draw(st.integers(1, 60))
+    rows = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.exp(rng.uniform(np.log(1e-3), np.log(1e6), (rows, m + 2)))
+    for _ in range(draw(st.integers(0, 30))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, m + 1))
+        values[i, j] = draw(st.sampled_from(_EDGE_VALUES) | _any_bits)
+    p = ServiceProfile.from_service_times([0.01] * m)
+    return CanonicalCurves(profile=p, n=np.arange(1, rows + 1, dtype=np.int64), x=values[:, 0].copy(),
+                           r=values[:, 1].copy(), q=np.ascontiguousarray(values[:, 2:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_built_curves(), st.integers(1, 40))
+def test_rows_with_edge_values_are_written_as_the_row_writer_wrote_them(c, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves_module, "_CSV_BLOCK_ROWS", block_rows)
+        assert csv_text(c) == reference_csv_text(c)
+
+
+def test_solve_and_write_hold_about_one_curve_in_memory():
+    # a list of the whole curve's floats would hold about 3x the returned
+    # arrays, and a whole-curve column_stack in write_csv 8.5 MB more
+    doc = _tied_profile_50()
+    p = ServiceProfile.from_service_times([s["service_time"] / 1000 for s in doc["stages"]],
+                                          think_time=doc["think_time"] / 1000)
+    tracemalloc.start()
+    try:
+        c = solve_reference(p, 20_000)
+        _, solve_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        with open(os.devnull, "w", newline="") as fh:
+            c.write_csv(fh)
+        _, write_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (c.n, c.x, c.r, c.q))
+    assert solve_peak <= 1.25 * returned
+    assert write_peak - before < 3 * 2 ** 20

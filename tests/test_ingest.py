@@ -22,7 +22,7 @@ from loadlaw import (
     steady_state_average,
 )
 
-from loadlaw import ingest
+from loadlaw import audit_series, ingest
 from loadlaw.report import _json_float
 
 from .conftest import gen0_collections, load_series
@@ -155,6 +155,13 @@ SERIES_ERRORS = {
     "zero-n": ("n,x,r\n0,1,0.1\n", "line 2: n must be >= 1, got 0", 2),
     "negative-x": ("n,x,r\n1,-3,0.1\n", "line 2: x must be finite and >= 0, got -3.0", 2),
     "nan-r": ("n,x,r\n1,2,nan\n", "line 2: r must be finite and >= 0, got nan", 2),
+    "overflowing-run": ("n,x,r\n1,2,0.1\n2,1e300,1e10\n",
+                        "line 3: x * r must be finite, got 1e+300 * 10000000000.0", 3),
+    "overflowing-run-in-ms": ("n,x,r_ms\n1,1e306,1e6\n", "line 2: x * r must be finite, got 1e+306 * 1000.0", 2),
+    "order-before-overflow": ("n,x,r\n2,1,0.1\n1,1e300,1e10\n",
+                              "line 3: load points must be strictly increasing in n (n=1 after n=2)", 3),
+    "overflow-before-later-fault": ("n,x,r\n1,1e300,1e10\n2,-1,0.1\n3\n",
+                                    "line 2: x * r must be finite, got 1e+300 * 10000000000.0", 2),
     "inf-r": ("n,x,r_ms\n1,2,inf\n", "line 2: r must be finite and >= 0, got inf", 2),
     "quoted-comma": ('n,x,r\n1,"2,5",0.1\n', "line 2: malformed row: '1,2,5,0.1'", 2),
     "comment-and-blank-lines": ("# c\n\nn,x,r\n  # indented\n\n1,2,x\n",
@@ -590,6 +597,8 @@ def reference_parse_series(raw, r_unit="s"):
                 raise ParseError(str(exc), line=lineno) from None
         if n <= prev:
             raise ParseError(ingest._order_error(n, prev), line=lineno)
+        if not math.isfinite(x * r):
+            raise ParseError(f"x * r must be finite, got {x!r} * {r!r}", line=lineno)
         prev = n
         ns.append(n)
         xs.append(x)
@@ -597,6 +606,23 @@ def reference_parse_series(raw, r_unit="s"):
     if not ns:
         raise ParseError("no data rows")
     return ns, xs, rs
+
+
+_LARGE = st.floats(min_value=0, max_value=1.7976931348623157e308)
+
+
+@given(st.lists(st.tuples(_LARGE, _LARGE), min_size=1, max_size=6), st.sampled_from(["r", "r_s", "r_ms"]))
+def test_parsed_series_audits_finite_or_is_refused(rows, r_name):
+    # the audit's JSON is strict only if every n_run and n_idle is finite
+    text = f"n,x,{r_name}\n" + "".join(f"{n},{x!r},{r!r}\n" for n, (x, r) in enumerate(rows, 1))
+    try:
+        series = parse_series(text)
+    except ParseError as exc:
+        assert exc.line is not None
+        return
+    audit = audit_series(series).audit
+    for column in (audit.n_was, audit.x_was, audit.r_was, audit.n_run, audit.n_idle):
+        assert np.isfinite(column).all()
 
 
 def reference_parse_trace(raw):
