@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .ingest import LoadSeries, _csv_lines, _int_texts
+from .ingest import LoadSeries, _csv_lines, _int_texts, _not_repr
 from .model import ServiceProfile
 
 # solve_oracle enumerates every population split; beyond these caps the
@@ -107,8 +107,8 @@ class CanonicalCurves:
         ``dest`` is a path or an open text file. The rows go out
         ``_CSV_BLOCK_ROWS`` at a time, each block's numbers written by
         one orjson call, the bytes ``repr`` would write; a row with a
-        value below 1e-4 (but not 0), from 1e16 up or not finite is
-        written by ``repr`` itself (see ``ingest._float_texts``).
+        value on which the two differ is written by ``repr`` itself
+        (see ``ingest._not_repr``).
         """
         if hasattr(dest, "write"):
             self._write_csv(dest)
@@ -124,11 +124,9 @@ class CanonicalCurves:
             block = slice(start, start + _CSV_BLOCK_ROWS)
             values = np.column_stack((self.x[block], self.r[block], self.q[block])).astype(float, copy=False)
             rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
-            magnitude = np.abs(values)
-            # a row with a value whose Ryu text is not repr's (see _float_texts) is
-            # written by repr; min and max settle the common block whole
-            if not (magnitude.min() >= 1e-4 and magnitude.max() < 1e16):
-                odd = ((magnitude < 1e-4) & (magnitude != 0)) | ~(magnitude < 1e16)
+            # a row with a value whose Ryu text is not repr's is written by repr
+            odd = _not_repr(values)
+            if odd is not None:
                 for i in np.flatnonzero(odd.any(axis=1)).tolist():
                     rows[i] = ",".join(map(float.__repr__, values[i].tolist()))
             fh.write(_csv_lines([_int_texts(self.n[block]), rows], "\r\n"))

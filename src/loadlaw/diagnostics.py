@@ -117,8 +117,7 @@ class GrowthFit:
 def audit_littles_law(series: LoadSeries) -> Audit:
     """The audit of every load point, in series order, as an Audit of
     columns (one AuditRow per item); r must be seconds."""
-    with np.errstate(over="ignore"):  # x*r overflows to inf, as Python floats do
-        n_run = series.x * series.r
+    n_run = series.x * series.r  # finite: LoadSeries refuses a row whose x * r is not
     return Audit(n_was=series.n, x_was=series.x, r_was=series.r, n_run=n_run,
                  n_idle=series.n - n_run)
 

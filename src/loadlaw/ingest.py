@@ -171,8 +171,8 @@ class LoadSeries:
         """A series from columns, checked as LoadPoint and LoadSeries check points.
 
         ``n`` must hold integers; the columns are copied. The first bad
-        row, in row order, raises LoadPoint's own message or the order
-        check's.
+        row, in row order, raises _check_points' message, as it does
+        for every way a series is built.
         """
         n = np.array(n)
         if n.size and n.dtype.kind not in "iu":
@@ -190,12 +190,14 @@ class LoadSeries:
     def _set_columns(self, n, x, r, configured_think_time) -> None:
         if not len(n):
             raise ValueError("series needs at least one point")
-        _check_points(n, x, r)
         z = configured_think_time
         if z is not None:
             if isinstance(z, bool) or not isinstance(z, (int, float)) or not math.isfinite(float(z)) or z < 0:
                 raise ValueError(f"configured_think_time must be finite and >= 0, got {z!r}")
             z = float(z)
+        # the think time before the rows: a parser builds the rows before a
+        # malformed one, and where that row is must not decide which error wins
+        _check_points(n, x, r)
         for column in (n, x, r):
             column.flags.writeable = False
         for name, value in (("n", n), ("x", x), ("r", r), ("configured_think_time", z)):
@@ -228,29 +230,21 @@ def _order_error(n: int, prev: int) -> str:
 
 
 def _check_points(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
-    """Raise _RowError for the first row that LoadPoint's value check
-    refuses or whose n does not exceed the row before's."""
-    i = _first_bad_row((n < 1) | (n > MAX_N) | ~(np.isfinite(x) & (x >= 0))
-                       | ~(np.isfinite(r) & (r >= 0)), n)
+    """Raise _RowError for the first row that LoadPoint's value check refuses,
+    whose n does not exceed the row before's, or whose x * r (the audit's
+    n_run) is not finite, checked in that order."""
+    # x * r is finite only where x and r are (inf * 0 is NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = (n < 1) | (n > MAX_N) | ~(x >= 0) | ~(r >= 0) | ~np.isfinite(x * r)
+    i = _first_bad_row(bad, n)
     if i < 0:
         return
     try:
         LoadPoint(int(n[i]), float(x[i]), float(r[i]))
     except ValueError as exc:
         raise _RowError(str(exc), i) from None
-    raise _RowError(_order_error(int(n[i]), int(n[i - 1])), i)
-
-
-def _check_run(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
-    """Raise _RowError for the first row whose x * r (the audit's n_run)
-    is not finite, once the rows up to it pass _check_points: the audit
-    would write that row's n_run and n_idle as infinities."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(x * r)
-    if finite.all():
-        return
-    i = int(finite.argmin())
-    _check_points(n[:i + 1], x[:i + 1], r[:i + 1])
+    if i and n[i] <= n[i - 1]:
+        raise _RowError(_order_error(int(n[i]), int(n[i - 1])), i)
     raise _RowError(f"x * r must be finite, got {x[i].item()!r} * {r[i].item()!r}", i)
 
 
@@ -466,16 +460,16 @@ def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
 
 
 def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
-                  kinds: tuple[type, ...], build, check, refuse=None):
+                  kinds: tuple[type, ...], build, refuse=None):
     """``build(*columns)`` of the body after ``header_line``: the columns at
     ``indices``, converted by ``kinds`` (int to int64, float to float64).
 
     The body is converted ``_BULK_LINES`` lines at a time. When a block
     does not convert, a row loop finds its first row that is too short,
     has a cell that does not convert or an n past int64; the rows before
-    it are converted and ``check``ed, and that row's error is raised only
-    if they pass. A ``_RowError`` from ``build`` or ``check`` is raised as
-    a ParseError on the row's line, worded by
+    it are converted and built (the result is dropped), and that row's
+    error is raised only if they pass. A ``_RowError`` from ``build`` is
+    raised as a ParseError on the row's line, worded by
     ``refuse(error, cells, *columns)`` when given.
     """
     body = [line for line in itertools.islice(lines, header_line, None)
@@ -498,7 +492,8 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     try:
         if failure is None:
             return build(*columns)
-        check(*columns)
+        if len(columns[0]):
+            build(*columns)
     except _RowError as exc:
         lineno, cells = _data_row(lines, exc.row)
         message = refuse(exc, cells, *columns) if refuse else str(exc)
@@ -512,7 +507,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
 
     ``r_unit`` ("s" or "ms") is the unit of a bare ``r`` column; suffixed
     ``r_s`` and ``r_ms`` headers declare themselves. The body is converted
-    by columns and checked once, on the columns (see _read_columns).
+    by columns and checked once, on the columns, as every LoadSeries is.
 
     Raises ParseError with the offending line number for malformed rows,
     rows whose x * r is not finite, duplicate or out-of-order load points,
@@ -532,17 +527,22 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
     def build(n, x, r):
-        r = r / divisor
-        _check_run(n, x, r)
-        return LoadSeries.from_arrays(n, x, r, configured_think_time=configured_think_time)
-
-    def check(n, x, r):
-        r = r / divisor
-        _check_run(n, x, r)
-        _check_points(n, x, r)
+        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time)
 
     return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
-                         (int, float, float), build, check)
+                         (int, float, float), build)
+
+
+def _not_repr(values: np.ndarray) -> np.ndarray | None:
+    """Mask of the float64 ``values`` whose orjson (Ryu) text is not ``repr``'s,
+    or None when min and max alone show there are none. The two agree exactly
+    when ``v == 0`` or ``1e-4 <= |v| < 1e16``; orjson writes ``1e-05`` as
+    ``0.00001``, ``1e+16`` as ``1e16``, and NaN and the infinities as ``null``."""
+    magnitude = np.abs(values)
+    # min and max settle the common array whole; NaN fails both comparisons
+    if magnitude.min() >= 1e-4 and magnitude.max() < 1e16:
+        return None
+    return ((magnitude < 1e-4) & (magnitude != 0)) | ~(magnitude < 1e16)
 
 
 def _float_texts(column, nonfinite=float.__repr__) -> list[str]:
@@ -550,22 +550,17 @@ def _float_texts(column, nonfinite=float.__repr__) -> list[str]:
     orjson's Ryu kernel: the same shortest round-trip digits, about 7x
     faster than ``repr`` per value.
 
-    Ryu's text is ``repr``'s exactly when ``v == 0`` or
-    ``1e-4 <= |v| < 1e16``. Every other value (exponent forms such as
-    ``1e-05`` and ``1e+16``, which orjson writes ``0.00001`` and
-    ``1e16``; NaN and the infinities, which it writes ``null``) is
+    Each value whose Ryu text is not ``repr``'s (see _not_repr) is
     rewritten by ``nonfinite``: ``float.__repr__`` for CSV (``nan``,
     ``inf``) or report's ``_json_float`` for JSON (``NaN``,
-    ``Infinity``). The two differ only on those non-finite values.
+    ``Infinity``). The two differ only on the non-finite values.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
     if not len(column):
         return []
     texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(column)
-    # min and max settle the common column whole; NaN fails both comparisons
-    if not (magnitude.min() >= 1e-4 and magnitude.max() < 1e16):
-        odd = ((magnitude < 1e-4) & (magnitude != 0)) | ~(magnitude < 1e16)
+    odd = _not_repr(column)
+    if odd is not None:
         for i, value in zip(np.flatnonzero(odd).tolist(), column[odd].tolist()):
             texts[i] = nonfinite(value)
     return texts
@@ -603,7 +598,7 @@ def parse_trace(raw) -> ThroughputTrace:
     lines = _as_text(raw).splitlines()
     header_line, columns = _header(_rows(lines), ("t", "x_inst"))
     return _read_columns(lines, header_line, (columns["t"], columns["x_inst"]), (float, float),
-                         ThroughputTrace.from_arrays, _check_samples, _sample_refusal)
+                         ThroughputTrace.from_arrays, _sample_refusal)
 
 
 def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarray) -> str:

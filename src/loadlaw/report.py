@@ -255,10 +255,9 @@ def _think_time_findings(series: LoadSeries, config: DetectorConfig) -> list[Fin
             message=f"skipped {len(zero_x)} zero-throughput point(s) where implied think time is undefined",
             evidence={"points_skipped_zero_x": float(len(zero_x))},
             affected_points=tuple(zero_x)))
-    if len(zero_x) < len(series.n):
-        violation = detect_think_time_violation(series, rel_tol=config.think_time_rel_tol)
-        if violation:
-            findings.append(violation)
+    violation = detect_think_time_violation(series, rel_tol=config.think_time_rel_tol)
+    if violation:
+        findings.append(violation)
     return findings
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import re
 import sys
@@ -140,6 +141,15 @@ class TestParseSeries:
         s = parse_series("n,x,r\n1,2,0.5\n", configured_think_time=10.0)
         assert s.configured_think_time == 10.0
 
+    # a parser builds the rows before a malformed one; a bad think time is named
+    # first whether the row fault is in a value, the order or a cell
+    @pytest.mark.parametrize("text", ["n,x,r\n1,1,1\n2,-1,1\n", "n,x,r\n2,1,1\n1,1,1\n",
+                                      "n,x,r\n1,1,1\n2,oops,1\n"], ids=["value", "order", "cell"])
+    def test_a_bad_think_time_is_named_before_a_bad_row(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_series(text, configured_think_time=-1)
+        assert str(exc.value) == "configured_think_time must be finite and >= 0, got -1"
+
 
 # (input, exact message, line) for every way a series row is refused, as
 # the csv.reader-based parser worded them; it read "1_000" as 1000, and
@@ -248,10 +258,17 @@ class TestFromArrays:
         ([2, 1], [1.0, 1.0], [1.0, 1.0], "strictly increasing"),
         ([1.0, 2.0], [1.0, 1.0], [1.0, 1.0], "integers"),
         ([], [], [], "at least one point"),
+        ([1, 2], [1.0, 1e300], [1.0, 1e10], "x * r must be finite, got 1e+300 * 10000000000.0"),
     ])
     def test_refuses_what_load_points_refuse(self, n, x, r, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             LoadSeries.from_arrays(n, x, r)
+
+    # the audit would write this row's n_run and n_idle as infinities
+    def test_points_refuse_an_overflowing_run_as_from_arrays_does(self):
+        with pytest.raises(ValueError) as exc:
+            LoadSeries(points=map(LoadPoint, [1, 2], [1.0, 1e300], [1.0, 1e10]))
+        assert str(exc.value) == "x * r must be finite, got 1e+300 * 10000000000.0"
 
     @pytest.mark.parametrize("n, x, r, z, message", [
         ([1, 2], [1.0], [1.0, 1.0], None,
@@ -611,18 +628,46 @@ def reference_parse_series(raw, r_unit="s"):
 _LARGE = st.floats(min_value=0, max_value=1.7976931348623157e308)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the report writes {name}, which strict JSON refuses")
+
+
 @given(st.lists(st.tuples(_LARGE, _LARGE), min_size=1, max_size=6), st.sampled_from(["r", "r_s", "r_ms"]))
 def test_parsed_series_audits_finite_or_is_refused(rows, r_name):
-    # the audit's JSON is strict only if every n_run and n_idle is finite
+    # the audit's JSON is strict only if every n_run and n_idle is finite;
+    # the same rows, built each way a series is built, are refused or audit so
     text = f"n,x,{r_name}\n" + "".join(f"{n},{x!r},{r!r}\n" for n, (x, r) in enumerate(rows, 1))
+    divisor = 1000.0 if r_name == "r_ms" else 1.0
+    n, x, r = range(1, len(rows) + 1), [x for x, _ in rows], [r / divisor for _, r in rows]
+    for build, refusal in ((lambda: parse_series(text), ParseError),
+                           (lambda: LoadSeries.from_arrays(n, x, r), ValueError),
+                           (lambda: LoadSeries(points=map(LoadPoint, n, x, r)), ValueError)):
+        try:
+            series = build()
+        except refusal as exc:
+            assert refusal is not ParseError or exc.line is not None
+            continue
+        json.loads(audit_series(series).to_json(), parse_constant=_refuse_constant)
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([1e300, 1e10, 1.7976931348623157e308, 5e-324, -0.0])
+
+
+@given(st.lists(st.tuples(st.integers(-1, 6) | st.sampled_from([ingest.MAX_N, ingest.MAX_N + 1]),
+                          _ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=6))
+def test_from_arrays_refuses_as_parse_series_does(rows):
+    """One validator: for the same columns, from_arrays raises parse_series'
+    message without its ``line N: `` prefix, or both build equal series."""
+    n, x, r = map(list, zip(*rows))
+    text = "n,x,r\n" + "".join(f"{a},{b!r},{c!r}\n" for a, b, c in rows)
     try:
-        series = parse_series(text)
+        parsed = parse_series(text)
     except ParseError as exc:
-        assert exc.line is not None
+        with pytest.raises(ValueError) as built:
+            LoadSeries.from_arrays(n, x, r)
+        assert str(exc) == f"line {built.value.row + 2}: {built.value}"
         return
-    audit = audit_series(series).audit
-    for column in (audit.n_was, audit.x_was, audit.r_was, audit.n_run, audit.n_idle):
-        assert np.isfinite(column).all()
+    assert LoadSeries.from_arrays(n, x, r) == parsed
 
 
 def reference_parse_trace(raw):
