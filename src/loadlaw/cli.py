@@ -32,7 +32,7 @@ from .ingest import (
 )
 from .diagnostics import RESPONSE_FLATTENING
 from .model import _check_finite_number, bounds_summary
-from .report import (VERDICT_BROKEN, VERDICT_CLEAN, DetectorConfig, Report, audit_series,
+from .report import (VERDICT_BROKEN, VERDICT_CLEAN, DetectorConfig, Report, _report, audit_series,
                      diagnose_series, plot_rows)
 
 EXIT_OK = 0
@@ -223,9 +223,7 @@ def _load_series(args: argparse.Namespace):
 def cmd_bounds(args: argparse.Namespace) -> int:
     summary = bounds_summary(parse_profile(_read_file(args.profile)))
     if args.format == "json":
-        report = Report(tool_version=__version__, inputs={"profile": args.profile},
-                        bounds=summary, knee=None, audit=None, findings=[], verdict=VERDICT_CLEAN)
-        print(report.to_json())
+        print(_report({"profile": args.profile}, summary, None, None, []).to_json())
     else:
         tie = f" (tied with: {', '.join(summary.tied_labels)})" if summary.tied_labels else ""
         print(f"bottleneck:  {summary.bottleneck_label}{tie}")

@@ -155,9 +155,12 @@ def detect_thread_throttling(audit: Audit, plateau_tol: float = DetectorConfig.p
     span = plateau[-1] / plateau[0]
     if span < span_factor:
         return None
-    # summed left to right in Python, as the evidence has always been
-    level = sum(n_run[start:].tolist()) / len(plateau)
     mx, mn = float(hi[start]), float(lo[start])
+    # summed left to right in Python, as the evidence has always been; a sum
+    # past float64 is taken term by term, the mean kept inside the plateau
+    level = sum(n_run[start:].tolist()) / len(plateau)
+    if level == math.inf:
+        level = min(sum(v / len(plateau) for v in n_run[start:].tolist()), mx)
     spread = (mx - mn) / mn if mn > 0 else 0.0
     return Finding(
         detector=THREAD_THROTTLING,

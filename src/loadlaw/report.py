@@ -1,10 +1,12 @@
 """Report assembly: run the detector suite and fold results into one verdict.
 
-A Report carries everything a reviewer needs to audit the audit: the
-derived bounds, the knee estimate, the Little's-law reconstruction, and
-the findings sorted deterministically (detector id, then first affected
-load point). The verdict is mechanical: ``broken`` iff any critical
-finding, ``suspect`` iff any warning and no critical, ``clean``
+``audit_series`` runs the two harness detectors on the Little's-law
+audit; ``diagnose_series`` runs those and every other detector. A
+detector that cannot run leaves one info finding that says why; one that
+finds nothing returns None, which ``_report``, the one builder of a
+Report, drops before it sorts the findings (detector id, then first
+affected load point) and derives the verdict: ``broken`` iff any
+critical finding, ``suspect`` iff any warning and no critical, ``clean``
 otherwise. Info findings never affect the verdict.
 """
 
@@ -215,49 +217,44 @@ def _note(detector: str, message: str) -> Finding:
     return Finding(detector=detector, severity=INFO, message=message)
 
 
+def _report(inputs: dict[str, str] | None, bounds: Bounds | None, knee: Bounds | None,
+            audit: Audit | None, findings: list[Finding | None]) -> Report:
+    """The one builder of a Report: the tool version stamped, the None of
+    each detector that found nothing dropped, the findings sorted and the
+    verdict derived from them."""
+    findings = sort_findings([f for f in findings if f is not None])
+    return Report(tool_version=__version__, inputs=dict(inputs or {}), bounds=bounds, knee=knee,
+                  audit=audit, findings=findings, verdict=verdict_for(findings))
+
+
 def audit_series(series: LoadSeries, config: DetectorConfig | None = None,
                  inputs: dict[str, str] | None = None) -> Report:
     """Little's-law audit plus the two harness detectors it feeds."""
     config = config or DetectorConfig()
     rows = audit_littles_law(series)
-    findings = _throttling_findings(rows, config)
-    findings.extend(_think_time_findings(series, config))
-    return _report(inputs, None, None, rows, findings)
+    return _report(inputs, None, None, rows, _harness_findings(series, rows, config))
 
 
-def _report(inputs: dict[str, str] | None, bounds: Bounds | None, knee: Bounds | None,
-            audit: Audit, findings: list[Finding]) -> Report:
-    """The Report of these parts, its findings sorted and its verdict derived."""
-    findings = sort_findings(findings)
-    return Report(tool_version=__version__, inputs=dict(inputs or {}), bounds=bounds, knee=knee,
-                  audit=audit, findings=findings, verdict=verdict_for(findings))
-
-
-def _throttling_findings(rows: Audit, config: DetectorConfig) -> list[Finding]:
+def _harness_findings(series: LoadSeries, rows: Audit, config: DetectorConfig) -> list[Finding | None]:
+    """The load generator's two checks, thread throttling on the audit and
+    think time on the series; each leaves a note when it cannot run."""
     if len(rows) < 3:
-        return [_note(THREAD_THROTTLING,
-                      f"only {len(rows)} audit row(s); need 3 to assess thread throttling")]
-    throttling = detect_thread_throttling(rows, plateau_tol=config.plateau_tol,
-                                          span_factor=config.span_factor)
-    return [throttling] if throttling else []
-
-
-def _think_time_findings(series: LoadSeries, config: DetectorConfig) -> list[Finding]:
+        findings = [_note(THREAD_THROTTLING,
+                          f"only {len(rows)} audit row(s); need 3 to assess thread throttling")]
+    else:
+        findings = [detect_thread_throttling(rows, plateau_tol=config.plateau_tol,
+                                             span_factor=config.span_factor)]
     z_conf = series.configured_think_time
     if z_conf is None or z_conf <= 0:
-        return [_note(THINK_TIME_VIOLATION,
-                      "no positive configured think time declared; pacing check skipped")]
-    findings = []
+        return findings + [_note(THINK_TIME_VIOLATION,
+                                 "no positive configured think time declared; pacing check skipped")]
     zero_x = series.n[series.x <= 0].tolist()
     if zero_x:
         findings.append(Finding(
             detector=THINK_TIME_VIOLATION, severity=INFO,
             message=f"skipped {len(zero_x)} zero-throughput point(s) where implied think time is undefined",
-            evidence={"points_skipped_zero_x": float(len(zero_x))},
-            affected_points=tuple(zero_x)))
-    violation = detect_think_time_violation(series, rel_tol=config.think_time_rel_tol)
-    if violation:
-        findings.append(violation)
+            evidence={"points_skipped_zero_x": float(len(zero_x))}, affected_points=tuple(zero_x)))
+    findings.append(detect_think_time_violation(series, rel_tol=config.think_time_rel_tol))
     return findings
 
 
@@ -268,53 +265,38 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
 
     With a profile the bounds and knee are exact; without one the knee
     falls back to data-side estimates and the ceiling check is skipped
-    (there is no independent ceiling to check against).
+    (there is no independent ceiling to check against). Without a knee
+    the post-knee checks cannot run, and the report says why.
     """
     config = config or DetectorConfig()
-    findings: list[Finding] = []
-
-    knee: Bounds | None = None
+    rows = audit_littles_law(series)
+    findings = _harness_findings(series, rows, config)
+    findings += detect_retrograde(series, rel_tol=config.retrograde_rel_tol)
+    if profile is not None:
+        findings.append(detect_bound_violation(float(series.x.max()), profile, rel_tol=config.bound_rel_tol))
     try:
         knee = bounds_summary(profile) if profile is not None else estimate_knee(series)
     except ValueError as exc:
         findings.append(_note(RESPONSE_FLATTENING, f"knee estimate unavailable: {exc}"))
+        return _report(inputs, None, None, rows, findings)
 
-    if profile is not None:
-        peak = float(series.x.max())
-        bound = detect_bound_violation(peak, profile, rel_tol=config.bound_rel_tol)
-        if bound:
-            findings.append(bound)
-
-    rows = audit_littles_law(series)
-    findings.extend(_throttling_findings(rows, config))
-    findings.extend(_think_time_findings(series, config))
-    findings.extend(detect_retrograde(series, rel_tol=config.retrograde_rel_tol))
-
-    if knee is not None:
-        post = series.n[post_knee(series, knee)].tolist()
-        if len(post) < 2:
-            findings.append(_note(RESPONSE_FLATTENING,
-                                  f"only {len(post)} point(s) beyond the knee; flattening not assessable"))
-        else:
-            flattening = detect_response_flattening(series, knee,
-                                                    slope_fraction=config.slope_fraction)
-            if flattening:
-                findings.append(flattening)
-
-        growth_class, fit = classify_growth(series, knee, min_points=config.min_growth_points,
-                                            slope_fraction=config.slope_fraction)
-        evidence: dict[str, float] = {"n_points": float(fit.n_points)}
-        for key in ("linear_slope", "linear_ss", "exp_rate", "exp_ss"):
-            value = getattr(fit, key)
-            if value is not None:
-                evidence[key] = float(value)
-        detail = f"; {fit.note}" if fit.note else ""
-        findings.append(Finding(
-            detector=GROWTH_CLASS, severity=INFO,
-            message=f"growth class {growth_class}: post-knee response growth{detail}",
-            evidence=evidence,
-            affected_points=tuple(post)))
-
+    post = series.n[post_knee(series, knee)].tolist()
+    if len(post) < 2:
+        findings.append(_note(RESPONSE_FLATTENING,
+                              f"only {len(post)} point(s) beyond the knee; flattening not assessable"))
+    else:
+        findings.append(detect_response_flattening(series, knee, slope_fraction=config.slope_fraction))
+    growth_class, fit = classify_growth(series, knee, min_points=config.min_growth_points,
+                                        slope_fraction=config.slope_fraction)
+    evidence: dict[str, float] = {"n_points": float(fit.n_points)}
+    for key in ("linear_slope", "linear_ss", "exp_rate", "exp_ss"):
+        value = getattr(fit, key)
+        if value is not None:
+            evidence[key] = float(value)
+    detail = f"; {fit.note}" if fit.note else ""
+    findings.append(Finding(detector=GROWTH_CLASS, severity=INFO,
+                            message=f"growth class {growth_class}: post-knee response growth{detail}",
+                            evidence=evidence, affected_points=tuple(post)))
     # a profile's knee is its exact bounds
     return _report(inputs, knee if profile is not None else None, knee, rows, findings)
 

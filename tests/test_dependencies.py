@@ -1,6 +1,7 @@
 """The runtime dependencies declared in pyproject.toml and README are the
-third-party modules the package imports, no more and no fewer; and the
-installed orjson reads numbers as float() does."""
+third-party modules the package imports, no more and no fewer; the
+version is written once, in the package; and the installed orjson reads
+numbers as float() does."""
 
 import ast
 import decimal
@@ -35,6 +36,14 @@ def declared() -> set[str]:
 
 def test_pyproject_declares_exactly_the_imported_packages():
     assert imported_third_party() == declared() == {"numpy", "orjson"}
+
+
+def test_version_is_stated_once_in_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "loadlaw._version.__version__"}
 
 
 def test_readme_names_the_declared_packages():

@@ -126,6 +126,15 @@ class TestThreadThrottling:
         rows = audit_littles_law(series_of([(100, 50.0, 1.0), (110, 50.2, 1.0), (120, 49.9, 1.0)]))
         assert detect_thread_throttling(rows) is None
 
+    @pytest.mark.parametrize("low, high", [(8.988465674311579e+307, 8.98846567431158e+307),
+                                           (1.7976931348623157e308, 1.7976931348623157e308)])
+    def test_plateau_level_past_float64_sum_stays_finite(self, low, high):
+        # the n_run values sum past the largest double; their mean does not
+        rows = audit_littles_law(series_of([(1, 0.0, 0.0), (2, 1.0, low), (3, 1.0, high)]))
+        finding = detect_thread_throttling(rows)
+        assert low <= finding.evidence["plateau_n_run"] <= high
+        assert "inf" not in finding.message
+
 
 class TestEffectiveThinkTime:
     @staticmethod

@@ -12,6 +12,9 @@ import pathlib
 import re
 
 import loadlaw
+from loadlaw import report
+
+from .conftest import capped_pool_series, three_stage_profile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLERS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
@@ -83,3 +86,30 @@ def test_every_public_attribute_the_readme_library_names_resolves():
     missing = sorted(f"{name}.{attr}" for name, attr in named
                      if not hasattr(getattr(loadlaw, name), attr))
     assert not missing, f"README names attributes that do not exist: {missing}"
+
+
+def test_report_calls_every_wrapped_function_through_its_module_name(monkeypatch):
+    """The tracer replaces ``loadlaw.report.<name>``; a report that kept its
+    own reference to one of these functions would bypass it, and the
+    benchmark would lose that layer's spans."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    calls = {}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, attr, _ in tracing.WRAP_POINTS:
+        if module == "loadlaw.report" and "." not in attr:
+            calls[attr] = 0
+            monkeypatch.setattr(report, attr, counting(attr, getattr(report, attr)))
+    assert len(calls) == 9
+    series = capped_pool_series(configured_think_time=1.0)
+    report.diagnose_series(series, three_stage_profile(think_time=0.0))
+    report.diagnose_series(series)
+    report.audit_series(series)
+    assert [name for name, count in calls.items() if not count] == []

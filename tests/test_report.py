@@ -210,3 +210,128 @@ def test_to_json_keeps_no_container_per_audit_row():
     report = audit_series(solve_reference(three_stage_profile(), 5000).as_series())
     assert len(report.audit) == 5000
     assert gen0_collections(report.to_json) == 0
+
+
+# Every note the report writes, on series that reach each path: what each
+# entry point reports, and what it leaves out, as (detector, severity,
+# message, affected_points).
+NO_PACING = ("THINK_TIME_VIOLATION", "info",
+             "no positive configured think time declared; pacing check skipped", ())
+ZERO_PAST_KNEE = [
+    ("GROWTH_CLASS", "info", "growth class inconclusive: post-knee response growth; "
+     "only 0 point(s) beyond the knee; need 4", ()),
+    ("RESPONSE_FLATTENING", "info", "only 0 point(s) beyond the knee; flattening not assessable", ()),
+]
+CAPPED_THROTTLING = (
+    "THREAD_THROTTLING", "critical",
+    "running-client count (x*r) plateaus near 121.0 while the configured load grows 2x from 200 to 400; "
+    "the remaining clients sit idle in the generator's pool, so points beyond the plateau measure the "
+    "harness cap, not the system", (200, 300, 400))
+ZERO_X_THINK_TIME = [
+    ("THINK_TIME_VIOLATION", "info",
+     "skipped 1 zero-throughput point(s) where implied think time is undefined", (1,)),
+    ("THINK_TIME_VIOLATION", "critical",
+     "harness declares 1 s of think time between requests but the measurements imply a median of "
+     "0.05 s; the pacing logic in the client scripts is not doing what it claims", (2, 3, 4)),
+]
+ZERO_X_THROTTLING = (
+    "THREAD_THROTTLING", "critical",
+    "running-client count (x*r) plateaus near 0.0 while the configured load grows 3x from 1 to 3; "
+    "the remaining clients sit idle in the generator's pool, so points beyond the plateau measure the "
+    "harness cap, not the system", (1, 2, 3))
+ONE_PAST_KNEE = [
+    ("GROWTH_CLASS", "info", "growth class inconclusive: post-knee response growth; "
+     "only 1 point(s) beyond the knee; need 4", (2200,)),
+    ("RESPONSE_FLATTENING", "info", "only 1 point(s) beyond the knee; flattening not assessable", ()),
+    NO_PACING,
+]
+TWO_PAST_KNEE = [
+    ("GROWTH_CLASS", "info", "growth class inconclusive: post-knee response growth; "
+     "only 2 point(s) beyond the knee; need 4", (2200, 3000)),
+    NO_PACING,
+]
+
+
+def too_few_rows(rows):
+    return ("THREAD_THROTTLING", "info", f"only {rows} audit row(s); need 3 to assess thread throttling", ())
+
+
+def no_knee(reason):
+    return ("RESPONSE_FLATTENING", "info", f"knee estimate unavailable: {reason}", ())
+
+
+CAPPED = {  # with no think time or a zero one
+    "audit": [NO_PACING, CAPPED_THROTTLING],
+    "data-knee": [
+        ("GROWTH_CLASS", "info", "growth class sublinear: post-knee response growth",
+         (120, 200, 300, 400)),
+        ("RESPONSE_FLATTENING", "critical",
+         "beyond the knee (~17.1 users) response time climbs at 6.11e-05 s/user, far below the "
+         "0.00234 s/user the bottleneck dictates; a flattened post-saturation response curve is a "
+         "signal that the measurements are wrong, not that the system scales well",
+         (120, 200, 300, 400)),
+        NO_PACING, CAPPED_THROTTLING],
+    "profile": [
+        ("BOUND_VIOLATION", "critical",
+         "claimed throughput 428/s exceeds the ceiling 200/s set by the 'lookup' stage's service "
+         "time; either the throughput measurement is wrong or the measured service times are "
+         "wrong. If the service times stand, roughly 228/s of the claimed rate is error or "
+         "phantom work counted as completed transactions", ()),
+        *ZERO_PAST_KNEE, NO_PACING, CAPPED_THROTTLING],
+}
+
+NOTE_CASES = {  # name: (series, {entry point: findings})
+    "two-rows": (lambda: LoadSeries.from_arrays([1, 2], [10.0, 20.0], [0.1, 0.1]), {
+        "audit": [NO_PACING, too_few_rows(2)],
+        "data-knee": [*ZERO_PAST_KNEE, NO_PACING, too_few_rows(2)],
+        "profile": [*ZERO_PAST_KNEE, NO_PACING, too_few_rows(2)],
+    }),
+    "zero-think-time": (lambda: capped_pool_series(configured_think_time=0.0), CAPPED),
+    "no-think-time": (capped_pool_series, CAPPED),
+    "zero-x-positive-think-time": (lambda: LoadSeries.from_arrays(
+        [1, 2, 3, 4], [0.0, 10.0, 20.0, 30.0], [0.1, 0.1, 0.1, 0.2], configured_think_time=1.0), {
+        "audit": ZERO_X_THINK_TIME,
+        "data-knee": [*ZERO_PAST_KNEE, *ZERO_X_THINK_TIME],
+        "profile": [*ZERO_PAST_KNEE, *ZERO_X_THINK_TIME],
+    }),
+    "one-point": (lambda: LoadSeries.from_arrays([1], [5.0], [0.1]), {
+        "audit": [NO_PACING, too_few_rows(1)],
+        "data-knee": [no_knee("need at least 2 points to estimate the knee from data"),
+                      NO_PACING, too_few_rows(1)],
+        "profile": [*ZERO_PAST_KNEE, NO_PACING, too_few_rows(1)],
+    }),
+    "every-x-zero": (lambda: LoadSeries.from_arrays([1, 2, 3], [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]), {
+        "audit": [NO_PACING, ZERO_X_THROTTLING],
+        "data-knee": [no_knee("cannot estimate the knee: every point has zero throughput"),
+                      NO_PACING, ZERO_X_THROTTLING],
+        "profile": [*ZERO_PAST_KNEE, NO_PACING, ZERO_X_THROTTLING],
+    }),
+    # the data knee at r[0] * max(x) = 2100 users, the profile's at 2102
+    "one-past-knee": (lambda: LoadSeries.from_arrays(
+        [100, 2000, 2200], [10.0, 190.0, 200.0], [10.5, 10.6, 11.0]), {
+        "audit": [NO_PACING],
+        "data-knee": ONE_PAST_KNEE,
+        "profile": ONE_PAST_KNEE,
+    }),
+    # the data knee at 1000 users; flattening ran and found nothing
+    "two-past-knee": (lambda: LoadSeries.from_arrays(
+        [100, 2200, 3000], [10.0, 200.0, 200.0], [5.0, 11.0, 15.0]), {
+        "audit": [NO_PACING],
+        "data-knee": TWO_PAST_KNEE,
+        "profile": TWO_PAST_KNEE,
+    }),
+}
+ENTRY_POINTS = {
+    "audit": audit_series,
+    "data-knee": diagnose_series,
+    "profile": lambda series: diagnose_series(series, three_stage_profile()),
+}
+
+
+@pytest.mark.parametrize("case, entry", [(case, entry) for case, (_, expected) in NOTE_CASES.items()
+                                         for entry in expected])
+def test_every_note_and_silence_of_each_entry_point(case, entry):
+    make_series, expected = NOTE_CASES[case]
+    report = ENTRY_POINTS[entry](make_series())
+    assert [(f.detector, f.severity, f.message, f.affected_points) for f in report.findings] \
+        == expected[entry]
