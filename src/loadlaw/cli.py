@@ -4,7 +4,8 @@ Subcommands: bounds, simulate, audit, diagnose, steady. Exit codes are a
 stable contract, mapped only in ``main``: 0 clean, 1 usage, 2 input parse
 or read, 3 output I/O (stdout included), 4 diagnostic failure (suppressible
 with --no-fail where diagnosis is the point of the command). Every output flag
-takes ``-`` for stdout; diagnose writes format output, --out, --plot-csv, --combined-csv in order.
+takes ``-`` for stdout; diagnose writes format output, --out, --plot-csv, --combined-csv in order,
+and refuses two of them that name one file.
 """
 
 from __future__ import annotations
@@ -267,7 +268,19 @@ def _print_findings(report: Report) -> None:
     print(f"verdict: {report.verdict}")
 
 
+def _distinct_outputs(args: argparse.Namespace) -> None:
+    """Refuse two output flags that name one file: the later write would replace the earlier."""
+    flags = {}
+    for flag in ("--out", "--plot-csv", "--combined-csv"):
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and path != "-":
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise _UsageError(f"{other} and {flag} name the same file {path!r}")
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    _distinct_outputs(args)
     series = _load_series(args)
     profile = parse_profile(_read_file(args.profile)) if args.profile else None
     inputs = {"series": args.series}

@@ -15,9 +15,10 @@ is converted to seconds on the way in, because mixed-unit arithmetic is
 precisely the kind of mistake this toolkit exists to catch.
 
 Number cells read as ``float()`` and ``int()`` read them, to the bit. A
-CSV column whose every cell is a JSON number of the column's type is
-read by one ``orjson.loads`` (see _json_numbers); any other column, one
-cell at a time by ``float()`` or ``int()``.
+CSV body is cut into cells by one marked join and split per block of
+lines (see _marked_cells). A column whose every cell is a JSON number of
+the column's type is read by one ``orjson.loads`` (see _json_numbers);
+any other column, one cell at a time by ``float()`` or ``int()``.
 """
 
 from __future__ import annotations
@@ -351,9 +352,13 @@ def _rows(lines: list[str]):
 
 def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
     """Line number of the first row and its lowercased column names -> index;
-    every ``required`` name must be among them."""
+    every ``required`` name must be among them, and no name a parser reads twice."""
     for header_line, cells in rows:
-        columns = {name.strip().lower(): i for i, name in enumerate(cells)}
+        names = [name.strip().lower() for name in cells]
+        for name in ("n", "x", *_R_COLUMN_UNITS, "t", "x_inst"):
+            if names.count(name) > 1:
+                raise ParseError(f"duplicate column {name!r}", line=header_line)
+        columns = {name: i for i, name in enumerate(names)}
         for name in required:
             if name not in columns:
                 raise ParseError(f"missing required column {name!r}", line=header_line)
@@ -393,35 +398,55 @@ def _json_numbers(cells: list[str], kind: type) -> list | None:
     return values if len(values) == len(cells) and set(map(type, values)) == {kind} else None
 
 
-def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
-             columns: list[np.ndarray], start: int) -> None:
-    """Write the cells at ``indices`` of ``block``, converted by ``kinds``,
-    into ``columns`` from row ``start``, each column by one np.fromiter.
+def _marked_cells(block: list[str], text: str, narrowest: int) -> tuple[list[str], int] | None:
+    """(cells, stride) of ``text``, the lines ``block`` joined by the row marker
+    ``",\\n,"``, split on commas: row k's cell i is ``cells[k * stride + i]``.
+    None when ``text`` holds a quote or ``_`` or the rows are not all as wide
+    as the first and wider than ``narrowest``. No line holds "\\n", so rows
+    of one width w, and only they, split into ``len(block) * (w + 1) - 1``
+    cells with the marker at every (w + 1)-th; counted first, the commas
+    turn away a block with a blank line before it is split."""
+    width = block[0].count(",") + 1 if block else 0
+    if width <= narrowest or '"' in text or "_" in text or text.count(",") != len(block) * (width + 1) - 2:
+        return None
+    cells = text.split(",")
+    return (cells, width + 1) if cells[width::width + 1].count("\n") == len(block) - 1 else None
 
-    An unquoted block of one width is cut by one join and split; any other
-    is cut line by line, keeping only the wanted cells. A column that
-    passes _json_numbers' gate is read by orjson; any other by ``kind``
-    per stripped cell. Either way it holds the bits ``float()``/``int()``
-    give. Raises IndexError, ValueError or OverflowError when a row is too
-    short or a cell does not convert into its column, or when a converted
-    cell holds ``_``.
+
+def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
+             columns: list[np.ndarray], start: int) -> int:
+    """Write the cells at ``indices`` of the data rows among the lines
+    ``block``, converted by ``kinds``, into ``columns`` from row ``start``,
+    each column by one np.fromiter; return how many rows that is.
+
+    A block without ``#`` is cut by _marked_cells; failing that, so are its
+    lines other than comment and blank ones; failing that too (quoted
+    cells, ragged rows), they are cut line by line. A column that passes
+    _json_numbers' gate is read by orjson, any other by ``kind`` per
+    stripped cell; both give the bits ``float()``/``int()`` give. Raises
+    IndexError, ValueError or OverflowError when a row is too short or a
+    cell does not convert into its column, or when a converted cell holds ``_``.
     """
-    text = ",".join(block)
-    widths = set(map(str.count, block, itertools.repeat(",")))
-    width = widths.pop() + 1 if len(widths) == 1 else 0
-    if width > max(indices) and '"' not in text and "_" not in text:
-        cells = text.split(",")
+    text = ",\n,".join(block)
+    cut = "#" not in text and _marked_cells(block, text, max(indices))
+    if not cut:
+        block = [line for line in block if (stripped := line.strip()) and stripped[0] != "#"]
+        text = ",\n,".join(block)
+        cut = _marked_cells(block, text, max(indices))
+    if cut:
+        cells, stride = cut
     else:
         cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*indices), map(_cells, block))))
-        indices, width = range(len(indices)), len(indices)
+        indices, stride = range(len(indices)), len(indices)
         if "_" in text and any("_" in cell for cell in cells):
             raise ValueError("digit separator in a converted cell")
     for column, i, kind in zip(columns, indices, kinds):
-        texts = cells[i::width]
+        texts = cells[i::stride]
         values = _json_numbers(texts, kind)
         if values is None:
             values = map(kind, map(str.strip, texts))
         column[start:start + len(block)] = np.fromiter(values, column.dtype, len(block))
+    return len(block)
 
 
 def _read(kind: type, text: str) -> int | float:
@@ -437,21 +462,20 @@ def _read(kind: type, text: str) -> int | float:
 
 
 def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> tuple[int, str]:
-    """The index in ``block`` of the first row too short for ``indices``, with
-    a cell that does not convert, or with an n past int64, and its error."""
+    """The line number in ``block`` of its first data row that is too short for
+    ``indices``, has a cell that does not convert or an n past int64, and its error."""
     width, pick = max(indices), operator.itemgetter(*indices)
     # n is the one column read as int; past int64 it has no cell to go into
     reads_n = kinds[0] is int
-    for j, line in enumerate(block):
-        cells = _cells(line)
+    for lineno, cells in _rows(block):
         if len(cells) <= width:
-            return j, f"expected at least {width + 1} columns, got {len(cells)}"
+            return lineno, f"expected at least {width + 1} columns, got {len(cells)}"
         try:
             values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
         except ValueError:
-            return j, f"malformed row: {_joined(cells)}"
+            return lineno, f"malformed row: {_joined(cells)}"
         if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
-            return j, _n_error(values[0])
+            return lineno, _n_error(values[0])
 
 
 def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
@@ -464,42 +488,38 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     """``build(*columns)`` of the body after ``header_line``: the columns at
     ``indices``, converted by ``kinds`` (int to int64, float to float64).
 
-    The body is converted ``_BULK_LINES`` lines at a time. When a block
-    does not convert, a row loop finds its first row that is too short,
-    has a cell that does not convert or an n past int64; the rows before
-    it are converted and built (the result is dropped), and that row's
-    error is raised only if they pass. A ``_RowError`` from ``build`` is
-    raised as a ParseError on the row's line, worded by
-    ``refuse(error, cells, *columns)`` when given.
+    The body is converted ``_BULK_LINES`` lines at a time, comment and
+    blank lines left for _convert to skip. When a block does not convert,
+    a row loop finds its first row that is too short, has a cell that does
+    not convert or an n past int64; the rows before it are converted and
+    built (the result is dropped), and that row's error is raised only if
+    they pass. A ``_RowError`` from ``build`` is raised as a ParseError on
+    the row's line, worded by ``refuse(error, cells, *columns)`` when given.
     """
-    body = [line for line in itertools.islice(lines, header_line, None)
-            if (stripped := line.strip()) and stripped[0] != "#"]
-    if not body:
-        raise ParseError("no data rows")
-    columns = [np.empty(len(body), dtype=np.int64 if kind is int else np.float64) for kind in kinds]
-    failure = None
-    for start in range(0, len(body), _BULK_LINES):
-        block = body[start:start + _BULK_LINES]
+    columns = [np.empty(len(lines) - header_line, np.int64 if kind is int else np.float64) for kind in kinds]
+    rows, failure = 0, None
+    for start in range(header_line, len(lines), _BULK_LINES):
+        block = lines[start:start + _BULK_LINES]
         try:
-            _convert(block, indices, kinds, columns, start)
+            rows += _convert(block, indices, kinds, columns, rows)
         except (IndexError, ValueError, OverflowError):
-            j, message = _refused(block, indices, kinds)
-            _convert(block[:j], indices, kinds, columns, start)
-            columns = [column[:start + j] for column in columns]
-            failure = start + j, message
+            lineno, message = _refused(block, indices, kinds)
+            rows += _convert(block[:lineno - 1], indices, kinds, columns, rows)
+            failure = start + lineno, message
             break
-    del body  # free the line list before build copies the columns
+    if not rows and failure is None:
+        raise ParseError("no data rows")
+    columns = [column[:rows] for column in columns]
     try:
         if failure is None:
             return build(*columns)
-        if len(columns[0]):
+        if rows:
             build(*columns)
     except _RowError as exc:
         lineno, cells = _data_row(lines, exc.row)
         message = refuse(exc, cells, *columns) if refuse else str(exc)
         raise ParseError(message, line=lineno) from None
-    i, message = failure
-    raise ParseError(message, line=_data_row(lines, i)[0])
+    raise ParseError(failure[1], line=failure[0])
 
 
 def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None) -> LoadSeries:

@@ -298,6 +298,38 @@ class TestDiagnose:
         assert "--plot-csv" in err and "knee estimate unavailable" in err
         assert not plot.exists()
 
+    @pytest.mark.parametrize("first, second, spell", [
+        ("--out", "--plot-csv", lambda path: path),
+        ("--out", "--combined-csv", lambda path: os.path.join(os.path.dirname(path), ".", "F")),
+        ("--plot-csv", "--combined-csv", lambda path: os.path.join(os.path.dirname(path), "link")),
+    ], ids=["same-path", "dot-path", "symlink"])
+    def test_two_outputs_naming_one_file_are_a_usage_error(self, capsys, tmp_path, capped_csv,
+                                                           profile_path, first, second, spell):
+        target = str(tmp_path / "F")
+        os.symlink(target, tmp_path / "link")
+        argv = ["diagnose", capped_csv, "--profile", profile_path, "--no-fail"]
+        assert main(argv + [first, target, second, spell(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not os.path.exists(target)
+        assert err.startswith("loadlaw: error: ") and first in err and second in err
+
+    def test_every_output_flag_may_name_stdout(self, capsys, tmp_path, capped_csv, profile_path):
+        argv = ["diagnose", capped_csv, "--profile", profile_path, "--no-fail", "--format", "text"]
+        assert main(argv + ["--out", "-", "--plot-csv", "-", "--combined-csv", "-"]) == 0
+        out = capsys.readouterr().out
+        assert '"verdict": "broken"' in out and "n,x_measured," in out and "x,r,n" in out
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["audit"], "n,x,r,x\n1,2,0.1\n", "line 1: duplicate column 'x'"),
+        (["diagnose"], "n,x,r,R\n1,2,0.1,0.2\n", "line 1: duplicate column 'r'"),
+        (["steady", "--warmup", "0"], "t,x_inst,t\n0,1,5\n1,2,6\n2,3,7\n", "line 1: duplicate column 't'"),
+    ], ids=["audit", "diagnose", "steady"])
+    def test_a_repeated_read_column_exits_2(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"loadlaw: parse error: {message}\n")
+
 
 def reference_plot_csv(series, report) -> str:
     """The --plot-csv text as the row-by-row writer wrote it: one repr per value."""

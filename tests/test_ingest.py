@@ -447,6 +447,29 @@ class TestParseTrace:
             assert parse_trace(raw).samples == expected
 
 
+@pytest.mark.parametrize("parse, header, name", [
+    (parse_series, "n,x,r,x", "x"),
+    (parse_series, "n,x,r,R", "r"),
+    (parse_series, " N ,x,r_ms,n", "n"),
+    (parse_series, "n,x,r_s,r_s", "r_s"),
+    (parse_trace, "t,x_inst,t", "t"),
+    (parse_trace, "t,x_inst,X_INST ", "x_inst"),
+])
+def test_a_repeated_read_column_is_refused_on_the_header_line(parse, header, name):
+    # before, the last of the repeats was read: t,x_inst,t averaged the third column's times
+    body = "".join(f"{i},{i + 1},{i + 2},{i + 3}\n" for i in range(1, 4))
+    with pytest.raises(ParseError) as exc:
+        parse(f"# export\n{header}\n{body}")
+    assert (str(exc.value), exc.value.line) == (f"line 2: duplicate column {name!r}", 2)
+
+
+def test_a_repeated_unread_column_is_not_refused():
+    series = parse_series("n,note,x,r,NOTE\n1,a,2,0.1,b\n2,c,3,0.2,d\n")
+    assert (series.n.tolist(), series.x.tolist(), series.r.tolist()) == ([1, 2], [2.0, 3.0], [0.1, 0.2])
+    trace = parse_trace("t,note,x_inst,note\n0,a,1,b\n1,c,2,d\n")
+    assert (trace.t.tolist(), trace.x.tolist()) == ([0.0, 1.0], [1.0, 2.0])
+
+
 class TestThroughputTrace:
     def test_columns_and_samples_view(self):
         trace = ThroughputTrace.from_arrays([0, 1, 2], [10, 12, 11])
@@ -897,6 +920,28 @@ PARSE_PATHS |= {
     "true-n": _in_n("true", True),  # a bool, not an int
 }
 
+# bodies the marked cut must clean, or turn over to the line-by-line cut: it
+# proves a block's width by where its row markers land, not per line
+PARSE_PATHS |= {
+    "blank-line-mid-body": ("n,x,r\n1,2,0.1\n\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n\n1,2\n2,3\n", False),
+    "whitespace-only-line": ("n,x,r\n1,2,0.1\n \t \n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n   \n2,3\n",
+                             False),
+    "pause-comment-mid-body": ("n,x,r\n1,2,0.1\n# pause\n2,3,0.2\n3,4,0.3\n",
+                               "t,x_inst\n0,1\n# pause\n1,2\n2,3\n", False),
+    "comment-as-wide-as-the-rows": ("n,x,r\n1,2,0.1\n# n,x,r\n2,3,0.2\n3,4,0.3\n",
+                                    "t,x_inst\n0,1\n# t,x\n1,2\n2,3\n", False),
+    "hash-in-unread-cell": ("n,x,r,run\n1,2,0.1,run#1\n2,3,0.2,run#2\n3,4,0.3,run#3\n",
+                            "t,x_inst,run\n0,1,run#1\n1,2,run#2\n2,3,run#3\n", False),
+    "hash-in-read-cell": _in_x("#2", True),
+    "trailing-blank-lines": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n\n\n", "t,x_inst\n0,1\n1,2\n2,3\n\n  \n",
+                             False),
+    "plain-crlf": ("n,x,r\r\n1,2,0.1\r\n2,3,0.2\r\n3,4,0.3\r\n", "t,x_inst\r\n0,1\r\n1,2\r\n2,3\r\n", False),
+    # rows of 5, 3 and 7 cells split into 17 cells with their two markers, as
+    # three rows of 5 would: only the markers' places tell them apart
+    "ragged-rows-of-one-width's-cell-count": ("n,x,r,a,b\n1,2,0.1,a,b\n2,3,0.2\n3,4,0.3,a,b,c,d\n",
+                                              "t,x_inst,a,b,c\n0,1,a,b,c\n1,2,d\n2,3,e,f,g,h,i\n", False),
+}
+
 
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
 @pytest.mark.parametrize("kind", ["series", "trace"])
@@ -932,14 +977,42 @@ def _quoted(text: str) -> str:
     return "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines())
 
 
+def _with_line(text: str, line: str, end: str = "\n") -> str:
+    """``text`` with ``line`` put halfway through it, and every line ended by ``end``."""
+    lines = text.splitlines()
+    return end.join(lines[:len(lines) // 2] + [line] + lines[len(lines) // 2:]) + end
+
+
 @pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)),
                                          (parse_series, _quoted(_sweep_csv(5000))),
+                                         (parse_series, _with_line(_sweep_csv(5000), "# pause", "\r\n")),
                                          (parse_trace, _trace_csv(5000))],
-                         ids=["series", "quoted-series", "trace"])
+                         ids=["series", "quoted-series", "commented-crlf-series", "trace"])
 def test_parsing_keeps_no_container_per_row(parse, text):
     """A container kept alive per row costs gen-0 collections on every file."""
     assert parse(text).x.size == 5000
     assert gen0_collections(lambda: parse(text)) == 0
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("line", [None, "# pause", ""], ids=["plain", "comment-line", "blank-line"])
+@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)), (parse_trace, _trace_csv(5000))],
+                         ids=["series", "trace"])
+def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, parse, text, line, end):
+    """Only the header is cut by the per-line cutter; no body line meets it or the row loop."""
+    text = _with_line(text, line, end) if line is not None else text.replace("\n", end)
+    calls = []
+
+    def spy(real):
+        def call(*args):
+            calls.append((real.__name__, args))
+            return real(*args)
+        return call
+
+    for name in ("_cells", "_refused"):
+        monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
+    assert parse(text).x.size == 5000
+    assert calls == [("_cells", (text.splitlines()[0],))]
 
 
 def _edge_floats() -> list[float]:
