@@ -269,14 +269,17 @@ def _print_findings(report: Report) -> None:
 
 
 def _distinct_outputs(args: argparse.Namespace) -> None:
-    """Refuse two output flags that name one file: the later write would replace the earlier."""
+    """Refuse two output flags that name one file: the later write would replace the earlier.
+    Paths are resolved only when two or more files are named."""
+    named = [(flag, path) for flag in ("--out", "--plot-csv", "--combined-csv")
+             if (path := getattr(args, flag[2:].replace("-", "_"))) and path != "-"]
+    if len(named) < 2:
+        return
     flags = {}
-    for flag in ("--out", "--plot-csv", "--combined-csv"):
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path and path != "-":
-            other = flags.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                raise _UsageError(f"{other} and {flag} name the same file {path!r}")
+    for flag, path in named:
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise _UsageError(f"{other} and {flag} name the same file {path!r}")
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -299,7 +302,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         _print_diagnose_text(report)
     if args.out:
         with _open_output(args.out) as fh:
-            fh.write(report_json + "\n")
+            fh.write(report_json)
+            fh.write("\n")
     if args.plot_csv:
         _write_plot_csv(args.plot_csv, series, report)
     if args.combined_csv:

@@ -15,7 +15,6 @@ operational law, which no amount of benign interpretation survives.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -156,11 +155,12 @@ def detect_thread_throttling(audit: Audit, plateau_tol: float = DetectorConfig.p
     if span < span_factor:
         return None
     mx, mn = float(hi[start]), float(lo[start])
-    # summed left to right in Python, as the evidence has always been; a sum
-    # past float64 is taken term by term, the mean kept inside the plateau
-    level = sum(n_run[start:].tolist()) / len(plateau)
-    if level == math.inf:
-        level = min(sum(v / len(plateau) for v in n_run[start:].tolist()), mx)
+    # summed left to right on every Python (np.sum pairs; sum() compensates from 3.12);
+    # a sum past float64 is taken term by term, the mean kept inside the plateau
+    with np.errstate(over="ignore"):
+        level = (0.0 + np.cumsum(n_run[start:])[-1].item()) / len(plateau)
+        if level == math.inf:
+            level = min(0.0 + np.cumsum(n_run[start:] / len(plateau))[-1].item(), mx)
     spread = (mx - mn) / mn if mn > 0 else 0.0
     return Finding(
         detector=THREAD_THROTTLING,
@@ -194,10 +194,10 @@ def detect_think_time_violation(series: LoadSeries,
     if not usable.any():
         return None
     n = series.n[usable]
-    with np.errstate(over="ignore"):  # n/x - r, the think time each point implies
+    # each point's implied think time: n/x > 0 and r is finite, so no -0.0 or NaN
+    with np.errstate(over="ignore"):
         z_effs = n / series.x[usable] - series.r[usable]
-    # statistics.median, not np.median: the evidence keeps its exact bits
-    med = statistics.median(z_effs.tolist())
+    med = _median(z_effs)
     deviation = abs(med - z_conf) / z_conf
     if deviation <= rel_tol:
         return None
@@ -218,6 +218,13 @@ def detect_think_time_violation(series: LoadSeries,
         },
         affected_points=tuple(n.tolist()),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """statistics.median's bits from one np.sort: the middle item or (a + b) / 2 of
+    the middle two. Equal values must share their bits (no -0.0 or NaN)."""
+    ordered, half = np.sort(values), len(values) // 2
+    return ordered[half].item() if len(values) % 2 else (ordered[half - 1].item() + ordered[half].item()) / 2
 
 
 def detect_bound_violation(observed_x: float, profile: ServiceProfile,

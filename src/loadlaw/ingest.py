@@ -586,13 +586,17 @@ def _float_texts(column, nonfinite=float.__repr__) -> list[str]:
     return texts
 
 
-def _int_texts(values) -> list[str]:
-    """``int.__repr__`` of each value in an integer column or sequence,
-    written by orjson, whose integer text is ``repr``'s."""
+def _int_json(values) -> str:
+    """An integer column or sequence as orjson's JSON list: ``repr``'s text, no spaces."""
     if isinstance(values, np.ndarray):
         values = np.ascontiguousarray(values)
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    return text[1:-1].decode().split(",") if len(text) > 2 else []
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
+def _int_texts(values) -> list[str]:
+    """``int.__repr__`` of each value in an integer column or sequence."""
+    text = _int_json(values)
+    return text[1:-1].split(",") if len(text) > 2 else []
 
 
 def _csv_lines(columns, end: str = "\n") -> str:

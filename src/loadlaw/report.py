@@ -40,7 +40,7 @@ from .diagnostics import (
     estimate_knee,
     post_knee,
 )
-from .ingest import LoadSeries, _float_texts, _int_texts
+from .ingest import LoadSeries, _float_texts, _int_json, _int_texts
 from .model import Bounds, ServiceProfile, bounds_summary
 
 VERDICT_CLEAN = "clean"
@@ -78,98 +78,99 @@ class Report:
         ``json.dumps(..., indent=2)`` gives, NaN and Infinity included.
         That call is avoided because with an indent json runs its
         pure-Python encoder, slower on a 2,000-point report than the
-        whole diagnosis. Here _Layout writes every part
-        itself: the audit by columns into one list joined once, point
-        lists joined, and the small parts (inputs, bounds, knee,
-        evidence) by a recursive encoder of their few value types. The
-        audit's numbers and the point lists are written a column at a
-        time by orjson (``ingest._float_texts``, ``ingest._int_texts``),
-        whose text is ``repr``'s to the byte.
+        whole diagnosis. Here every piece of the text is appended to one
+        _Layout list, joined once: the keys as fixed pieces, strings by
+        ``encode_basestring_ascii`` and floats by ``_json_float`` as json
+        writes them, the audit by columns and each point list by one
+        orjson call, whose number text is ``repr``'s to the byte.
         """
-        layout = _Layout()
-        findings = [layout.container("{}", [
-            ("detector", encode_basestring_ascii(f.detector)),
-            ("severity", encode_basestring_ascii(f.severity)),
-            ("message", encode_basestring_ascii(f.message)),
-            ("evidence", layout.dumps(dict(f.evidence), 3)),
-            ("affected_points", layout.container("[]", _int_texts(f.affected_points), 3)),
-        ], 2) for f in self.findings]
-        return layout.container("{}", [
-            ("version", layout.dumps(self.tool_version, 1)),
-            ("inputs", layout.dumps(dict(self.inputs), 1)),
-            ("bounds", layout.dumps(_bounds_dict(self.bounds), 1)),
-            ("knee", layout.dumps(_knee_dict(self.knee), 1)),
-            ("audit", layout.audit(self.audit, 1) if self.audit is not None else "null"),
-            ("findings", layout.container("[]", findings, 1)),
-            ("verdict", layout.dumps(self.verdict, 1)),
-        ], 0)
+        b, k = self.bounds, self.knee
+        out = _Layout(['{\n  "version": ', _value(self.tool_version, "\n  "), ',\n  "inputs": '])
+        out.object(self.inputs)
+        out.append(',\n  "bounds": ')
+        out.object(None if b is None else {"x_max": b.x_max, "r_min": b.r_min, "n_opt": b.n_opt,
+                   "bottleneck_label": b.bottleneck_label, "tied_labels": b.tied_labels})
+        out.append(',\n  "knee": ')
+        out.object(None if k is None else {"s_max_hat": k.s_max_hat, "r_min_hat": k.r_min_hat,
+                   "n_opt_hat": k.n_opt_hat, "basis": k.basis})
+        out.append(',\n  "audit": ')
+        out.audit(self.audit)
+        out.append(',\n  "findings": ')
+        opening = "[\n    {"
+        for f in self.findings:
+            out += (opening, '\n      "detector": ', encode_basestring_ascii(f.detector),
+                    ',\n      "severity": ', encode_basestring_ascii(f.severity),
+                    ',\n      "message": ', encode_basestring_ascii(f.message), ',\n      "evidence": ')
+            out.object(f.evidence, "\n      ")
+            out.append(',\n      "affected_points": ')
+            out.points(f.affected_points)
+            opening = "\n    },\n    {"
+        out += ("\n    }\n  ]" if self.findings else "[]", ',\n  "verdict": ',
+                _value(self.verdict, "\n  "), "\n}")
+        return "".join(out)
 
 
-class _Layout:
-    """JSON text laid out exactly as ``json.dumps(..., indent=2)`` lays it out.
+# an audit row as a report lays it out, cut at its values: the piece before
+# each value, the first one also closing the row before
+_ROW = [f',\n      {encode_basestring_ascii(name)}: ' for name in AUDIT_FIELDS]
+_ROW[0] = "\n    },\n    {" + _ROW[0][1:]
 
-    Each method encodes one part of a report placed at nesting ``depth``;
-    the audit table is written by columns, without a container per row,
-    each column's numbers converted by one orjson call.
+
+class _Layout(list):
+    """A report's JSON text as a list of pieces, laid out exactly as
+    ``json.dumps(..., indent=2)`` lays it out, for the caller to join once.
+
+    Each method appends one part; ``nl`` is the newline and indent of the
+    line the part starts on. No container is kept per audit row or per
+    point: the audit is written by columns, each column's numbers by one
+    orjson call, and a point list by one orjson call.
     """
 
-    unit = "  "
+    def object(self, mapping: dict | None, nl: str = "\n  ") -> None:
+        """A str-keyed dict, or null for None."""
+        if mapping is None:
+            self.append("null")
+            return
+        opening = "{" + nl + "  "
+        for key, value in mapping.items():
+            self += (opening, encode_basestring_ascii(key), ": ", _value(value, nl + "  "))
+            opening = "," + nl + "  "
+        self.append(nl + "}" if mapping else "{}")
 
-    def dumps(self, value, depth: int) -> str:
-        """``value`` as json.dumps encodes it, placed at nesting ``depth``:
-        None, bools, ints, floats (NaN and the infinities included),
-        strings, and lists and str-keyed dicts of those."""
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _json_float(value)
-        if isinstance(value, dict):
-            return self.container("{}", [(key, self.dumps(item, depth + 1))
-                                         for key, item in value.items()], depth)
-        if isinstance(value, (list, tuple)):
-            return self.container("[]", [self.dumps(item, depth + 1) for item in value], depth)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    def container(self, brackets: str, items, depth: int) -> str:
-        """A list of encoded items, or a dict of (key, encoded value) pairs
-        when ``brackets`` is "{}", at nesting ``depth``."""
-        if brackets == "{}":
-            items = [f"{encode_basestring_ascii(key)}: {value}" for key, value in items]
+    def points(self, points) -> None:
+        """A finding's affected points, one per line: an int's text holds no
+        comma, so each comma of orjson's text is where a line breaks."""
+        text = _int_json(points)
+        if text == "[]":
+            self.append(text)
         else:
-            items = list(items)
-        if not items:
-            return brackets
-        inner = "\n" + self.unit * (depth + 1)
-        return (brackets[0] + inner + ("," + inner).join(items)
-                + "\n" + self.unit * depth + brackets[1])
+            self += ("[\n        ", text[1:-1].replace(",", ",\n        "), "\n      ]")
 
-    def audit(self, audit: Audit, depth: int) -> str:
-        """The audit as a list of one object per row, filled in by columns:
-        slot k of every row's template is set by one slice assignment."""
-        rows = len(audit)
-        if not rows:
-            return "[]"
-        # the row object cut at its values: text, value, text, ..., value, text
-        pieces = self.container("{}", [(name, "%s") for name in AUDIT_FIELDS], depth + 1).split("%s")
-        columns = [_int_texts(audit.n_was)]
-        columns += [_float_texts(c, _json_float) for c in audit.columns[1:]]
-        inner = "\n" + self.unit * (depth + 1)
-        width = len(pieces) + len(columns)
-        out = [""] * (width * rows)
-        out[0::width] = ["," + inner + pieces[0]] * rows
-        out[0] = "[" + inner + pieces[0]
-        for k, piece in enumerate(pieces[1:], 1):
-            out[2 * k::width] = [piece] * rows
-        for k, column in enumerate(columns):
-            out[2 * k + 1::width] = column
-        out.append("\n" + self.unit * depth + "]")
-        return "".join(out)
+    def audit(self, audit: Audit | None) -> None:
+        """The audit as a list of one object per row, or null, filled in by
+        columns: slot k of every row is set by one slice assignment."""
+        if not audit:  # None or no rows
+            self.append("[]" if audit is not None else "null")
+            return
+        columns = [_int_texts(audit.n_was)] + [_float_texts(c, _json_float) for c in audit.columns[1:]]
+        rows, width, start = len(audit), 2 * len(columns), len(self)
+        self += [""] * (width * rows)
+        for k, (piece, column) in enumerate(zip(_ROW, columns)):
+            self[start + 2 * k::width] = [piece] * rows
+            self[start + 2 * k + 1::width] = column
+        self[start] = _ROW[0].replace("\n    },", "[", 1)  # row 0 opens the list
+        self.append("\n    }\n  ]")
+
+
+def _value(value, nl: str) -> str:
+    """One value as ``json.dumps(..., indent=2)`` writes it on a line that
+    starts at ``nl``: a float or string directly, anything else (None, a
+    bool, an int, a list or dict of those) by json.dumps, re-indented."""
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value, indent=2).replace("\n", nl)
 
 
 def _json_float(value: float) -> str:
@@ -181,20 +182,6 @@ def _json_float(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
-
-
-def _bounds_dict(bounds: Bounds | None) -> dict | None:
-    if bounds is None:
-        return None
-    return {"x_max": bounds.x_max, "r_min": bounds.r_min, "n_opt": bounds.n_opt,
-            "bottleneck_label": bounds.bottleneck_label, "tied_labels": list(bounds.tied_labels)}
-
-
-def _knee_dict(knee: Bounds | None) -> dict | None:
-    if knee is None:
-        return None
-    return {"s_max_hat": knee.s_max_hat, "r_min_hat": knee.r_min_hat,
-            "n_opt_hat": knee.n_opt_hat, "basis": knee.basis}
 
 
 def verdict_for(findings: list[Finding]) -> str:

@@ -652,3 +652,25 @@ class TestOutputToStdout:
         assert to_stdout.returncode == to_file.returncode == 0
         assert to_stdout.stdout == to_file.stdout + (tmp_path / "report.json").read_bytes()
         assert not (tmp_path / "-").exists()
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    """The think-time median takes its bits from one np.sort, so the CLI's
+    start-up imports no statistics module."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, loadlaw.cli; print('statistics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("outputs", [["--out", "{d}/r.json"], ["--out", "-", "--plot-csv", "{d}/p.csv"],
+                                     []], ids=["out", "out-stdout-and-plot", "none"])
+def test_one_output_file_resolves_no_path(monkeypatch, capsys, tmp_path, capped_csv, profile_path, outputs):
+    """Output paths are resolved only to tell two named files apart."""
+    resolved = []
+    realpath = os.path.realpath
+    monkeypatch.setattr(os.path, "realpath", lambda path, **kw: resolved.append(path) or realpath(path, **kw))
+    argv = ["diagnose", capped_csv, "--profile", profile_path, "--no-fail"]
+    assert main(argv + [a.format(d=tmp_path) for a in outputs]) == 0
+    assert resolved == []

@@ -26,8 +26,10 @@ from loadlaw import (
     detect_thread_throttling,
     diagnose_series,
     estimate_knee,
+    parse_series,
     solve_reference,
 )
+from loadlaw import diagnostics
 
 from .conftest import (
     CAPPED_POOL_EXPECTED,
@@ -457,3 +459,59 @@ def test_permuting_the_stages_keeps_bounds_and_curves(times, z, rnd):
     for j, k in enumerate(order):
         np.testing.assert_allclose(d.q[:, j], c.q[:, k], rtol=1e-12)
         assert permuted.stages[j].label == profile.stages[k].label
+
+
+# -- the same bits on every supported Python ---------------------------------------
+
+def left_to_right_mean(values):
+    """Plain float additions in order, as sum() added floats before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def test_plateau_mean_does_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # the golden capped-2k plateau: the one whose mean Python 3.12's compensated
+    # sum() (math.fsum's value here) rounds one bit away from 3.11's
+    from .test_golden import write_inputs
+    write_inputs(tmp_path)
+    rows = audit_littles_law(parse_series((tmp_path / "capped-2k.csv").read_text()))
+    before = detect_thread_throttling(rows)
+    plateau = rows.n_run[-len(before.affected_points):].tolist()
+    assert math.fsum(plateau) / len(plateau) != left_to_right_mean(plateau)
+    assert before.evidence["plateau_n_run"] == left_to_right_mean(plateau)
+    monkeypatch.setattr(diagnostics, "sum", math.fsum, raising=False)
+    assert detect_thread_throttling(rows) == before
+
+
+@settings(deadline=None)
+@given(plateau_series(), st.sampled_from([0.05, 0.2]))
+def test_plateau_mean_is_a_left_to_right_sum(series, tol):
+    rows = audit_littles_law(series)
+    finding = detect_thread_throttling(rows, plateau_tol=tol, span_factor=1.0)
+    if finding is not None:
+        plateau = rows.n_run[-len(finding.affected_points):].tolist()
+        assert finding.evidence["plateau_n_run"] == left_to_right_mean(plateau)
+
+
+def test_no_module_calls_the_builtin_sum():
+    """sum() compensates from Python 3.12, so its bits depend on the interpreter."""
+    import ast
+    import pathlib
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted((pathlib.Path(diagnostics.__file__).parent).glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+    assert calls == []
+
+
+# a few values, so that ties are common, and +inf, which n/x - r reaches when n/x overflows
+median_values = st.sampled_from([-3.5, -1e-300, 0.0, 1e-5, 0.1, 0.30000000000000004, 2.5, 1e300, math.inf])
+
+
+@given(st.lists(st.one_of(median_values, st.floats(allow_nan=False, min_value=-1e308, max_value=math.inf)
+                          .filter(lambda v: v != 0.0)), min_size=1, max_size=40))
+def test_median_has_the_bits_of_statistics_median(values):
+    import statistics
+    assert diagnostics._median(np.array(values)).hex() == float(statistics.median(values)).hex()

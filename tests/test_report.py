@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import asdict
+import struct
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadlaw import (
+    CRITICAL,
     INFO,
     RETROGRADE_THROUGHPUT,
+    WARNING,
     Audit,
+    Bounds,
     Finding,
     LoadPoint,
     LoadSeries,
@@ -24,6 +28,8 @@ from loadlaw import (
     plot_rows,
     solve_reference,
 )
+from loadlaw import report as report_module
+from loadlaw.diagnostics import DETECTOR_IDS
 
 from .conftest import (capped_pool_series, gen0_collections, load_series, profiles,
                        three_stage_profile)
@@ -335,3 +341,103 @@ def test_every_note_and_silence_of_each_entry_point(case, entry):
     report = ENTRY_POINTS[entry](make_series())
     assert [(f.detector, f.severity, f.message, f.affected_points) for f in report.findings] \
         == expected[entry]
+
+
+# -- the writer against json.dumps on any report a caller can build -------------
+
+# every float64 bit pattern, and the values whose text repr and json write apart
+any_float = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308, 9.99e-5, 1e-4,
+                     1e16, 9.9e15, 1.5e300, -1e22]))
+# every code point: control characters, DEL, lone surrogates and astral characters
+any_text = st.one_of(st.text(st.characters(blacklist_categories=()), max_size=12),
+                     st.sampled_from(["\x7f", "\ud800", "\udfff", "\U0001f600", '\x00\n\t"\\', "é查"]))
+# what a hand-built Report may hold beside floats and strings
+other_values = st.recursive(st.none() | st.booleans() | st.integers() | any_float | any_text,
+                            lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(any_text, inner, max_size=3), max_leaves=6)
+int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+affected_points = st.one_of(st.lists(int64s, max_size=20).map(tuple),
+                            st.lists(int64s, max_size=20).map(lambda ns: np.array(ns, dtype=np.int64)))
+bounds_values = st.one_of(st.none(), st.builds(
+    Bounds, s_max=any_float.filter(lambda v: v != 0), r_min=any_float, z=any_float, basis=any_text,
+    bottleneck_label=any_text, tied_labels=st.lists(any_text, max_size=3).map(tuple)))
+
+
+@st.composite
+def audits(draw):
+    kind = draw(st.sampled_from(["none", "empty", "one row", "many rows"]))
+    if kind == "none":
+        return None
+    rows = {"empty": 0, "one row": 1}.get(kind) or draw(st.integers(2, 12))
+    n_was = np.array(draw(st.lists(int64s, min_size=rows, max_size=rows)), dtype=np.int64)
+    floats = [np.array(draw(st.lists(any_float, min_size=rows, max_size=rows)), dtype=np.float64)
+              for _ in range(4)]
+    return Audit(n_was, *floats)
+
+
+findings_lists = st.lists(st.builds(
+    Finding, detector=st.sampled_from(DETECTOR_IDS), severity=st.sampled_from([INFO, WARNING, CRITICAL]),
+    message=any_text, evidence=st.dictionaries(any_text, any_float | other_values, max_size=5),
+    affected_points=affected_points), max_size=4)
+reports = st.builds(Report, tool_version=any_text,
+                    inputs=st.dictionaries(any_text, any_text | other_values, max_size=3),
+                    bounds=bounds_values, knee=bounds_values, audit=audits(), findings=findings_lists,
+                    verdict=any_text)
+
+
+def with_tuple_points(report: Report) -> Report:
+    """The report with each finding's affected points as a tuple of ints, which
+    reference_dict can hand to json.dumps."""
+    return replace(report, findings=[replace(f, affected_points=tuple(int(n) for n in f.affected_points))
+                                     for f in report.findings])
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+def test_any_report_encodes_like_json_dumps(report):
+    assert_encodes_like_json_dumps(with_tuple_points(report))
+    assert report.to_json() == with_tuple_points(report).to_json()
+
+
+def capped_sweep(size):
+    """A noiseless sweep whose load generator capped its pool at 30 % of ``size``."""
+    profile = three_stage_profile(think_time=1.0)
+    curves = solve_reference(profile, size)
+    at = np.minimum(np.arange(1, size + 1), 3 * size // 10) - 1
+    return LoadSeries.from_arrays(np.arange(1, size + 1), curves.x[at], curves.r[at],
+                                  configured_think_time=1.0), profile
+
+
+def test_writer_calls_no_python_encoder_per_point(monkeypatch):
+    """The strings and the per-value path are called as often on a 2,000-row
+    capped sweep as on a 400-row one that fires the same findings."""
+    calls = {}
+
+    def spy(name):
+        wrapped = getattr(report_module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return wrapped(*args)
+        monkeypatch.setattr(report_module, name, counted)
+
+    spy("encode_basestring_ascii")
+    spy("_value")
+    counts = []
+    for size in (400, 2000):
+        report = diagnose_series(*capped_sweep(size))
+        assert [(f.detector, f.severity, sorted(f.evidence)) for f in report.findings] == [
+            ("GROWTH_CLASS", "info", ["exp_rate", "exp_ss", "linear_slope", "linear_ss", "n_points"]),
+            ("RESPONSE_FLATTENING", "critical", ["bottleneck_slope", "n_opt_hat", "observed_slope",
+                                                 "slope_ratio"]),
+            ("THINK_TIME_VIOLATION", "critical", ["configured_think_time", "median_effective_think_time",
+                                                  "points_skipped_zero_x", "relative_deviation"]),
+            ("THREAD_THROTTLING", "critical", ["n_was_span", "plateau_n_run", "plateau_spread",
+                                               "plateau_start_n"])]
+        calls.clear()
+        report.to_json()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["encode_basestring_ascii"] > 0 and counts[0]["_value"] > 0
