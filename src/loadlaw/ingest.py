@@ -15,10 +15,13 @@ is converted to seconds on the way in, because mixed-unit arithmetic is
 precisely the kind of mistake this toolkit exists to catch.
 
 Number cells read as ``float()`` and ``int()`` read them, to the bit. A
-CSV body is cut into cells by one marked join and split per block of
-lines (see _marked_cells). A column whose every cell is a JSON number of
-the column's type is read by one ``orjson.loads`` (see _json_numbers);
-any other column, one cell at a time by ``float()`` or ``int()``.
+block of CSV lines whose rows are all of one width and whose cells are
+all JSON values, the read ones numbers of their column's type, is read
+by one ``orjson.loads`` of its lines joined by a row marker (see
+_json_columns). Any other block is cut line by line; then a column whose
+every cell is a JSON number of the column's type is read by one
+``orjson.loads`` (see _json_numbers), any other one cell at a time by
+``float()`` or ``int()``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class ParseError(ValueError):
 
 class InsufficientSteadyStateError(ValueError):
     """The trace yields no finite steady-state average: too little of it
-    survives the warm-up cut, or its span or area overflows float64."""
+    survives the warm-up cut, or its span overflows float64."""
 
 
 # the largest load a series holds: past 2**53 float arithmetic on n
@@ -398,19 +401,36 @@ def _json_numbers(cells: list[str], kind: type) -> list | None:
     return values if len(values) == len(cells) and set(map(type, values)) == {kind} else None
 
 
-def _marked_cells(block: list[str], text: str, narrowest: int) -> tuple[list[str], int] | None:
-    """(cells, stride) of ``text``, the lines ``block`` joined by the row marker
-    ``",\\n,"``, split on commas: row k's cell i is ``cells[k * stride + i]``.
-    None when ``text`` holds a quote or ``_`` or the rows are not all as wide
-    as the first and wider than ``narrowest``. No line holds "\\n", so rows
-    of one width w, and only they, split into ``len(block) * (w + 1) - 1``
-    cells with the marker at every (w + 1)-th; counted first, the commas
-    turn away a block with a blank line before it is split."""
+def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[list] | None:
+    """The values at ``indices`` of the lines ``block``, each list of its
+    ``kinds`` type, read by one ``orjson.loads`` of the lines joined by the
+    row marker ``",null,"``; None when the block is not read that way.
+
+    Without ``"`` or ``[`` each JSON value is one cell, and with ``null``
+    only in the markers, the markers land on every (w + 1)-th of
+    ``len(block) * (w + 1) - 1`` values only when every row is w cells
+    wide. A read value is then one JSON number, orjson's value of which is
+    ``kind(cell.strip())`` to the bit (see _json_numbers); in a float
+    column an int is too, unless the block holds ``-``: ``-0`` is the one
+    integer text whose orjson int (0) and ``float()`` (-0.0) differ.
+    """
     width = block[0].count(",") + 1 if block else 0
-    if width <= narrowest or '"' in text or "_" in text or text.count(",") != len(block) * (width + 1) - 2:
+    text = "[" + ",null,".join(block) + "]"
+    # null is JSON's one word with an "n": the markers must be the only nulls
+    if width <= max(indices) or '"' in text or text.find("[", 1) > 0 or text.count("n") != len(block) - 1:
         return None
-    cells = text.split(",")
-    return (cells, width + 1) if cells[width::width + 1].count("\n") == len(block) - 1 else None
+    try:
+        values = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    stride = width + 1
+    if len(values) != len(block) * stride - 1 or values[width::stride].count(None) != len(block) - 1:
+        return None
+    read = [values[i::stride] for i in indices]
+    floats = {float} if "-" in text else {float, int}
+    if all(set(map(type, column)) <= ({int} if kind is int else floats) for column, kind in zip(read, kinds)):
+        return read
+    return None
 
 
 def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
@@ -419,32 +439,28 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
     ``block``, converted by ``kinds``, into ``columns`` from row ``start``,
     each column by one np.fromiter; return how many rows that is.
 
-    A block without ``#`` is cut by _marked_cells; failing that, so are its
-    lines other than comment and blank ones; failing that too (quoted
-    cells, ragged rows), they are cut line by line. A column that passes
-    _json_numbers' gate is read by orjson, any other by ``kind`` per
-    stripped cell; both give the bits ``float()``/``int()`` give. Raises
-    IndexError, ValueError or OverflowError when a row is too short or a
-    cell does not convert into its column, or when a converted cell holds ``_``.
+    A block is read by _json_columns; failing that, so are its lines other
+    than comment and blank ones, when it has such lines; failing that too
+    (quoted or text cells, ragged rows), its lines are cut one by one. A
+    column of such cells that passes _json_numbers' gate is read by
+    orjson, any other by ``kind`` per stripped cell; every reader gives
+    the bits ``float()``/``int()`` give. Raises IndexError, ValueError or
+    OverflowError when a row is too short or a cell does not convert into
+    its column, or when a converted cell holds ``_``.
     """
-    text = ",\n,".join(block)
-    cut = "#" not in text and _marked_cells(block, text, max(indices))
-    if not cut:
-        block = [line for line in block if (stripped := line.strip()) and stripped[0] != "#"]
-        text = ",\n,".join(block)
-        cut = _marked_cells(block, text, max(indices))
-    if cut:
-        cells, stride = cut
-    else:
-        cells = list(itertools.chain.from_iterable(map(operator.itemgetter(*indices), map(_cells, block))))
-        indices, stride = range(len(indices)), len(indices)
-        if "_" in text and any("_" in cell for cell in cells):
+    read = _json_columns(block, indices, kinds)
+    if read is None:
+        kept = [line for line in block if (stripped := line.strip()) and stripped[0] != "#"]
+        read = _json_columns(kept, indices, kinds) if len(kept) < len(block) else None
+        block = kept
+    if read is None:
+        cells = [row[i] for row in map(_cells, block) for i in indices]
+        if "_" in "".join(cells):
             raise ValueError("digit separator in a converted cell")
-    for column, i, kind in zip(columns, indices, kinds):
-        texts = cells[i::stride]
-        values = _json_numbers(texts, kind)
-        if values is None:
-            values = map(kind, map(str.strip, texts))
+        by_column = [cells[i::len(indices)] for i in range(len(indices))]
+        read = [_json_numbers(texts, kind) or map(kind, map(str.strip, texts))
+                for texts, kind in zip(by_column, kinds)]
+    for column, values in zip(columns, read):
         column[start:start + len(block)] = np.fromiter(values, column.dtype, len(block))
     return len(block)
 
@@ -488,8 +504,9 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     """``build(*columns)`` of the body after ``header_line``: the columns at
     ``indices``, converted by ``kinds`` (int to int64, float to float64).
 
-    The body is converted ``_BULK_LINES`` lines at a time, comment and
-    blank lines left for _convert to skip. When a block does not convert,
+    The body is converted ``_BULK_LINES`` lines at a time by _convert,
+    which reads a plain block by one orjson call and skips comment and
+    blank lines. When a block does not convert,
     a row loop finds its first row that is too short, has a cell that does
     not convert or an n past int64; the rows before it are converted and
     built (the result is dropped), and that row's error is raised only if
@@ -683,10 +700,12 @@ def steady_state_average(trace: ThroughputTrace,
     window is (first kept timestamp, last timestamp); the averaged value
     is what becomes a LoadPoint's x. The sum runs left to right, as a
     loop over the samples would add it, so the result is the same to
-    the bit.
+    the bit. When that area overflows float64, the mean is summed instead
+    from span-weighted terms ``(0.5*x0 + 0.5*x1) * (dt / span)``, left to
+    right, and kept at most the largest kept sample.
 
     Raises InsufficientSteadyStateError when fewer than two samples are
-    kept, or when the span or the area overflows float64.
+    kept, or when the span overflows float64.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
@@ -704,12 +723,13 @@ def steady_state_average(trace: ThroughputTrace,
             f"only {kept} sample(s) at or after the warm-up cut t={cut:g}; "
             "cannot form a steady-state average")
     kt, kx = t[first:], x[first:]
+    window = (kt[0].item(), t_end)
+    span, dt = t_end - window[0], kt[1:] - kt[:-1]
     with np.errstate(over="ignore"):
-        terms = 0.5 * (kx[:-1] + kx[1:]) * (kt[1:] - kt[:-1])
-    # cumsum adds left to right (np.sum pairs); 0.0 + turns an all -0.0 sum into 0.0
-    area = 0.0 + np.cumsum(terms)[-1].item()
-    if not math.isfinite(area):
-        raise InsufficientSteadyStateError(
-            f"trace area from t={kt[0].item():g} to t={t_end:g} overflows float64; "
-            "cannot form a steady-state average")
-    return area / (t_end - kt[0].item()), (kt[0].item(), t_end)
+        # cumsum adds left to right (np.sum pairs); 0.0 + turns an all -0.0 sum into 0.0
+        area = 0.0 + np.cumsum(0.5 * (kx[:-1] + kx[1:]) * dt)[-1].item()
+        if area < math.inf:
+            return area / span, window
+        # an area past float64 is summed span-weighted, the mean kept among the samples
+        mean = np.cumsum((0.5 * kx[:-1] + 0.5 * kx[1:]) * (dt / span))[-1].item()
+        return min(mean, kx.max().item()), window

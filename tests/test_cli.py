@@ -382,10 +382,8 @@ class TestSteady:
         assert capsys.readouterr().out == '{"x_bar": 42.0, "window": [3.0, 10.0]}\n'
 
 
-    # traces whose average is no finite number: the area or the span overflows float64
+    # traces whose average is no finite number: the span overflows float64
     NON_FINITE = {
-        "area": ("t,x_inst\n0,1.7e308\n1,1.7e308\n2,1.7e308\n", [],
-                 "trace area from t=1 to t=2 overflows float64"),
         "span": ("t,x_inst\n-1e308,1\n1e308,2\n", ["--warmup", "0"],
                  "trace span from t=-1e+308 to t=1e+308 overflows float64"),
     }
@@ -400,6 +398,19 @@ class TestSteady:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"loadlaw: {message}; cannot form a steady-state average\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_overflowing_area_averages_finite(self, capsys, tmp_path, fmt):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x_inst\n0,1.7e308\n1,1.7e308\n2,1.7e308\n")
+        assert main(["steady", str(trace), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out, parse_constant=_refuse_constant) == {"x_bar": 1.7e308,
+                                                                                 "window": [1.0, 2.0]}
+        else:
+            assert captured.out == "x_bar:  1.7e+308\nwindow: (1, 2)\n"
 
 
 def _refuse_constant(name):

@@ -97,3 +97,15 @@ def test_installed_orjson_reads_hard_decimals_as_float_does():
     numbers = ingest._json_numbers(texts, float)
     assert numbers is not None, "orjson refused or retyped a hard decimal"
     assert [v.hex() for v in numbers] == [float(text).hex() for text in texts]
+
+
+def test_installed_orjson_reads_hard_decimals_in_a_plain_trace_as_float_does(monkeypatch):
+    """A plain CSV block is read by one orjson call on its lines, not by
+    _json_numbers: the corpus, as x_inst, must come through it as float() reads it."""
+    from loadlaw import ingest
+
+    cells, cut = ingest._cells, []
+    monkeypatch.setattr(ingest, "_cells", lambda line: cut.append(line) or cells(line))
+    trace = ingest.parse_trace("t,x_inst\n" + "".join(f"{t}.5,{text}\n" for t, text in enumerate(HARD_DECIMALS)))
+    assert cut == ["t,x_inst"], "a body line was cut line by line, not read by one orjson call"
+    assert [v.hex() for v in trace.x.tolist()] == [float(text).hex() for text in HARD_DECIMALS]

@@ -352,7 +352,10 @@ def loop_thread_throttling(rows, plateau_tol=0.05, span_factor=1.5):
     span = plateau[-1].n_was / plateau[0].n_was
     if span < span_factor:
         return None
-    level = sum(r.n_run for r in plateau) / len(plateau)
+    level = 0.0
+    for r in plateau:  # left to right: sum() compensates from Python 3.12
+        level += r.n_run
+    level /= len(plateau)
     return {"plateau_n_run": level, "plateau_spread": (mx - mn) / mn if mn > 0 else 0.0,
             "n_was_span": span, "plateau_start_n": float(plateau[0].n_was)}, \
         tuple(r.n_was for r in plateau)
@@ -496,13 +499,22 @@ def test_plateau_mean_is_a_left_to_right_sum(series, tol):
 
 
 def test_no_module_calls_the_builtin_sum():
-    """sum() compensates from Python 3.12, so its bits depend on the interpreter."""
+    """sum() compensates from Python 3.12, so its bits depend on the interpreter:
+    neither the package nor the tests' row-loop references may call it."""
     import ast
     import pathlib
-    calls = [f"{path.name}:{node.lineno}"
-             for path in sorted((pathlib.Path(diagnostics.__file__).parent).glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+
+    def sum_calls(path, tree):
+        return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+
+    calls = []
+    for path in sorted(pathlib.Path(diagnostics.__file__).parent.glob("*.py")):
+        calls += sum_calls(path, ast.parse(path.read_text(), str(path)))
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("loop_", "reference_")):
+                calls += sum_calls(path, node)
     assert calls == []
 
 

@@ -734,6 +734,11 @@ def reference_steady_state_average(samples, warmup_fraction):
     for (t0, x0), (t1, x1) in zip(kept, kept[1:]):
         area += 0.5 * (x0 + x1) * (t1 - t0)
     span = kept[-1][0] - kept[0][0]
+    if area == math.inf:  # span-weighted terms, the mean kept among the samples
+        mean = 0.0
+        for (t0, x0), (t1, x1) in zip(kept, kept[1:]):
+            mean += (0.5 * x0 + 0.5 * x1) * ((t1 - t0) / span)
+        return min(mean, max(x for _, x in kept)), (kept[0][0], kept[-1][0])
     return area / span, (kept[0][0], kept[-1][0])
 
 
@@ -779,8 +784,8 @@ def _csv_text(draw, names, key, step):
     for _ in range(draw(st.integers(0, 10))):
         cells = []
         for name in names:
-            if name == "extra":
-                cells.append("x")
+            if name == "extra":  # text, or JSON that a one-call block reader must not misread
+                cells.append(draw(st.sampled_from(["x", "null", "true", "[1,2]", "{}", "-7"])))
             else:
                 cells.append(_cell(draw, str(value) if name == key else repr(draw(st.floats(0, 1e6)))))
         if draw(st.integers(0, 24)) == 0:
@@ -839,6 +844,24 @@ def test_steady_state_average_matches_the_loop_bit_for_bit(rows, all_negative_ze
         return
     x_bar, (w0, w1) = steady_state_average(ThroughputTrace(samples), frac)
     assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0, 1.7976931348623157e308)
+                          | st.sampled_from([1.7976931348623157e308, 1e308, 0.0])),
+                min_size=2, max_size=60),
+       st.floats(0, 1, exclude_max=True))
+@settings(max_examples=300)
+def test_steady_state_average_past_a_float64_area_matches_the_loop_bit_for_bit(rows, frac):
+    """An area that overflows float64 still gives a finite mean."""
+    t = np.cumsum([step for step, _ in rows]).tolist()
+    samples = tuple(zip(t, (x for _, x in rows)))
+    try:
+        expected = reference_steady_state_average(samples, frac)
+    except InsufficientSteadyStateError:
+        return
+    x_bar, (w0, w1) = steady_state_average(ThroughputTrace(samples), frac)
+    assert [v.hex() for v in (x_bar, w0, w1)] == [v.hex() for v in (expected[0], *expected[1])]
+    assert 0.0 <= x_bar < math.inf
 
 
 # (series text, trace text, whether a row does not convert: one flag for
@@ -942,6 +965,34 @@ PARSE_PATHS |= {
                                               "t,x_inst,a,b,c\n0,1,a,b,c\n1,2,d\n2,3,e,f,g,h,i\n", False),
 }
 
+# blocks one orjson call reads as float() and int() do, and blocks it must
+# turn over to the line-by-line cutter: it proves a block's width by where
+# the null row markers land, so a container or a null in a cell would move them
+PARSE_PATHS |= {
+    # as JSON, [1,2] is one value and the rows two of one width
+    "array-in-unread-cell": ("note,n,x,r\n0,1,2.0,3.0\n[1,2],2,3.0,4.0\n",
+                             "note,t,x_inst\n0,1,2.0\n[1,2],2,3.0\n", True),
+    # as JSON, rows of 4, 3 and 5 cells with the null of the last on a marker's place
+    "null-cell-where-a-marker-falls": ("n,x,r,note\n1,2.0,3.0,0\n2,3.0,4.0\nnull,3,4.0,5.0,0\n",
+                                       "t,x_inst,note\n1,2.0,0\n2,3.0\nnull,3,4.0,0\n", True),
+    # orjson's ints in a float column, near and past 2**53 and 2**64 (a float to orjson)
+    "integer-x": ("n,x,r\n1,12,0.5\n2,9007199254740993,0.25\n3,18446744073709551615,0.125\n4,"
+                  + str(10 ** 30) + ",1e-40\n",
+                  "t,x_inst\n0.5,12\n1.5,9007199254740993\n2.5,18446744073709551615\n3.5," + str(10 ** 30) + "\n",
+                  False),
+    "whole-second-t": ("n,x,r\n1,1.5,1\n2,2.5,2\n3,3.5,3\n", "t,x_inst\n0,1.5\n1,2.5\n2,3.5\n3,4.5\n",
+                       False),
+    "negative-zero-among-integer-x": ("n,x,r\n1,2,0.1\n2,-0,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,-0\n2,3\n",
+                                      False),
+}
+
+
+@pytest.mark.parametrize("block", [["1,2.5", "2,3.5,4.5"], ["1,2.5,0", "2,3.5"]],
+                         ids=["wider-last-row", "narrower-last-row"])
+def test_one_orjson_call_reads_only_rows_of_one_width(block):
+    assert ingest._json_columns(block, (0, 1), (int, float)) is None
+    assert ingest._json_columns(block[:1], (0, 1), (int, float)) == [[1], [2.5]]
+
 
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
 @pytest.mark.parametrize("kind", ["series", "trace"])
@@ -996,8 +1047,10 @@ def test_parsing_keeps_no_container_per_row(parse, text):
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("line", [None, "# pause", ""], ids=["plain", "comment-line", "blank-line"])
-@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)), (parse_trace, _trace_csv(5000))],
-                         ids=["series", "trace"])
+@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)), (parse_trace, _trace_csv(5000)),
+                                         (parse_trace, "t,x_inst\n" + "".join(f"{t},{100 + t % 17}\n"
+                                                                               for t in range(5000)))],
+                         ids=["series", "trace", "integer-trace"])
 def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, parse, text, line, end):
     """Only the header is cut by the per-line cutter; no body line meets it or the row loop."""
     text = _with_line(text, line, end) if line is not None else text.replace("\n", end)
