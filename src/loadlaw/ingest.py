@@ -14,14 +14,12 @@ parse_series' ``r_unit`` argument, which defaults to seconds. Everything
 is converted to seconds on the way in, because mixed-unit arithmetic is
 precisely the kind of mistake this toolkit exists to catch.
 
-Number cells read as ``float()`` and ``int()`` read them, to the bit. A
-block of CSV lines whose rows are all of one width and whose cells are
-all JSON values, the read ones numbers of their column's type, is read
-by one ``orjson.loads`` of its lines joined by a row marker (see
-_json_columns). Any other block is cut line by line; then a column whose
-every cell is a JSON number of the column's type is read by one
-``orjson.loads`` (see _json_numbers), any other one cell at a time by
-``float()`` or ``int()``.
+Number cells read as ``float()`` and ``int()`` read them, to the bit, by
+one of two readers. A block of CSV lines whose rows are all of one width
+and whose cells are all JSON values, the read ones numbers of their
+column's type, is read by one ``orjson.loads`` of its lines joined by a
+row marker (see _json_columns). Any other block is cut line by line, and
+each wanted cell is read by ``float()`` or ``int()``.
 """
 
 from __future__ import annotations
@@ -377,30 +375,6 @@ def _joined(cells: list[str]) -> str:
     return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def _json_numbers(cells: list[str], kind: type) -> list | None:
-    """``cells`` as orjson reads them, one JSON array, when that gives one
-    value of type ``kind`` per cell; None otherwise.
-
-    Only then is each cell one JSON number, with at most JSON's whitespace
-    (a subset of what str.strip drops) around it, and for such a cell
-    orjson's float or int is ``kind(cell.strip())`` to the bit. Every
-    cell on which the two grammars part fails the gate: ``+1``, ``.5``,
-    ``1.``, ``007``, ``nan``, ``inf``, ``1e400`` (refused), non-ASCII
-    digits, ``true``/``null``/``[1]``; in a float column any integer text,
-    ``-0`` (orjson's int 0) among them; in an int column a float text or
-    an integer past 2**64 (which orjson reads as a float).
-    """
-    try:
-        # a column whose first cell fails, such as integer texts in a float
-        # column, is turned away before the whole column is read
-        if not cells or type(orjson.loads(cells[0])) is not kind:
-            return None
-        values = orjson.loads("[" + ",".join(cells) + "]")
-    except orjson.JSONDecodeError:
-        return None
-    return values if len(values) == len(cells) and set(map(type, values)) == {kind} else None
-
-
 def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[list] | None:
     """The values at ``indices`` of the lines ``block``, each list of its
     ``kinds`` type, read by one ``orjson.loads`` of the lines joined by the
@@ -409,10 +383,17 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
     Without ``"`` or ``[`` each JSON value is one cell, and with ``null``
     only in the markers, the markers land on every (w + 1)-th of
     ``len(block) * (w + 1) - 1`` values only when every row is w cells
-    wide. A read value is then one JSON number, orjson's value of which is
-    ``kind(cell.strip())`` to the bit (see _json_numbers); in a float
-    column an int is too, unless the block holds ``-``: ``-0`` is the one
-    integer text whose orjson int (0) and ``float()`` (-0.0) differ.
+    wide. A read value is then one JSON number with at most JSON's
+    whitespace (a subset of what str.strip drops) around it, and for such a
+    cell orjson's float or int is ``kind(cell.strip())`` to the bit. Every
+    cell on which the two grammars part fails the parse or the type check:
+    ``+1``, ``.5``, ``1.``, ``007``, ``nan``, ``inf``, ``1e400`` (refused),
+    non-ASCII digits, ``true``; in an int column a float text or an integer
+    past 2**64 (which orjson reads as a float). In a float column an int is
+    read too, unless the block holds ``-0`` followed by ``,``, ``]``, a
+    space or a tab (lines hold no other JSON whitespace): ``-0`` is the one
+    integer text whose orjson int (0) and ``float()`` (-0.0) differ, while
+    ``-0.`` and ``-0e`` begin floats and ``-0`` before a digit is not JSON.
     """
     width = block[0].count(",") + 1 if block else 0
     text = "[" + ",null,".join(block) + "]"
@@ -427,7 +408,9 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
     if len(values) != len(block) * stride - 1 or values[width::stride].count(None) != len(block) - 1:
         return None
     read = [values[i::stride] for i in indices]
-    floats = {float} if "-" in text else {float, int}
+    # one scan settles the common block, which holds no "-"
+    negative_zero = "-" in text and any(zero in text for zero in ("-0,", "-0]", "-0 ", "-0\t"))
+    floats = {float} if negative_zero else {float, int}
     if all(set(map(type, column)) <= ({int} if kind is int else floats) for column, kind in zip(read, kinds)):
         return read
     return None
@@ -441,9 +424,8 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
 
     A block is read by _json_columns; failing that, so are its lines other
     than comment and blank ones, when it has such lines; failing that too
-    (quoted or text cells, ragged rows), its lines are cut one by one. A
-    column of such cells that passes _json_numbers' gate is read by
-    orjson, any other by ``kind`` per stripped cell; every reader gives
+    (quoted or text cells, ragged rows), its lines are cut one by one and
+    each wanted cell is read by ``kind`` once stripped; both readers give
     the bits ``float()``/``int()`` give. Raises IndexError, ValueError or
     OverflowError when a row is too short or a cell does not convert into
     its column, or when a converted cell holds ``_``.
@@ -457,9 +439,7 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
         cells = [row[i] for row in map(_cells, block) for i in indices]
         if "_" in "".join(cells):
             raise ValueError("digit separator in a converted cell")
-        by_column = [cells[i::len(indices)] for i in range(len(indices))]
-        read = [_json_numbers(texts, kind) or map(kind, map(str.strip, texts))
-                for texts, kind in zip(by_column, kinds)]
+        read = [map(kind, map(str.strip, cells[i::len(indices)])) for i, kind in enumerate(kinds)]
     for column, values in zip(columns, read):
         column[start:start + len(block)] = np.fromiter(values, column.dtype, len(block))
     return len(block)

@@ -94,14 +94,14 @@ def test_installed_orjson_reads_hard_decimals_as_float_does():
     from loadlaw import ingest
 
     texts = HARD_DECIMALS + ["-" + text for text in HARD_DECIMALS]
-    numbers = ingest._json_numbers(texts, float)
-    assert numbers is not None, "orjson refused or retyped a hard decimal"
-    assert [v.hex() for v in numbers] == [float(text).hex() for text in texts]
+    read = ingest._json_columns(texts, (0,), (float,))
+    assert read is not None, "orjson refused or retyped a hard decimal"
+    assert [v.hex() for v in read[0]] == [float(text).hex() for text in texts]
 
 
 def test_installed_orjson_reads_hard_decimals_in_a_plain_trace_as_float_does(monkeypatch):
-    """A plain CSV block is read by one orjson call on its lines, not by
-    _json_numbers: the corpus, as x_inst, must come through it as float() reads it."""
+    """A plain CSV block is read by one orjson call on its lines, not cut
+    line by line: the corpus, as x_inst, must come through it as float() reads it."""
     from loadlaw import ingest
 
     cells, cut = ingest._cells, []

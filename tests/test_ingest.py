@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+import pathlib
 import re
 import sys
 
@@ -27,6 +29,8 @@ from loadlaw import audit_series, ingest
 from loadlaw.report import _json_float
 
 from .conftest import gen0_collections, load_series
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestLoadPointValidation:
@@ -1045,15 +1049,9 @@ def test_parsing_keeps_no_container_per_row(parse, text):
     assert gen0_collections(lambda: parse(text)) == 0
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("line", [None, "# pause", ""], ids=["plain", "comment-line", "blank-line"])
-@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)), (parse_trace, _trace_csv(5000)),
-                                         (parse_trace, "t,x_inst\n" + "".join(f"{t},{100 + t % 17}\n"
-                                                                               for t in range(5000)))],
-                         ids=["series", "trace", "integer-trace"])
-def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, parse, text, line, end):
-    """Only the header is cut by the per-line cutter; no body line meets it or the row loop."""
-    text = _with_line(text, line, end) if line is not None else text.replace("\n", end)
+def _spied_cutters(monkeypatch) -> list:
+    """The list that each call of the per-line cutter and of the row loop,
+    spied from now on, appends its (name, args) to."""
     calls = []
 
     def spy(real):
@@ -1064,8 +1062,44 @@ def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, pa
 
     for name in ("_cells", "_refused"):
         monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
+    return calls
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("line", [None, "# pause", ""], ids=["plain", "comment-line", "blank-line"])
+@pytest.mark.parametrize("parse, text", [(parse_series, _sweep_csv(5000)), (parse_trace, _trace_csv(5000)),
+                                         (parse_trace, "t,x_inst\n" + "".join(f"{t},{100 + t % 17}\n"
+                                                                               for t in range(5000))),
+                                         # integer t beside a "-" that is no -0
+                                         (parse_trace, "t,x_inst\n" + "".join(f"{t},{(t % 17 + 1) * 1e-5!r}\n"
+                                                                               for t in range(5000)))],
+                         ids=["series", "trace", "integer-trace", "negative-exponent-trace"])
+def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, parse, text, line, end):
+    """Only the header is cut by the per-line cutter; no body line meets it or the row loop."""
+    text = _with_line(text, line, end) if line is not None else text.replace("\n", end)
+    calls = _spied_cutters(monkeypatch)
     assert parse(text).x.size == 5000
     assert calls == [("_cells", (text.splitlines()[0],))]
+
+
+def test_every_benchmark_input_is_cut_only_at_its_header(monkeypatch, tmp_path):
+    """Each CSV the benchmark's generator writes, for every workload, is read
+    by one orjson call per block: no body line meets the per-line cutter."""
+    # perfbench/gen.py imports only the standard library
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for workload in gen.WORKLOADS:
+        gen.generate(workload, 1, str(tmp_path / workload))
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert paths
+    calls = _spied_cutters(monkeypatch)
+    for path in paths:
+        text = path.read_text()
+        header = text.splitlines()[0]
+        calls.clear()
+        (parse_trace if header == "t,x_inst" else parse_series)(text)
+        assert calls == [("_cells", (header,))], path
 
 
 def _edge_floats() -> list[float]:
@@ -1125,15 +1159,15 @@ CELL_WRITERS = {"repr": repr, "%.17g": "%.17g".__mod__, "%.25e": "%.25e".__mod__
 def test_float_cells_read_as_float_reads_them_for_every_bit_pattern(bits):
     """The reader's mirror of test_float_texts_are_repr_for_every_bit_pattern."""
     values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
-    gate, accepted = ingest._json_numbers, []
+    reader, accepted = ingest._json_columns, []
 
-    def spy(cells, kind):
-        numbers = gate(cells, kind)
-        accepted.append(numbers is not None)
-        return numbers
+    def spy(block, indices, kinds):
+        read = reader(block, indices, kinds)
+        accepted.append(read is not None)
+        return read
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_json_numbers", spy)
+        patch.setattr(ingest, "_json_columns", spy)
         for name, write in CELL_WRITERS.items():
             accepted.clear()
             # one cell a line, any sign, NaN and the infinities, against float() itself
@@ -1148,7 +1182,18 @@ def test_float_cells_read_as_float_reads_them_for_every_bit_pattern(bits):
             assert _outcome(parse_series, series) == _outcome(reference_parse_series, series)
             assert _outcome(parse_trace, trace) == _outcome(reference_parse_trace, trace)
             if name == "repr" and all(map(math.isfinite, values)):
-                assert all(accepted)  # orjson, not float(), read every column
+                assert accepted and all(accepted)  # orjson, not float(), read every block
+
+
+@pytest.mark.parametrize("cell", ["-0", " -0", "-0 ", "-0\t"],
+                         ids=["bare", "space-before", "space-after", "tab-after"])
+def test_integer_negative_zero_in_a_float_column_reads_as_float_does(cell):
+    """``-0`` is the one integer text whose orjson int (0) and float() (-0.0)
+    differ, so a block holding it, wherever and however it ends, is not read as ints."""
+    for block in (["1", cell, "2"], ["1", "2", cell]):
+        column = np.empty(3)
+        ingest._convert(block, (0,), (float,), [column], 0)
+        assert column.view(np.uint64).tolist() == [_bits_of(float(text)) for text in block]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e16])
