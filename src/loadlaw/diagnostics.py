@@ -15,6 +15,7 @@ operational law, which no amount of benign interpretation survives.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -308,8 +309,28 @@ def detect_retrograde(series: LoadSeries,
     return findings
 
 
+def _line_fits(x: np.ndarray, *ys: np.ndarray) -> list[np.ndarray]:
+    """``np.polyfit(x, y, 1)`` of each ``y``, to the bit, from one design
+    matrix: polyfit's scaled Vandermonde matrix and rcond are built once,
+    then each ``y`` is solved on its own (one solve over both columns
+    rounds differently). Warns RankWarning, as polyfit does, for each
+    solve whose matrix is rank deficient."""
+    lhs = np.vander(x + 0.0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(np.float64).eps
+    fits = []
+    for y in ys:
+        c, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, rcond)
+        if rank != 2:
+            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+        fits.append(c / scale)
+    return fits
+
+
 def detect_response_flattening(series: LoadSeries, knee: Bounds,
-                               slope_fraction: float = DetectorConfig.slope_fraction) -> Finding | None:
+                               slope_fraction: float = DetectorConfig.slope_fraction, *,
+                               fit: GrowthFit | None = None) -> Finding | None:
     """Flag a post-knee response curve that climbs far too slowly.
 
     Past the knee a lawful response curve rises with slope ~S_max per
@@ -317,12 +338,22 @@ def detect_response_flattening(series: LoadSeries, knee: Bounds,
     bottleneck slope means the hockey-stick handle snapped: flattened
     response above saturation signals a throttled or broken harness,
     not good scalability.
+
+    ``fit`` is what ``classify_growth`` returned for the same series and
+    knee; its ``linear_slope``, when set, is this test's slope (the same
+    fit on the same points), so the line is fitted once. A fit over
+    another number of post-knee points is refused with ValueError.
     """
     post = post_knee(series, knee)
     ns = series.n[post]
+    if fit is not None and fit.n_points != len(ns):
+        raise ValueError(f"fit covers {fit.n_points} point(s) but {len(ns)} lie beyond the knee")
     if len(ns) < 2:
         return None
-    slope = float(np.polyfit(ns.astype(np.float64), series.r[post], 1)[0])
+    if fit is not None and fit.linear_slope is not None:
+        slope = fit.linear_slope
+    else:
+        slope = float(_line_fits(ns, series.r[post])[0][0])
     expected = knee.s_max
     if slope >= slope_fraction * expected:
         return None
@@ -365,13 +396,14 @@ def classify_growth(series: LoadSeries, knee: Bounds,
 
     ns = series.n[post].astype(np.float64)
     rs = series.r[post]
-    b, a = np.polyfit(ns, rs, 1)
+    ys = (rs, np.log(rs)) if np.all(rs > 0) else (rs,)
+    (b, a), *log_fit = _line_fits(ns, *ys)
     linear_ss = float(np.sum((a + b * ns - rs) ** 2))
 
     exp_rate = exp_ss = None
     note = ""
-    if np.all(rs > 0):
-        d, log_c = np.polyfit(ns, np.log(rs), 1)
+    if log_fit:
+        d, log_c = log_fit[0]
         with np.errstate(over="ignore", invalid="ignore"):
             predicted = np.exp(log_c + d * ns)
             residual = float(np.sum((predicted - rs) ** 2))

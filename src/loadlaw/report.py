@@ -267,14 +267,16 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
         findings.append(_note(RESPONSE_FLATTENING, f"knee estimate unavailable: {exc}"))
         return _report(inputs, None, None, rows, findings)
 
+    # growth's linear fit, when it has one, is the flattening test's slope
+    growth_class, fit = classify_growth(series, knee, min_points=config.min_growth_points,
+                                        slope_fraction=config.slope_fraction)
     post = series.n[post_knee(series, knee)].tolist()
     if len(post) < 2:
         findings.append(_note(RESPONSE_FLATTENING,
                               f"only {len(post)} point(s) beyond the knee; flattening not assessable"))
     else:
-        findings.append(detect_response_flattening(series, knee, slope_fraction=config.slope_fraction))
-    growth_class, fit = classify_growth(series, knee, min_points=config.min_growth_points,
-                                        slope_fraction=config.slope_fraction)
+        findings.append(detect_response_flattening(series, knee, slope_fraction=config.slope_fraction,
+                                                    fit=fit))
     evidence: dict[str, float] = {"n_points": float(fit.n_points)}
     for key in ("linear_slope", "linear_ss", "exp_rate", "exp_ss"):
         value = getattr(fit, key)
