@@ -25,7 +25,6 @@ from .ingest import (
     ParseError,
     _csv_lines,
     _float_texts,
-    _int_json,
     _int_texts,
     parse_profile,
     parse_series,
@@ -264,9 +263,8 @@ def _print_audit_text(report: Report) -> None:
 
 def _print_findings(report: Report) -> None:
     for f in report.findings:
-        # ", ".join(map(str, points)) in one orjson call: an int's text holds no comma
-        points = _int_json(f.affected_points)[1:-1].replace(",", ", ")
-        print(f"[{f.severity}] {f.detector}: {f.message}" + (f" (points: {points})" if points else ""))
+        points = f" (points: {', '.join(map(str, f.affected_points))})" if f.affected_points else ""
+        print(f"[{f.severity}] {f.detector}: {f.message}{points}")
     print(f"verdict: {report.verdict}")
 
 

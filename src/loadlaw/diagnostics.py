@@ -342,7 +342,9 @@ def detect_response_flattening(series: LoadSeries, knee: Bounds,
     ``fit`` is what ``classify_growth`` returned for the same series and
     knee; its ``linear_slope``, when set, is this test's slope (the same
     fit on the same points), so the line is fitted once. A fit over
-    another number of post-knee points is refused with ValueError.
+    another number of post-knee points is refused with ValueError; that
+    count is the only check, so a fit of another series or knee with as
+    many post-knee points is used as given.
     """
     post = post_knee(series, knee)
     ns = series.n[post]

@@ -8,11 +8,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, reject
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import loadlaw.cli
-from loadlaw import (INFO, DetectorConfig, Finding, ParseError, Report, diagnose_series, parse_profile,
+from loadlaw import (DetectorConfig, ParseError, Report, diagnose_series, parse_profile,
                      parse_series, parse_trace, plot_rows, solve_reference)
 from loadlaw.cli import build_parser, main
 
@@ -440,21 +440,6 @@ def test_steady_prints_strict_json_or_exits_4(tmp_path_factory, rows, warmup):
         assert code == 0 and err.getvalue() == ""
         doc = json.loads(out.getvalue(), parse_constant=_refuse_constant)
         assert set(doc) == {"x_bar", "window"}
-
-
-@given(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=6))
-@example([])
-@example([7])
-@example([2**63 - 2, 2**63 - 1])
-def test_text_findings_list_points_as_str_joins_them(points):
-    """The text output's point list has the bytes of ", ".join(map(str, points))."""
-    report = loadlaw.cli._report(None, None, None, None, [
-        Finding(detector="GROWTH_CLASS", severity=INFO, message="m", affected_points=tuple(points))])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        loadlaw.cli._print_findings(report)
-    listed = f" (points: {', '.join(map(str, points))})" if points else ""
-    assert out.getvalue() == f"[info] GROWTH_CLASS: m{listed}\nverdict: clean\n"
 
 
 class TestParserReuse:
