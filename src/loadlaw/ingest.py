@@ -31,12 +31,12 @@ import math
 import operator
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import orjson
 
-from .model import ServiceProfile, Stage
+from .model import ServiceProfile, Stage, _number
 
 _R_COLUMN_UNITS = {"r": None, "r_s": "s", "r_ms": "ms"}
 _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
@@ -91,10 +91,7 @@ class LoadPoint:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(_n_error(self.n))
         for name in ("x", "r"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            v = float(v)
+            v = _number(getattr(self, name), name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, v)
@@ -145,8 +142,44 @@ class _RowError(ValueError):
         self.row = row
 
 
+class _FrozenColumns:
+    """Base of a frozen dataclass whose fields are read-only numpy columns
+    and scalars: equal when every column is np.array_equal and every scalar
+    ==, hashed over Python values."""
+
+    @classmethod
+    def _from_columns(cls, names: str, columns: tuple[np.ndarray, ...], *scalars):
+        """An instance set by _set_columns, once ``columns`` are 1-d and of one length."""
+        shapes = [column.shape for column in columns]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
+            raise ValueError(f"{names} must be 1-d and of one length, "
+                             f"got shapes {', '.join(map(str, shapes))}")
+        self = cls.__new__(cls)
+        self._set_columns(*columns, *scalars)
+        return self
+
+    def _freeze(self, *values) -> None:
+        for field, value in zip(fields(self), values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, field.name, value)
+
+    def _values(self) -> list:
+        return [getattr(self, field.name) for field in fields(self)]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self):
+        # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
+        return hash(tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in self._values()))
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class LoadSeries:
+class LoadSeries(_FrozenColumns):
     """A measured load sweep: points strictly increasing in n.
 
     Stored as read-only columns: ``n`` (int64), ``x`` and ``r`` (float64,
@@ -179,47 +212,26 @@ class LoadSeries:
         n = np.array(n)
         if n.size and n.dtype.kind not in "iu":
             raise ValueError(f"n must hold integers, got dtype {n.dtype}")
-        n = n.astype(np.int64)
-        x = np.array(x, dtype=np.float64)
-        r = np.array(r, dtype=np.float64)
-        if not n.shape == x.shape == r.shape or n.ndim != 1:
-            raise ValueError(f"n, x and r must be 1-d and of one length, got shapes "
-                             f"{n.shape}, {x.shape}, {r.shape}")
-        series = cls.__new__(cls)
-        series._set_columns(n, x, r, configured_think_time)
-        return series
+        return cls._from_columns("n, x and r", (n.astype(np.int64), np.array(x, dtype=np.float64),
+                                                np.array(r, dtype=np.float64)), configured_think_time)
 
     def _set_columns(self, n, x, r, configured_think_time) -> None:
         if not len(n):
             raise ValueError("series needs at least one point")
         z = configured_think_time
         if z is not None:
-            if isinstance(z, bool) or not isinstance(z, (int, float)) or not math.isfinite(float(z)) or z < 0:
+            if (isinstance(z, bool) or not isinstance(z, (int, float))
+                    or not 0 <= _number(z, "configured_think_time") < math.inf):
                 raise ValueError(f"configured_think_time must be finite and >= 0, got {z!r}")
             z = float(z)
         # the think time before the rows: a parser builds the rows before a
         # malformed one, and where that row is must not decide which error wins
         _check_points(n, x, r)
-        for column in (n, x, r):
-            column.flags.writeable = False
-        for name, value in (("n", n), ("x", x), ("r", r), ("configured_think_time", z)):
-            object.__setattr__(self, name, value)
+        self._freeze(n, x, r, z)
 
     @property
     def points(self) -> Sequence[LoadPoint]:
         return _Rows(LoadPoint, self.n, self.x, self.r)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoadSeries):
-            return NotImplemented
-        return (np.array_equal(self.n, other.n) and np.array_equal(self.x, other.x)
-                and np.array_equal(self.r, other.r)
-                and self.configured_think_time == other.configured_think_time)
-
-    def __hash__(self):
-        # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
-        return hash((tuple(self.n.tolist()), tuple(self.x.tolist()), tuple(self.r.tolist()),
-                     self.configured_think_time))
 
     def __repr__(self) -> str:
         return f"LoadSeries(points={self.points!r}, configured_think_time={self.configured_think_time!r})"
@@ -266,7 +278,7 @@ def _sample(t: float, x: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class ThroughputTrace:
+class ThroughputTrace(_FrozenColumns):
     """Instantaneous throughput samples from one load level.
 
     Stored as read-only float64 columns: ``t`` (strictly increasing) and
@@ -288,35 +300,17 @@ class ThroughputTrace:
 
         The columns are copied.
         """
-        t = np.array(t, dtype=np.float64)
-        x = np.array(x, dtype=np.float64)
-        if t.shape != x.shape or t.ndim != 1:
-            raise ValueError(f"t and x must be 1-d and of one length, got shapes {t.shape}, {x.shape}")
-        trace = cls.__new__(cls)
-        trace._set_columns(t, x)
-        return trace
+        return cls._from_columns("t and x", (np.array(t, dtype=np.float64), np.array(x, dtype=np.float64)))
 
     def _set_columns(self, t, x) -> None:
         if not len(t):
             raise ValueError("trace needs at least one sample")
         _check_samples(t, x)
-        for column in (t, x):
-            column.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        self._freeze(t, x)
 
     @property
     def samples(self) -> Sequence[tuple[float, float]]:
         return _Rows(_sample, self.t, self.x)
-
-    def __eq__(self, other):
-        if not isinstance(other, ThroughputTrace):
-            return NotImplemented
-        return np.array_equal(self.t, other.t) and np.array_equal(self.x, other.x)
-
-    def __hash__(self):
-        # over Python floats, not the columns' bytes: -0.0 == 0.0 must hash alike
-        return hash((tuple(self.t.tolist()), tuple(self.x.tolist())))
 
     def __repr__(self) -> str:
         return f"ThroughputTrace(samples={self.samples!r})"
@@ -338,17 +332,22 @@ def _as_text(raw) -> str:
 
 
 def _cells(line: str) -> list[str]:
-    """The cells of one line, unstripped."""
+    """The cells of one line, unstripped; csv.Error for a quoted cell past csv.field_size_limit()."""
     # csv.reader splits a line without quotes exactly where str.split does
     return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
 def _rows(lines: list[str]):
-    """(line number, cells) of each non-comment, non-blank line; cells unstripped."""
+    """(line number, cells) of each non-comment, non-blank line; cells unstripped.
+    A line _cells cannot cut raises ParseError on its number in ``lines``."""
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            yield lineno, _cells(line)
+            try:
+                cells = _cells(line)
+            except csv.Error as exc:
+                raise ParseError(f"malformed row: {exc}", line=lineno) from None
+            yield lineno, cells
 
 
 def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
@@ -458,20 +457,24 @@ def _read(kind: type, text: str) -> int | float:
 
 
 def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> tuple[int, str]:
-    """The line number in ``block`` of its first data row that is too short for
-    ``indices``, has a cell that does not convert or an n past int64, and its error."""
+    """The line number in ``block`` of its first data row that cannot be cut, is
+    too short for ``indices``, has a cell that does not convert or an n past
+    int64, and its error."""
     width, pick = max(indices), operator.itemgetter(*indices)
     # n is the one column read as int; past int64 it has no cell to go into
     reads_n = kinds[0] is int
-    for lineno, cells in _rows(block):
-        if len(cells) <= width:
-            return lineno, f"expected at least {width + 1} columns, got {len(cells)}"
-        try:
-            values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
-        except ValueError:
-            return lineno, f"malformed row: {_joined(cells)}"
-        if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
-            return lineno, _n_error(values[0])
+    try:
+        for lineno, cells in _rows(block):
+            if len(cells) <= width:
+                return lineno, f"expected at least {width + 1} columns, got {len(cells)}"
+            try:
+                values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
+            except ValueError:
+                return lineno, f"malformed row: {_joined(cells)}"
+            if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
+                return lineno, _n_error(values[0])
+    except ParseError as exc:
+        return exc.line, str(exc).removeprefix(f"line {exc.line}: ")
 
 
 def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
@@ -487,10 +490,10 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     The body is converted ``_BULK_LINES`` lines at a time by _convert,
     which reads a plain block by one orjson call and skips comment and
     blank lines. When a block does not convert,
-    a row loop finds its first row that is too short, has a cell that does
-    not convert or an n past int64; the rows before it are converted and
-    built (the result is dropped), and that row's error is raised only if
-    they pass. A ``_RowError`` from ``build`` is raised as a ParseError on
+    a row loop finds its first row that cannot be cut, is too short, has a
+    cell that does not convert or an n past int64; the rows before it are
+    converted and built (the result is dropped), and that row's error is
+    raised only if they pass. A ``_RowError`` from ``build`` is raised as a ParseError on
     the row's line, worded by ``refuse(error, cells, *columns)`` when given.
     """
     columns = [np.empty(len(lines) - header_line, np.int64 if kind is int else np.float64) for kind in kinds]
@@ -499,7 +502,7 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
         block = lines[start:start + _BULK_LINES]
         try:
             rows += _convert(block, indices, kinds, columns, rows)
-        except (IndexError, ValueError, OverflowError):
+        except (IndexError, ValueError, OverflowError, csv.Error):
             lineno, message = _refused(block, indices, kinds)
             rows += _convert(block[:lineno - 1], indices, kinds, columns, rows)
             failure = start + lineno, message
@@ -632,15 +635,17 @@ def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarr
 
 def parse_profile(raw) -> ServiceProfile:
     """Parse a profile JSON object into a ServiceProfile in seconds."""
+    text = _as_text(raw)
     try:
-        doc = json.loads(_as_text(raw))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    # a JSONDecodeError, an integer literal past int()'s digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("profile must be a JSON object")
 
     unit = doc.get("time_unit")
-    if unit not in _UNIT_DIVISOR:
+    if not isinstance(unit, str) or unit not in _UNIT_DIVISOR:
         raise ParseError(f"profile time_unit must be one of {sorted(_UNIT_DIVISOR)}, got {unit!r}")
     divisor = _UNIT_DIVISOR[unit]
 
@@ -649,25 +654,22 @@ def parse_profile(raw) -> ServiceProfile:
         raise ParseError("profile needs a nonempty 'stages' array")
     if "think_time" not in doc:
         raise ParseError("profile is missing 'think_time'")
-    think_time = doc["think_time"]
-    if isinstance(think_time, bool) or not isinstance(think_time, (int, float)):
-        raise ParseError(f"think_time must be a number, got {think_time!r}")
-
-    stages = []
-    for i, entry in enumerate(raw_stages):
-        if not isinstance(entry, dict) or "label" not in entry or "service_time" not in entry:
-            raise ParseError(f"stage #{i + 1} must be an object with 'label' and 'service_time'")
-        st = entry["service_time"]
-        if isinstance(st, bool) or not isinstance(st, (int, float)):
-            raise ParseError(f"stage #{i + 1}: service_time must be a number, got {st!r}")
-        try:
-            stages.append(Stage(label=entry["label"], service_time=float(st) / divisor))
-        except ValueError as exc:
-            raise ParseError(f"stage #{i + 1}: {exc}") from None
+    # every value refusal below is a ValueError, worded by the value's checker
+    where = ""
     try:
-        return ServiceProfile(stages=tuple(stages), think_time=float(think_time) / divisor)
+        think_time = _number(doc["think_time"], "think_time") / divisor
+        stages = []
+        for i, entry in enumerate(raw_stages, 1):
+            if not isinstance(entry, dict) or "label" not in entry or "service_time" not in entry:
+                raise ParseError(f"stage #{i} must be an object with 'label' and 'service_time'")
+            where = f"stage #{i}: "
+            stages.append(Stage(entry["label"], _number(entry["service_time"], "service_time") / divisor))
+        where = ""
+        return ServiceProfile(stages=tuple(stages), think_time=think_time)
+    except ParseError:
+        raise
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"{where}{exc}") from None
 
 
 def steady_state_average(trace: ThroughputTrace,

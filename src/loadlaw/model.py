@@ -27,10 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_finite_number(value, name: str, minimum: float, strict: bool) -> float:
+def _number(value, name: str) -> float:
+    """``float(value)`` of an int or a float, not a bool; an int past float64 reads as +-inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_finite_number(value, name: str, minimum: float, strict: bool) -> float:
+    value = _number(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if value < minimum or (strict and value == minimum):

@@ -90,3 +90,29 @@ def gen0_collections(call, threshold: int = 100) -> int:
         gc.set_threshold(*old)
         if not enabled:
             gc.disable()
+
+
+_PROFILE = '{"stages":[{"label":"a","service_time":%s}],"think_time":%s,"time_unit":%s}'
+# profiles that once crashed parse_profile: name -> (text, start of the ParseError's message)
+PROFILE_PROBES = {
+    "think-time-past-float64": (_PROFILE % ("1", "1" + "0" * 400, '"s"'),
+                                "think_time must be finite, got inf"),
+    "service-time-past-float64": (_PROFILE % ("1" + "0" * 400, "0", '"s"'),
+                                  "stage #1: stage 'a' service_time must be finite, got inf"),
+    "list-time-unit": (_PROFILE % ("1", "0", "[]"), "profile time_unit must be one of ['ms', 's'], got []"),
+    "object-time-unit": (_PROFILE % ("1", "0", "{}"), "profile time_unit must be one of ['ms', 's'], got {}"),
+    "integer-past-digit-limit": (_PROFILE % ("1", "1" * 4301, '"s"'), "invalid JSON: "),
+    "nested-100000-deep": ("[" * 100_000 + "]" * 100_000, "invalid JSON: "),
+}
+
+_HUGE_CELL = '"' + "9" * 200_000 + '"'  # past csv.field_size_limit(), 131,072 by default
+_FIELD_LIMIT = "malformed row: field larger than field limit (131072)"
+# CSVs that once crashed parse_series and parse_trace, read by both (columns n,x,r and t,x_inst):
+# name -> (text, the ParseError's message); a comment line makes line numbers differ from row numbers
+CSV_PROBES = {
+    "header": (f"n,x,r,t,x_inst,{_HUGE_CELL}\n1,1,0.1,0,1\n", f"line 1: {_FIELD_LIMIT}"),
+    "series-body": (f"n,x,r,t,x_inst\n1,1,0.1,0,1\n# pause\n2,1,0.1,1,1\n3,{_HUGE_CELL},0.1,2,1\n",
+                    f"line 5: {_FIELD_LIMIT}"),
+    "trace-body": (f"n,x,r,t,x_inst\n1,1,0.1,0,1\n# pause\n2,1,0.1,1,1\n3,1,0.1,2,{_HUGE_CELL}\n",
+                   f"line 5: {_FIELD_LIMIT}"),
+}

@@ -16,7 +16,7 @@ from loadlaw import (DetectorConfig, ParseError, Report, diagnose_series, parse_
                      parse_series, parse_trace, plot_rows, solve_reference)
 from loadlaw.cli import build_parser, main
 
-from .conftest import CAPPED_POOL_ROWS, three_stage_profile
+from .conftest import CAPPED_POOL_ROWS, CSV_PROBES, PROFILE_PROBES, three_stage_profile
 
 PROFILE_JSON = """{
   "stages": [
@@ -609,6 +609,27 @@ def run_cli(argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "loadlaw", *argv], cwd=cwd, env=env, stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120)
+
+
+# each probe through each command that reads its kind of file: (kind, probe, argv with {path})
+_PROBE_RUNS = ([("profile", name, argv) for name in sorted(PROFILE_PROBES)
+                for argv in (["bounds", "{path}"], ["simulate", "{path}", "--n-max", "3", "--out", "-"],
+                             ["diagnose", "{series}", "--profile", "{path}"])]
+               + [("csv", name, [command, "{path}"]) for name in sorted(CSV_PROBES)
+                  for command in ("diagnose", "audit", "steady")])
+
+
+@pytest.mark.parametrize("kind, name, argv", _PROBE_RUNS,
+                         ids=[f"{name}-{argv[0]}" for _, name, argv in _PROBE_RUNS])
+def test_crash_probes_exit_2_with_one_parse_error_line(tmp_path, capped_csv, kind, name, argv):
+    raw, message = (PROFILE_PROBES if kind == "profile" else CSV_PROBES)[name]
+    path = tmp_path / "probe.input"
+    path.write_text(raw)
+    proc = run_cli([a.format(path=path, series=capped_csv) for a in argv], tmp_path)
+    stderr = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert "Traceback" not in stderr and stderr.count("\n") == 1
+    assert stderr.startswith(f"loadlaw: parse error: {message}")
 
 
 class TestOutputToStdout:

@@ -17,6 +17,8 @@ from loadlaw import (
     LoadPoint,
     LoadSeries,
     ParseError,
+    ServiceProfile,
+    Stage,
     ThroughputTrace,
     parse_profile,
     parse_series,
@@ -28,7 +30,7 @@ from loadlaw import (
 from loadlaw import audit_series, ingest
 from loadlaw.report import _json_float
 
-from .conftest import gen0_collections, load_series
+from .conftest import CSV_PROBES, PROFILE_PROBES, gen0_collections, load_series
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -402,6 +404,79 @@ class TestParseProfile:
         with pytest.raises(ParseError) as exc:
             parse_profile(raw)
         assert (str(exc.value), exc.value.line) == (message, None)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_PROBES))
+def test_profile_crash_probes_are_parse_errors(name):
+    raw, message = PROFILE_PROBES[name]
+    with pytest.raises(ParseError) as exc:
+        parse_profile(raw)
+    assert str(exc.value).startswith(message) and exc.value.line is None
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300)
+@given(place=st.sampled_from(["think_time", "time_unit", "stages", "label", "service_time", "document"]),
+       value=_JSON_VALUES)
+def test_any_json_value_anywhere_in_a_profile_is_read_or_refused(place, value):
+    stage = {"label": "a", "service_time": 1}
+    doc = {"stages": [stage], "think_time": 0, "time_unit": "s"}
+    if place == "document":
+        doc = value
+    elif place in stage:
+        stage[place] = value
+    else:
+        doc[place] = value
+    try:
+        profile = parse_profile(json.dumps(doc))
+    except ParseError:
+        return
+    assert isinstance(profile, ServiceProfile)
+
+
+# every way a scalar reaches a number check, each returning the value it keeps
+_NUMBER_CHECKS = {
+    "LoadPoint.x": lambda v: LoadPoint(1, v, 1.0).x,
+    "LoadPoint.r": lambda v: LoadPoint(1, 1.0, v).r,
+    "Stage": lambda v: Stage("a", v).service_time,
+    "ServiceProfile.think_time": lambda v: ServiceProfile((Stage("a", 1.0),), think_time=v).think_time,
+    "configured_think_time":
+        lambda v: LoadSeries.from_arrays([1], [1.0], [1.0], configured_think_time=v).configured_think_time,
+}
+
+
+@settings(max_examples=300)
+@given(check=st.sampled_from(sorted(_NUMBER_CHECKS)),
+       value=st.one_of(st.integers(-10 ** 400, 10 ** 400), st.sampled_from([10 ** 400, -10 ** 400]),
+                       st.just(2 ** 1024 - 1), st.floats(), st.booleans(), st.text(max_size=4), st.none()))
+def test_every_scalar_is_read_or_refused_with_value_error(check, value):
+    """Never OverflowError: an int past float64 reads as +-inf, which the finiteness check refuses."""
+    try:
+        kept = _NUMBER_CHECKS[check](value)
+    except ValueError:
+        return
+    if value is None:  # no configured think time
+        assert (check, kept) == ("configured_think_time", None)
+    else:
+        assert type(kept) is float and kept == float(value) and math.isfinite(kept)
+
+
+@pytest.mark.parametrize("check, value, message", [
+    ("LoadPoint.x", 10 ** 400, "x must be finite and >= 0, got inf"),
+    ("LoadPoint.r", -10 ** 400, "r must be finite and >= 0, got -inf"),
+    ("Stage", 2 ** 1024 - 1, "stage 'a' service_time must be finite, got inf"),
+    ("ServiceProfile.think_time", -10 ** 400, "think_time must be finite, got -inf"),
+    ("configured_think_time", 10 ** 400, f"configured_think_time must be finite and >= 0, got {10 ** 400}"),
+], ids=["x", "r", "service-time", "think-time", "configured-think-time"])
+def test_an_int_past_float64_gets_the_checks_own_message(check, value, message):
+    with pytest.raises(ValueError) as exc:
+        _NUMBER_CHECKS[check](value)
+    assert str(exc.value) == message
 
 
 class TestParseTrace:
@@ -1016,6 +1091,29 @@ def test_each_parse_path_matches_the_row_loop(monkeypatch, name, kind, block_lin
     monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
     assert _outcome(parse, text) == _outcome(reference, text)
     assert len(calls) == (bad_row if isinstance(bad_row, bool) else bad_row[kind == "trace"])
+
+
+@pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("parse", [parse_series, parse_trace])
+@pytest.mark.parametrize("name", sorted(CSV_PROBES))
+def test_a_cell_past_the_csv_field_limit_is_refused_on_its_line(monkeypatch, name, parse, block_lines):
+    monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
+    text, message = CSV_PROBES[name]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("parse, message", [
+    (parse_series, "line 2: x must be finite and >= 0, got -1.0"),
+    (parse_trace, "line 2: sample must be finite with x_inst >= 0: '1,-1,0.1,0,-1'")], ids=["series", "trace"])
+def test_a_bad_row_before_a_cell_past_the_field_limit_is_the_one_refused(monkeypatch, parse, message,
+                                                                         block_lines):
+    monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
+    with pytest.raises(ParseError) as exc:
+        parse('n,x,r,t,x_inst\n1,-1,0.1,0,-1\n2,1,0.1,1,"' + "a" * 200_000 + '"\n')
+    assert str(exc.value) == message
 
 
 def _sweep_csv(rows: int) -> str:
