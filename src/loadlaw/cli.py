@@ -127,6 +127,8 @@ def build_parser() -> _Parser:
                    help="fraction of the trace span to discard as warm-up (default 0.25)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_steady)
+    # command name -> its parser, for _parse_args
+    parser.commands = sub.choices
     return parser
 
 
@@ -349,6 +351,22 @@ def cmd_steady(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, to the same Namespace or exit. An
+    argv that starts with a command goes straight to that command's parser,
+    as the top-level parser would hand it on, and what that parser leaves is
+    refused as the top-level parser refuses it."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 class _UsageError(Exception):
     pass
 
@@ -360,7 +378,7 @@ class _UnreadableInput(Exception):
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit:
             # argparse has buffered --help or --version and is exiting: a failed write is exit 3 here
             sys.stdout.flush()

@@ -37,6 +37,8 @@ INFO = "info"
 WARNING = "warning"
 CRITICAL = "critical"
 
+_EPS = np.finfo(np.float64).eps  # polyfit's rcond is len(x) times this
+
 
 @dataclass
 class DetectorConfig:
@@ -315,10 +317,13 @@ def _line_fits(x: np.ndarray, *ys: np.ndarray) -> list[np.ndarray]:
     then each ``y`` is solved on its own (one solve over both columns
     rounds differently). Warns RankWarning, as polyfit does, for each
     solve whose matrix is rank deficient."""
-    lhs = np.vander(x + 0.0, 2)
+    # np.vander(x + 0.0, 2), filled directly
+    lhs = np.empty((len(x), 2))
+    lhs[:, 0] = x + 0.0
+    lhs[:, 1] = 1.0
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    rcond = len(x) * np.finfo(np.float64).eps
+    rcond = len(x) * _EPS
     fits = []
     for y in ys:
         c, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, rcond)
@@ -398,9 +403,9 @@ def classify_growth(series: LoadSeries, knee: Bounds,
 
     ns = series.n[post].astype(np.float64)
     rs = series.r[post]
-    ys = (rs, np.log(rs)) if np.all(rs > 0) else (rs,)
+    ys = (rs, np.log(rs)) if (rs > 0).all() else (rs,)
     (b, a), *log_fit = _line_fits(ns, *ys)
-    linear_ss = float(np.sum((a + b * ns - rs) ** 2))
+    linear_ss = float(((a + b * ns - rs) ** 2).sum())
 
     exp_rate = exp_ss = None
     note = ""
@@ -408,7 +413,7 @@ def classify_growth(series: LoadSeries, knee: Bounds,
         d, log_c = log_fit[0]
         with np.errstate(over="ignore", invalid="ignore"):
             predicted = np.exp(log_c + d * ns)
-            residual = float(np.sum((predicted - rs) ** 2))
+            residual = float(((predicted - rs) ** 2).sum())
         if math.isfinite(residual):
             exp_rate, exp_ss = float(d), residual
         else:

@@ -16,9 +16,9 @@ precisely the kind of mistake this toolkit exists to catch.
 
 Number cells read as ``float()`` and ``int()`` read them, to the bit, by
 one of two readers. A block of CSV lines whose rows are all of one width
-and whose cells are all JSON values, the read ones numbers of their
-column's type, is read by one ``orjson.loads`` of its lines joined by a
-row marker (see _json_columns). Any other block is cut line by line, and
+and whose cells are all JSON numbers, the read ones of their column's
+type, is read by one ``orjson.loads`` of its lines joined by a row
+marker (see _json_columns). Any other block is cut line by line, and
 each wanted cell is read by ``float()`` or ``int()``.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import orjson
 
-from .model import ServiceProfile, Stage, _number
+from .model import ServiceProfile, Stage, _echo, _float, _number
 
 _R_COLUMN_UNITS = {"r": None, "r_s": "s", "r_ms": "ms"}
 _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
@@ -44,8 +44,6 @@ _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
 # body lines the CSV parsers join and split at a time when they convert by
 # columns: only one block's cells are alive at once, not the whole file's
 _BULK_LINES = 4096
-
-_ECHO_CHARS = 80  # characters of a refused row that its error message quotes
 
 
 class ParseError(ValueError):
@@ -205,15 +203,16 @@ class LoadSeries(_FrozenColumns):
     def from_arrays(cls, n, x, r, configured_think_time: float | None = None) -> "LoadSeries":
         """A series from columns, checked as LoadPoint and LoadSeries check points.
 
-        ``n`` must hold integers; the columns are copied. The first bad
-        row, in row order, raises _check_points' message, as it does
-        for every way a series is built.
+        ``n`` must hold integers; the columns are copied, an int past
+        float64 in ``x`` or ``r`` read as +-inf. The first bad row, in row
+        order, raises _check_points' message, as it does for every way a
+        series is built.
         """
         n = np.array(n)
         if n.size and n.dtype.kind not in "iu":
             raise ValueError(f"n must hold integers, got dtype {n.dtype}")
-        return cls._from_columns("n, x and r", (n.astype(np.int64), np.array(x, dtype=np.float64),
-                                                np.array(r, dtype=np.float64)), configured_think_time)
+        return cls._from_columns("n, x and r", (n.astype(np.int64), _float_column(x), _float_column(r)),
+                                 configured_think_time)
 
     def _set_columns(self, n, x, r, configured_think_time) -> None:
         if not len(n):
@@ -222,7 +221,7 @@ class LoadSeries(_FrozenColumns):
         if z is not None:
             if (isinstance(z, bool) or not isinstance(z, (int, float))
                     or not 0 <= _number(z, "configured_think_time") < math.inf):
-                raise ValueError(f"configured_think_time must be finite and >= 0, got {z!r}")
+                raise ValueError(f"configured_think_time must be finite and >= 0, got {_echo(z)}")
             z = float(z)
         # the think time before the rows: a parser builds the rows before a
         # malformed one, and where that row is must not decide which error wins
@@ -237,6 +236,15 @@ class LoadSeries(_FrozenColumns):
         return f"LoadSeries(points={self.points!r}, configured_think_time={self.configured_think_time!r})"
 
 
+def _float_column(values) -> np.ndarray:
+    """``np.array(values, dtype=np.float64)``, with an int past float64 read as +-inf."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        objects = np.array(values, dtype=object)
+        return np.array(list(map(_float, objects.flat)), dtype=np.float64).reshape(objects.shape)
+
+
 def _order_error(n: int, prev: int) -> str:
     if n == prev:
         return f"duplicate load point n={n}"
@@ -249,7 +257,7 @@ def _check_points(n: np.ndarray, x: np.ndarray, r: np.ndarray) -> None:
     n_run) is not finite, checked in that order."""
     # x * r is finite only where x and r are (inf * 0 is NaN)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = (n < 1) | (n > MAX_N) | ~(x >= 0) | ~(r >= 0) | ~np.isfinite(x * r)
+        bad = ~((n >= 1) & (n <= MAX_N) & (x >= 0) & (r >= 0) & np.isfinite(x * r))
     i = _first_bad_row(bad, n)
     if i < 0:
         return
@@ -290,7 +298,7 @@ class ThroughputTrace(_FrozenColumns):
     x: np.ndarray
 
     def __init__(self, samples):
-        pairs = np.array([(float(t), float(x)) for t, x in samples],
+        pairs = np.array([(_float(t), _float(x)) for t, x in samples],
                          dtype=np.float64).reshape(-1, 2)
         self._set_columns(pairs[:, 0].copy(), pairs[:, 1].copy())
 
@@ -298,9 +306,9 @@ class ThroughputTrace(_FrozenColumns):
     def from_arrays(cls, t, x) -> "ThroughputTrace":
         """A trace from columns, checked as the samples constructor checks them.
 
-        The columns are copied.
+        The columns are copied, an int past float64 read as +-inf.
         """
-        return cls._from_columns("t and x", (np.array(t, dtype=np.float64), np.array(x, dtype=np.float64)))
+        return cls._from_columns("t and x", (_float_column(t), _float_column(x)))
 
     def _set_columns(self, t, x) -> None:
         if not len(t):
@@ -367,11 +375,8 @@ def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
 
 
 def _joined(cells: list[str]) -> str:
-    """The row as an error message quotes it: its stripped cells joined by commas,
-    repr'd, and past ``_ECHO_CHARS`` cut and followed by its length, so that
-    one huge cell does not make a huge message."""
-    text = ",".join(c.strip() for c in cells)
-    return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+    """The row as an error message quotes it: its stripped cells joined by commas, as _echo quotes text."""
+    return _echo(",".join(c.strip() for c in cells))
 
 
 def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[list] | None:
@@ -382,22 +387,27 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
     Without ``"`` or ``[`` each JSON value is one cell, and with ``null``
     only in the markers, the markers land on every (w + 1)-th of
     ``len(block) * (w + 1) - 1`` values only when every row is w cells
-    wide. A read value is then one JSON number with at most JSON's
+    wide. Without ``t``, ``f`` or ``{`` too, no cell is ``true``, ``false``
+    or an object, so every other value is a JSON number with at most JSON's
     whitespace (a subset of what str.strip drops) around it, and for such a
     cell orjson's float or int is ``kind(cell.strip())`` to the bit. Every
     cell on which the two grammars part fails the parse or the type check:
     ``+1``, ``.5``, ``1.``, ``007``, ``nan``, ``inf``, ``1e400`` (refused),
-    non-ASCII digits, ``true``; in an int column a float text or an integer
-    past 2**64 (which orjson reads as a float). In a float column an int is
+    non-ASCII digits; in an int column a float text or an integer past
+    2**64 (which orjson reads as a float). In a float column an int is
     read too, unless the block holds ``-0`` followed by ``,``, ``]``, a
     space or a tab (lines hold no other JSON whitespace): ``-0`` is the one
     integer text whose orjson int (0) and ``float()`` (-0.0) differ, while
     ``-0.`` and ``-0e`` begin floats and ``-0`` before a digit is not JSON.
+    So types are checked per value only in int columns, and in float
+    columns when the block holds ``-0``.
     """
     width = block[0].count(",") + 1 if block else 0
     text = "[" + ",null,".join(block) + "]"
-    # null is JSON's one word with an "n": the markers must be the only nulls
-    if width <= max(indices) or '"' in text or text.find("[", 1) > 0 or text.count("n") != len(block) - 1:
+    # null is JSON's one word with an "n": the markers must be the only nulls;
+    # t, f and { are in true, false and objects, the other values that are not numbers
+    if (width <= max(indices) or '"' in text or text.find("[", 1) > 0 or "t" in text or "f" in text
+            or "{" in text or text.count("n") != len(block) - 1):
         return None
     try:
         values = orjson.loads(text)
@@ -409,10 +419,10 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
     read = [values[i::stride] for i in indices]
     # one scan settles the common block, which holds no "-"
     negative_zero = "-" in text and any(zero in text for zero in ("-0,", "-0]", "-0 ", "-0\t"))
-    floats = {float} if negative_zero else {float, int}
-    if all(set(map(type, column)) <= ({int} if kind is int else floats) for column, kind in zip(read, kinds)):
-        return read
-    return None
+    for column, kind in zip(read, kinds):
+        if (kind is int or negative_zero) and set(map(type, column)) != {kind}:
+            return None
+    return read
 
 
 def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
@@ -495,6 +505,7 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     converted and built (the result is dropped), and that row's error is
     raised only if they pass. A ``_RowError`` from ``build`` is raised as a ParseError on
     the row's line, worded by ``refuse(error, cells, *columns)`` when given.
+    The columns are new arrays that ``build`` may keep without a copy.
     """
     columns = [np.empty(len(lines) - header_line, np.int64 if kind is int else np.float64) for kind in kinds]
     rows, failure = 0, None
@@ -509,7 +520,8 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
             break
     if not rows and failure is None:
         raise ParseError("no data rows")
-    columns = [column[:rows] for column in columns]
+    # each column owns its data, as a copy would: no writable buffer outlives the build
+    columns = [column if len(column) == rows else column[:rows].copy() for column in columns]
     try:
         if failure is None:
             return build(*columns)
@@ -547,7 +559,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
     def build(n, x, r):
-        return LoadSeries.from_arrays(n, x, r / divisor, configured_think_time=configured_think_time)
+        return LoadSeries._from_columns("n, x and r", (n, x, r / divisor), configured_think_time)
 
     return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
                          (int, float, float), build)
@@ -600,9 +612,15 @@ def _int_texts(values) -> list[str]:
 
 
 def _csv_lines(columns, end: str = "\n") -> str:
-    """The rows of ``columns`` (lists of cell texts, at least one row) joined
-    by commas, each line ended by ``end``."""
-    return end.join(map(",".join, zip(*columns))) + end
+    """The rows of ``columns`` (equal-length lists of cell texts, at least one
+    row) joined by commas, each line ended by ``end``: one list of cells and
+    separators, filled a column at a time, joined once."""
+    stride = 2 * len(columns)
+    pieces = [","] * (stride * len(columns[0]))
+    for i, column in enumerate(columns):
+        pieces[2 * i::stride] = column
+    pieces[stride - 1::stride] = [end] * len(columns[0])
+    return "".join(pieces)
 
 
 def serialize_series(series: LoadSeries) -> str:
@@ -622,7 +640,7 @@ def parse_trace(raw) -> ThroughputTrace:
     lines = _as_text(raw).splitlines()
     header_line, columns = _header(_rows(lines), ("t", "x_inst"))
     return _read_columns(lines, header_line, (columns["t"], columns["x_inst"]), (float, float),
-                         ThroughputTrace.from_arrays, _sample_refusal)
+                         lambda t, x: ThroughputTrace._from_columns("t and x", (t, x)), _sample_refusal)
 
 
 def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarray) -> str:

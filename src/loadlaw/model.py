@@ -22,19 +22,45 @@ values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+_ECHO_CHARS = 80  # characters of a refused value or row that its error message quotes
 
-def _number(value, name: str) -> float:
-    """``float(value)`` of an int or a float, not a bool; an int past float64 reads as +-inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+
+def _echo(value) -> str:
+    """``repr(value)`` as an error message quotes it, so that one huge value
+    does not make a huge message. An int is given whole, or by its length
+    when it is too long for str(); a text, or the repr of anything else, past
+    ``_ECHO_CHARS`` characters is cut and followed by its length."""
+    if isinstance(value, int):
+        try:
+            return repr(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    if isinstance(value, str):
+        if len(value) <= _ECHO_CHARS:
+            return repr(value)
+        return f"{value[:_ECHO_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
+def _float(value) -> float:
+    """``float(value)``, with an int past float64 read as +-inf."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _number(value, name: str) -> float:
+    """``_float(value)`` of an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {_echo(value)}")
+    return _float(value)
 
 
 def _check_finite_number(value, name: str, minimum: float, strict: bool) -> float:
@@ -56,8 +82,8 @@ class Stage:
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
-            raise ValueError(f"stage label must be a nonempty string, got {self.label!r}")
-        st = _check_finite_number(self.service_time, f"stage {self.label!r} service_time", 0.0, strict=True)
+            raise ValueError(f"stage label must be a nonempty string, got {_echo(self.label)}")
+        st = _check_finite_number(self.service_time, f"stage {_echo(self.label)} service_time", 0.0, strict=True)
         object.__setattr__(self, "service_time", st)
 
 

@@ -103,6 +103,9 @@ PROFILE_PROBES = {
     "object-time-unit": (_PROFILE % ("1", "0", "{}"), "profile time_unit must be one of ['ms', 's'], got {}"),
     "integer-past-digit-limit": (_PROFILE % ("1", "1" * 4301, '"s"'), "invalid JSON: "),
     "nested-100000-deep": ("[" * 100_000 + "]" * 100_000, "invalid JSON: "),
+    # a refused value is quoted by its first 80 characters and its length, not whole
+    "million-character-think-time": (_PROFILE % ("1", '"' + "9" * 1_000_000 + '"', '"s"'),
+                                     f"think_time must be a number, got {'9' * 80!r}... (1000000 characters)"),
 }
 
 _HUGE_CELL = '"' + "9" * 200_000 + '"'  # past csv.field_size_limit(), 131,072 by default

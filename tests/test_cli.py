@@ -461,6 +461,72 @@ class TestParserReuse:
         assert configs[1] == DetectorConfig()
 
 
+# argv lists that the dispatch in main must parse as the top-level parser does;
+# {series}, {profile} and {trace} name files that need not exist
+_DISPATCH_ARGVS = {
+    "bounds": ["bounds", "{profile}", "--format", "json"],
+    "simulate": ["simulate", "{profile}", "--n-max", "3", "--out", "-"],
+    "audit": ["audit", "{series}", "--r-unit", "ms", "--z", "1", "--format", "json", "--no-fail",
+              "--plateau-tol", "0.1", "--span-factor", "2", "--think-tol", "0.3"],
+    "diagnose": ["diagnose", "{series}", "--profile", "{profile}", "--z=1", "--format", "text",
+                 "--out", "o.json", "--plot-csv", "p.csv", "--combined-csv", "c.csv", "--no-fail",
+                 "--bound-tol", "0.1", "--retro-tol", "0.1", "--plateau-tol", "0.1", "--span-factor", "2",
+                 "--think-tol", "0.3", "--slope-fraction", "0.4", "--min-growth-points", "5"],
+    "diagnose-defaults": ["diagnose", "{series}"],
+    "steady": ["steady", "{trace}", "--warmup", "0.1", "--format", "json"],
+    "abbreviated-flag": ["diagnose", "{series}", "--prof", "{profile}"],
+    "help-after-command": ["diagnose", "-h"],
+    "help-after-path": ["steady", "{trace}", "--help"],
+    "help": ["-h"],
+    "version": ["--version"],
+    "version-after-command": ["audit", "{series}", "--version"],
+    "empty": [],
+    "double-dash": ["--"],
+    "double-dash-after-command": ["diagnose", "--", "{series}"],
+    "unknown-command": ["frobnicate", "{series}"],
+    "command-as-path": ["{series}", "diagnose"],
+    "leftover-argument": ["bounds", "{profile}", "extra", "more"],
+    "unknown-flag": ["diagnose", "{series}", "--bogus", "1"],
+    "missing-path": ["diagnose"],
+    "missing-required-flag": ["simulate", "{profile}"],
+    "bad-flag-value": ["diagnose", "{series}", "--bound-tol", "abc"],
+    "bad-choice": ["audit", "{series}", "--r-unit", "h"],
+    "negative-number": ["diagnose", "{series}", "--z", "-1e-3"],
+    "negative-zero": ["diagnose", "{series}", "--bound-tol", "-0"],
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """vars() of the Namespace ``parse`` gives, or its exit code; and what it wrote."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(_DISPATCH_ARGVS))
+def test_dispatch_parses_as_the_top_level_parser(capsys, name):
+    argv = [a.format(series="s.csv", profile="p.json", trace="t.csv") for a in _DISPATCH_ARGVS[name]]
+    dispatched = _parse_outcome(loadlaw.cli._parse_args, argv, capsys)
+    assert dispatched == _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert isinstance(dispatched[0], dict) == (name in {"bounds", "simulate", "audit", "diagnose",
+                                                        "diagnose-defaults", "steady", "abbreviated-flag",
+                                                        "double-dash-after-command", "negative-zero"})
+
+
+def test_a_command_argv_never_reaches_the_top_level_parse(monkeypatch, capsys, capped_csv):
+    parser, calls = build_parser(), []
+    top_level = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *args: calls.append(args) or top_level(*args))
+    assert main(["diagnose", capped_csv, "--no-fail"]) == 0
+    assert calls == []
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert len(calls) == 1  # the spy is on the path an argv without a command takes
+
+
 class TestUsage:
     def test_unknown_command_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

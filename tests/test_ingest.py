@@ -285,7 +285,10 @@ class TestFromArrays:
         ([1], [1.0], [1.0], math.nan, "configured_think_time must be finite and >= 0, got nan"),
         ([1], [1.0], [1.0], True, "configured_think_time must be finite and >= 0, got True"),
         ([1], [1.0], [1.0], "10", "configured_think_time must be finite and >= 0, got '10'"),
-    ], ids=["mismatched-lengths", "two-d", "negative-z", "nan-z", "bool-z", "str-z"])
+        # too long for str(): worded by its length
+        ([1], [1.0], [1.0], 10 ** 5000, "configured_think_time must be finite and >= 0, "
+                                        f"got an integer of more than {sys.get_int_max_str_digits()} digits"),
+    ], ids=["mismatched-lengths", "two-d", "negative-z", "nan-z", "bool-z", "str-z", "huge-int-z"])
     def test_refuses_bad_shapes_and_think_times(self, n, x, r, z, message):
         with pytest.raises(ValueError) as exc:
             LoadSeries.from_arrays(n, x, r, configured_think_time=z)
@@ -477,6 +480,36 @@ def test_an_int_past_float64_gets_the_checks_own_message(check, value, message):
     with pytest.raises(ValueError) as exc:
         _NUMBER_CHECKS[check](value)
     assert str(exc.value) == message
+
+
+_INF_SAMPLE = "trace sample (0.0, inf) must be finite with x_inst >= 0"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LoadSeries.from_arrays([1], [10 ** 400], [1.0]), "x must be finite and >= 0, got inf"),
+    (lambda: LoadSeries.from_arrays([1, 2], [1.0, 1.0], [1.0, -10 ** 400]), "r must be finite and >= 0, got -inf"),
+    (lambda: ThroughputTrace([(0, 10 ** 400)]), _INF_SAMPLE),
+    (lambda: ThroughputTrace.from_arrays([0], [10 ** 400]), _INF_SAMPLE),
+    (lambda: ThroughputTrace.from_arrays((-10 ** 400, 0), np.array([1.0, 1.0])),
+     "trace sample (-inf, 1.0) must be finite with x_inst >= 0"),
+], ids=["series-x", "series-r", "trace-samples", "trace-x", "trace-t"])
+def test_an_int_past_float64_in_a_column_gets_the_column_checks_message(build, message):
+    """Read as +-inf, as a scalar is, never OverflowError."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda value: Stage(value, 1.0), "stage label must be a nonempty string"),
+    (lambda value: Stage("a", value), "stage 'a' service_time must be a number"),
+], ids=["label", "service-time"])
+def test_a_refused_list_is_quoted_by_its_start_and_length(build, message):
+    """As a refused text is (see PROFILE_PROBES): one huge value does not make a huge message."""
+    value = [0] * 100_000
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert str(exc.value) == f"{message}, got {repr(value)[:80]}... ({len(repr(value))} characters)"
 
 
 class TestParseTrace:
@@ -1178,6 +1211,25 @@ def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, pa
     calls = _spied_cutters(monkeypatch)
     assert parse(text).x.size == 5000
     assert calls == [("_cells", (text.splitlines()[0],))]
+
+
+@pytest.mark.parametrize("cell", ["true", "false", "{}", " true "])
+def test_a_json_word_or_object_in_an_unread_column_sends_the_block_to_the_line_cutter(monkeypatch, cell):
+    """true, false and objects are the JSON values left that are not numbers:
+    a block holding one, read or not, is cut line by line, to the same series."""
+    assert ingest._json_columns(["1,2.5,0", f"2,3.5,{cell}"], (0, 1), (int, float)) is None
+    expected, text = parse_series("n,x,r\n1,1.5,0.1\n2,2.5,0.2\n"), f"n,x,r,note\n1,1.5,0.1,0\n2,2.5,0.2,{cell}\n"
+    calls = _spied_cutters(monkeypatch)
+    assert parse_series(text) == expected
+    assert calls == [("_cells", (line,)) for line in text.splitlines()]
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(st.text(max_size=3), min_size=width,
+                                                                  max_size=width), min_size=1, max_size=20)),
+       st.sampled_from(["\n", "\r\n"]))
+def test_csv_lines_are_the_rows_joined_one_by_one(rows, end):
+    columns = [list(column) for column in zip(*rows)]
+    assert ingest._csv_lines(columns, end) == "".join(",".join(row) + end for row in rows)
 
 
 def test_every_benchmark_input_is_cut_only_at_its_header(monkeypatch, tmp_path):
