@@ -31,7 +31,7 @@ from .ingest import (
     parse_trace,
     steady_state_average,
 )
-from .diagnostics import RESPONSE_FLATTENING
+from .diagnostics import _MIN_LINE_POINTS, RESPONSE_FLATTENING
 from .model import _check_finite_number, bounds_summary
 from .report import (VERDICT_BROKEN, VERDICT_CLEAN, DetectorConfig, Report, _report, audit_series,
                      diagnose_series, plot_rows)
@@ -187,8 +187,7 @@ def _tolerance_flags(p: argparse.ArgumentParser, names) -> None:
         "think-tol": ("think_time_rel_tol", _tolerance, "relative deviation allowed for implied think time"),
         "slope-fraction": ("slope_fraction", _tolerance,
                            "fraction of the bottleneck slope below which response is flat"),
-        # a line through fewer than two points is not determined
-        "min-growth-points": ("min_growth_points", _integer_at_least(2),
+        "min-growth-points": ("min_growth_points", _integer_at_least(_MIN_LINE_POINTS),
                               "post-knee points needed to classify growth"),
     }
     for name in names:

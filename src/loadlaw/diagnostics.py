@@ -39,6 +39,10 @@ CRITICAL = "critical"
 
 _EPS = np.finfo(np.float64).eps  # polyfit's rcond is len(x) times this
 
+# a line through fewer than two points is not determined: the fewest
+# post-knee points the growth and flattening fits, and the CLI, accept
+_MIN_LINE_POINTS = 2
+
 
 @dataclass
 class DetectorConfig:
@@ -355,7 +359,7 @@ def detect_response_flattening(series: LoadSeries, knee: Bounds,
     ns = series.n[post]
     if fit is not None and fit.n_points != len(ns):
         raise ValueError(f"fit covers {fit.n_points} point(s) but {len(ns)} lie beyond the knee")
-    if len(ns) < 2:
+    if len(ns) < _MIN_LINE_POINTS:
         return None
     if fit is not None and fit.linear_slope is not None:
         slope = fit.linear_slope
@@ -392,8 +396,11 @@ def classify_growth(series: LoadSeries, knee: Bounds,
     requires decisive evidence: residuals under half the linear fit's
     and a positive rate. A linear slope far below the bottleneck slope
     is "sublinear" (the flattening syndrome); anything else is the
-    lawful "linear".
+    lawful "linear". A ``min_points`` under 2 is refused with ValueError.
     """
+    if min_points < _MIN_LINE_POINTS:
+        raise ValueError(f"min_points must be >= {_MIN_LINE_POINTS}, got {min_points!r}: "
+                         "a line through fewer than two points is not determined")
     post = post_knee(series, knee)
     count = int(post.sum())
     if count < min_points:

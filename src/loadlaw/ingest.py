@@ -31,7 +31,7 @@ import math
 import operator
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -66,13 +66,9 @@ class InsufficientSteadyStateError(ValueError):
 MAX_N = 2 ** 53
 
 
-def _n_error(n: int | float) -> str:
-    """Why ``n``, outside 1..MAX_N, is not a load; one too long for str() is worded by its length."""
-    try:
-        got = str(int(n))
-    except (OverflowError, ValueError):
-        got = f"an integer of more than {sys.get_int_max_str_digits()} digits"
-    return f"n must be >= 1, got {got}" if n < 1 else f"n must be <= 2**53, got {got}"
+def _n_error(n: int) -> str:
+    """Why ``n``, outside 1..MAX_N, is not a load."""
+    return f"n must be >= 1, got {_echo(n)}" if n < 1 else f"n must be <= 2**53, got {_echo(n)}"
 
 
 @dataclass(frozen=True)
@@ -146,24 +142,27 @@ class _FrozenColumns:
     ==, hashed over Python values."""
 
     @classmethod
-    def _from_columns(cls, names: str, columns: tuple[np.ndarray, ...], *scalars):
-        """An instance set by _set_columns, once ``columns`` are 1-d and of one length."""
+    def _from_columns(cls, columns: tuple[np.ndarray, ...], *scalars):
+        """An instance set by _set_columns, once ``columns`` (the first
+        fields) are 1-d and of one length."""
         shapes = [column.shape for column in columns]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
-            raise ValueError(f"{names} must be 1-d and of one length, "
+            *names, last = list(cls.__dataclass_fields__)[:len(columns)]
+            raise ValueError(f"{', '.join(names)} and {last} must be 1-d and of one length, "
                              f"got shapes {', '.join(map(str, shapes))}")
         self = cls.__new__(cls)
         self._set_columns(*columns, *scalars)
         return self
 
+    # names from the class's field mapping: dataclasses.fields() builds a tuple per call
     def _freeze(self, *values) -> None:
-        for field, value in zip(fields(self), values):
+        for name, value in zip(self.__dataclass_fields__, values):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            object.__setattr__(self, field.name, value)
+            object.__setattr__(self, name, value)
 
     def _values(self) -> list:
-        return [getattr(self, field.name) for field in fields(self)]
+        return [getattr(self, name) for name in self.__dataclass_fields__]
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -206,13 +205,24 @@ class LoadSeries(_FrozenColumns):
         ``n`` must hold integers; the columns are copied, an int past
         float64 in ``x`` or ``r`` read as +-inf. The first bad row, in row
         order, raises _check_points' message, as it does for every way a
-        series is built.
+        series is built, an ``n`` past int64 included.
         """
-        n = np.array(n)
-        if n.size and n.dtype.kind not in "iu":
-            raise ValueError(f"n must hold integers, got dtype {n.dtype}")
-        return cls._from_columns("n, x and r", (n.astype(np.int64), _float_column(x), _float_column(r)),
-                                 configured_think_time)
+        column = np.array(n)
+        if column.size and column.dtype.kind not in "iu":
+            # ints past int64, or int64 ones beside uint64 ones, make an object or a float64 column
+            column, dtype = np.array(n, dtype=object), column.dtype
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in column.flat):
+                raise ValueError(f"n must hold integers, got dtype {dtype}")
+        # an n past int64 goes in clipped to 0 or MAX_N + 1, refused on its
+        # row, and the refusal is worded from the n given
+        loads = (column if column.dtype.kind == "i" else np.clip(column, 0, MAX_N + 1)).astype(np.int64)
+        try:
+            return cls._from_columns((loads, _float_column(x), _float_column(r)), configured_think_time)
+        except _RowError as exc:
+            given = int(column[exc.row])
+            if not 1 <= given <= MAX_N:
+                raise _RowError(_n_error(given), exc.row) from None
+            raise
 
     def _set_columns(self, n, x, r, configured_think_time) -> None:
         if not len(n):
@@ -308,7 +318,7 @@ class ThroughputTrace(_FrozenColumns):
 
         The columns are copied, an int past float64 read as +-inf.
         """
-        return cls._from_columns("t and x", (_float_column(t), _float_column(x)))
+        return cls._from_columns((_float_column(t), _float_column(x)))
 
     def _set_columns(self, t, x) -> None:
         if not len(t):
@@ -358,12 +368,13 @@ def _rows(lines: list[str]):
             yield lineno, cells
 
 
-def _header(rows, required: tuple[str, ...]) -> tuple[int, dict[str, int]]:
+def _header(rows, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[int, dict[str, int]]:
     """Line number of the first row and its lowercased column names -> index;
-    every ``required`` name must be among them, and no name a parser reads twice."""
+    every ``required`` name must be among them, and no name the parser reads
+    (``required`` or ``optional``) twice."""
     for header_line, cells in rows:
         names = [name.strip().lower() for name in cells]
-        for name in ("n", "x", *_R_COLUMN_UNITS, "t", "x_inst"):
+        for name in required + optional:
             if names.count(name) > 1:
                 raise ParseError(f"duplicate column {name!r}", line=header_line)
         columns = {name: i for i, name in enumerate(names)}
@@ -455,14 +466,15 @@ def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]
 
 
 def _read(kind: type, text: str) -> int | float:
-    """``kind(text)`` refusing ``_`` separators; an int too long for int() reads as +-inf."""
+    """``kind(text)`` refusing ``_`` separators; an int too long for int()
+    reads as +-10**sys.get_int_max_str_digits(), also too long for str()."""
     if "_" in text:
         raise ValueError(f"digit separator in {text!r}")
     try:
         return kind(text)
     except ValueError:
         if kind is int and (text[1:] if text[:1] in "+-" else text).isdecimal():
-            return -math.inf if text[0] == "-" else math.inf
+            return (-1 if text[0] == "-" else 1) * 10 ** sys.get_int_max_str_digits()
         raise
 
 
@@ -549,7 +561,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     if r_unit not in _UNIT_DIVISOR:
         raise ValueError(f"unknown response-time unit {r_unit!r}; use one of {sorted(_UNIT_DIVISOR)}")
     lines = _as_text(raw).splitlines()
-    header_line, columns = _header(_rows(lines), ("n", "x"))
+    header_line, columns = _header(_rows(lines), ("n", "x"), tuple(_R_COLUMN_UNITS))
     present = [name for name in _R_COLUMN_UNITS if name in columns]
     if not present:
         raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
@@ -559,7 +571,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     divisor = _UNIT_DIVISOR[_R_COLUMN_UNITS[present[0]] or r_unit]
 
     def build(n, x, r):
-        return LoadSeries._from_columns("n, x and r", (n, x, r / divisor), configured_think_time)
+        return LoadSeries._from_columns((n, x, r / divisor), configured_think_time)
 
     return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
                          (int, float, float), build)
@@ -611,16 +623,22 @@ def _int_texts(values) -> list[str]:
     return text[1:-1].split(",") if len(text) > 2 else []
 
 
-def _csv_lines(columns, end: str = "\n") -> str:
-    """The rows of ``columns`` (equal-length lists of cell texts, at least one
-    row) joined by commas, each line ended by ``end``: one list of cells and
-    separators, filled a column at a time, joined once."""
+def _interleave(columns, separators) -> list[str]:
+    """The rows of ``columns`` (equal-length lists of texts, at least one row)
+    as one list of pieces, each cell followed by its column's separator: one
+    row template repeated, then each column set by one slice assignment."""
     stride = 2 * len(columns)
-    pieces = [","] * (stride * len(columns[0]))
+    row = [""] * stride
+    row[1::2] = separators
+    pieces = row * len(columns[0])
     for i, column in enumerate(columns):
         pieces[2 * i::stride] = column
-    pieces[stride - 1::stride] = [end] * len(columns[0])
-    return "".join(pieces)
+    return pieces
+
+
+def _csv_lines(columns, end: str = "\n") -> str:
+    """The rows of ``columns`` joined by commas, each line ended by ``end``."""
+    return "".join(_interleave(columns, [","] * (len(columns) - 1) + [end]))
 
 
 def serialize_series(series: LoadSeries) -> str:
@@ -640,7 +658,7 @@ def parse_trace(raw) -> ThroughputTrace:
     lines = _as_text(raw).splitlines()
     header_line, columns = _header(_rows(lines), ("t", "x_inst"))
     return _read_columns(lines, header_line, (columns["t"], columns["x_inst"]), (float, float),
-                         lambda t, x: ThroughputTrace._from_columns("t and x", (t, x)), _sample_refusal)
+                         lambda t, x: ThroughputTrace._from_columns((t, x)), _sample_refusal)
 
 
 def _sample_refusal(exc: _RowError, cells: list[str], t: np.ndarray, x: np.ndarray) -> str:

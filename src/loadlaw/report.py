@@ -26,6 +26,7 @@ from .diagnostics import (
     THINK_TIME_VIOLATION,
     THREAD_THROTTLING,
     WARNING,
+    _MIN_LINE_POINTS,
     AUDIT_FIELDS,
     Audit,
     DetectorConfig,
@@ -40,7 +41,7 @@ from .diagnostics import (
     estimate_knee,
     post_knee,
 )
-from .ingest import LoadSeries, _float_texts, _int_json, _int_texts
+from .ingest import LoadSeries, _float_texts, _int_json, _int_texts, _interleave
 from .model import Bounds, ServiceProfile, bounds_summary
 
 VERDICT_CLEAN = "clean"
@@ -79,87 +80,77 @@ class Report:
         That call is avoided because with an indent json runs its
         pure-Python encoder, slower on a 2,000-point report than the
         whole diagnosis. Here every piece of the text is appended to one
-        _Layout list, joined once: the keys as fixed pieces, strings by
+        list, joined once: the keys as fixed pieces, strings by
         ``encode_basestring_ascii`` and floats by ``_json_float`` as json
         writes them, the audit by columns and each point list by one
         orjson call, whose number text is ``repr``'s to the byte.
         """
         b, k = self.bounds, self.knee
-        out = _Layout(['{\n  "version": ', _value(self.tool_version, "\n  "), ',\n  "inputs": '])
-        out.object(self.inputs)
+        out = ['{\n  "version": ', _value(self.tool_version, "\n  "), ',\n  "inputs": ']
+        _object(out, self.inputs)
         out.append(',\n  "bounds": ')
-        out.object(None if b is None else {"x_max": b.x_max, "r_min": b.r_min, "n_opt": b.n_opt,
-                   "bottleneck_label": b.bottleneck_label, "tied_labels": b.tied_labels})
+        _object(out, None if b is None else {"x_max": b.x_max, "r_min": b.r_min, "n_opt": b.n_opt,
+                "bottleneck_label": b.bottleneck_label, "tied_labels": b.tied_labels})
         out.append(',\n  "knee": ')
-        out.object(None if k is None else {"s_max_hat": k.s_max_hat, "r_min_hat": k.r_min_hat,
-                   "n_opt_hat": k.n_opt_hat, "basis": k.basis})
+        _object(out, None if k is None else {"s_max_hat": k.s_max_hat, "r_min_hat": k.r_min_hat,
+                "n_opt_hat": k.n_opt_hat, "basis": k.basis})
         out.append(',\n  "audit": ')
-        out.audit(self.audit)
+        _audit(out, self.audit)
         out.append(',\n  "findings": ')
         opening = "[\n    {"
         for f in self.findings:
             out += (opening, '\n      "detector": ', encode_basestring_ascii(f.detector),
                     ',\n      "severity": ', encode_basestring_ascii(f.severity),
                     ',\n      "message": ', encode_basestring_ascii(f.message), ',\n      "evidence": ')
-            out.object(f.evidence, "\n      ")
+            _object(out, f.evidence, "\n      ")
             out.append(',\n      "affected_points": ')
-            out.points(f.affected_points)
+            _points(out, f.affected_points)
             opening = "\n    },\n    {"
         out += ("\n    }\n  ]" if self.findings else "[]", ',\n  "verdict": ',
                 _value(self.verdict, "\n  "), "\n}")
         return "".join(out)
 
 
-# an audit row as a report lays it out, cut at its values: the piece before
-# each value, the first one also closing the row before
-_ROW = [f',\n      {encode_basestring_ascii(name)}: ' for name in AUDIT_FIELDS]
-_ROW[0] = "\n    },\n    {" + _ROW[0][1:]
+def _object(out: list, mapping: dict | None, nl: str = "\n  ") -> None:
+    """Append a str-keyed dict, or null for None, to the report's pieces
+    ``out``; ``nl`` is the newline and indent of the line it starts on."""
+    if mapping is None:
+        out.append("null")
+        return
+    opening = "{" + nl + "  "
+    for key, value in mapping.items():
+        out += (opening, encode_basestring_ascii(key), ": ", _value(value, nl + "  "))
+        opening = "," + nl + "  "
+    out.append(nl + "}" if mapping else "{}")
 
 
-class _Layout(list):
-    """A report's JSON text as a list of pieces, laid out exactly as
-    ``json.dumps(..., indent=2)`` lays it out, for the caller to join once.
+def _points(out: list, points) -> None:
+    """Append a finding's affected points, one per line: an int's text holds
+    no comma, so each comma of orjson's text is where a line breaks."""
+    text = _int_json(points)
+    if text == "[]":
+        out.append(text)
+    else:
+        out += ("[\n        ", text[1:-1].replace(",", ",\n        "), "\n      ]")
 
-    Each method appends one part; ``nl`` is the newline and indent of the
-    line the part starts on. No container is kept per audit row or per
-    point: the audit is written by columns, each column's numbers by one
-    orjson call, and a point list by one orjson call.
-    """
 
-    def object(self, mapping: dict | None, nl: str = "\n  ") -> None:
-        """A str-keyed dict, or null for None."""
-        if mapping is None:
-            self.append("null")
-            return
-        opening = "{" + nl + "  "
-        for key, value in mapping.items():
-            self += (opening, encode_basestring_ascii(key), ": ", _value(value, nl + "  "))
-            opening = "," + nl + "  "
-        self.append(nl + "}" if mapping else "{}")
+# an audit row as a report lays it out, cut at its values: the piece after
+# each value, the last one also closing the row and opening the next
+_KEYS = [f'\n      {encode_basestring_ascii(name)}: ' for name in AUDIT_FIELDS]
+_AFTER = ["," + key for key in _KEYS[1:]] + ["\n    },\n    {" + _KEYS[0]]
 
-    def points(self, points) -> None:
-        """A finding's affected points, one per line: an int's text holds no
-        comma, so each comma of orjson's text is where a line breaks."""
-        text = _int_json(points)
-        if text == "[]":
-            self.append(text)
-        else:
-            self += ("[\n        ", text[1:-1].replace(",", ",\n        "), "\n      ]")
 
-    def audit(self, audit: Audit | None) -> None:
-        """The audit as a list of one object per row, or null, filled in by
-        columns: slot k of every row is set by one slice assignment."""
-        if not audit:  # None or no rows
-            self.append("[]" if audit is not None else "null")
-            return
-        columns = [_int_texts(audit.n_was)] + [_float_texts(c, _json_float) for c in audit.columns[1:]]
-        rows, width, start = len(audit), 2 * len(columns), len(self)
-        self += [""] * (width * rows)
-        for k, (piece, column) in enumerate(zip(_ROW, columns)):
-            self[start + 2 * k::width] = [piece] * rows
-            self[start + 2 * k + 1::width] = column
-        self[start] = _ROW[0].replace("\n    },", "[", 1)  # row 0 opens the list
-        self.append("\n    }\n  ]")
+def _audit(out: list, audit: Audit | None) -> None:
+    """Append the audit as a list of one object per row, or null, filled
+    in by columns; the piece after the last row closes the list instead."""
+    if not audit:  # None or no rows
+        out.append("[]" if audit is not None else "null")
+        return
+    columns = [_int_texts(audit.n_was)] + [_float_texts(c, _json_float) for c in audit.columns[1:]]
+    pieces = _interleave(columns, _AFTER)
+    pieces[-1] = "\n    }\n  ]"
+    out.append("[\n    {" + _KEYS[0])
+    out += pieces
 
 
 def _value(value, nl: str) -> str:
@@ -271,7 +262,7 @@ def diagnose_series(series: LoadSeries, profile: ServiceProfile | None = None,
     growth_class, fit = classify_growth(series, knee, min_points=config.min_growth_points,
                                         slope_fraction=config.slope_fraction)
     post = series.n[post_knee(series, knee)].tolist()
-    if len(post) < 2:
+    if len(post) < _MIN_LINE_POINTS:
         findings.append(_note(RESPONSE_FLATTENING,
                               f"only {len(post)} point(s) beyond the knee; flattening not assessable"))
     else:

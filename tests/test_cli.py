@@ -330,6 +330,21 @@ class TestDiagnose:
         assert main([argv[0], str(path), *argv[1:]]) == 2
         assert capsys.readouterr() == ("", f"loadlaw: parse error: {message}\n")
 
+    @pytest.mark.parametrize("argv, header, name", [
+        (["audit"], "n,x,r", "t"),
+        (["steady", "--warmup", "0"], "t,x_inst", "n"),
+    ], ids=["audit", "steady"])
+    def test_a_repeated_column_the_command_does_not_read_exits_0(self, capsys, tmp_path, argv, header, name):
+        """A name only the other parser reads may repeat: the output is the file's without the repeat."""
+        body = "".join(f"{i},{i + 1},{i + 2},{i + 3},{i + 4}\n" for i in range(1, 4))
+        outputs = []
+        for repeat in ("", f",{name}"):
+            path = tmp_path / f"input{len(outputs)}.csv"
+            path.write_text(f"{header},{name}{repeat}\n{body}")
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
 
 def reference_plot_csv(series, report) -> str:
     """The --plot-csv text as the row-by-row writer wrote it: one repr per value."""

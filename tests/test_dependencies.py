@@ -1,7 +1,8 @@
 """The runtime dependencies declared in pyproject.toml and README are the
 third-party modules the package imports, no more and no fewer; the
-version is written once, in the package; and the installed orjson reads
-numbers as float() does."""
+version is written once, in the package; no function in it calls
+dataclasses.fields(); and the installed orjson reads numbers as float()
+does."""
 
 import ast
 import decimal
@@ -50,6 +51,24 @@ def test_readme_names_the_declared_packages():
     sentence = re.search(r"the runtime dependencies are ([^.;]+)", (ROOT / "README.md").read_text())
     assert sentence, "README has no 'the runtime dependencies are ...' sentence"
     assert set(re.split(r",\s*|\s+and\s+", sentence.group(1).strip())) == declared()
+
+
+def test_no_function_in_the_package_calls_dataclasses_fields():
+    """dataclasses.fields() builds a tuple on every call, and the columnar
+    types are built and compared per call: a function reads the class's
+    ``__dataclass_fields__`` instead. A module-level table may call it once."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # the names `from dataclasses import fields [as name]` binds
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 for alias in node.names if alias.name == "fields"}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                calls += [f"{path.name}:{node.lineno}" for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func) in {"dataclasses.fields", *names}]
+    assert calls == []
 
 
 def _halfway_texts() -> list[str]:

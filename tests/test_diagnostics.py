@@ -13,6 +13,7 @@ from loadlaw import (
     WARNING,
     AuditRow,
     Bounds,
+    DetectorConfig,
     Finding,
     LoadPoint,
     LoadSeries,
@@ -349,6 +350,23 @@ def test_flattening_given_growths_fit_finds_what_it_finds_alone(series, profile)
         assume(False)
     fit = classify_growth(series, knee)[1]
     assert detect_response_flattening(series, knee, fit=fit) == detect_response_flattening(series, knee)
+
+
+@pytest.mark.parametrize("min_points", [1, 0, -3])
+def test_growth_refuses_a_line_through_fewer_than_two_points(min_points):
+    """A line through one point is not determined, so no min_points under 2
+    is taken, as --min-growth-points refuses it; none warns on the way."""
+    profile = three_stage_profile(think_time=1.0)
+    series = solve_reference(profile, n_max=300).as_series([10, 100, 300])
+    knee = bounds_summary(profile)
+    assert classify_growth(series, knee, min_points=2) == ("inconclusive", diagnostics.GrowthFit(
+        n_points=1, note="only 1 point(s) beyond the knee; need 2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"min_points must be >= 2, got {min_points}"):
+            classify_growth(series, knee, min_points=min_points)
+        with pytest.raises(ValueError, match="min_points must be >= 2"):
+            diagnose_series(series, profile, config=DetectorConfig(min_growth_points=min_points))
 
 
 def test_flattening_refuses_a_fit_over_other_points():

@@ -294,6 +294,28 @@ class TestFromArrays:
             LoadSeries.from_arrays(n, x, r, configured_think_time=z)
         assert str(exc.value) == message
 
+    # numpy reads an n past int64 into a uint64 or object column, and one
+    # beside an int64 n into a float64 column: each is still refused on its row
+    @pytest.mark.parametrize("n, x, message", [
+        ([2 ** 63], [1.0], "n must be <= 2**53, got 9223372036854775808"),
+        ([2 ** 64], [1.0], "n must be <= 2**53, got 18446744073709551616"),
+        ([-2 ** 63 - 1], [1.0], "n must be >= 1, got -9223372036854775809"),
+        ([1, 2 ** 63], [1.0, 1.0], "n must be <= 2**53, got 9223372036854775808"),
+        (np.array([1, 2 ** 63], dtype=np.uint64), [1.0, 1.0], "n must be <= 2**53, got 9223372036854775808"),
+        ([10 ** 5000], [1.0], "n must be <= 2**53, got an integer of more than 4300 digits"),
+        ([1, -10 ** 5000], [1.0, 1.0], "n must be >= 1, got an integer of more than 4300 digits"),
+        # the first bad row, in row order, is the one named
+        ([3, 2, 2 ** 64], [1.0, 1.0, 1.0], "load points must be strictly increasing in n (n=2 after n=3)"),
+        ([1, 2, 2 ** 64], [1.0, -1.0, 1.0], "x must be finite and >= 0, got -1.0"),
+        ([1, 2 ** 64, 3], [1.0, 1.0, -1.0], "n must be <= 2**53, got 18446744073709551616"),
+        ([2 ** 64, 1.5], [1.0, 1.0], "n must hold integers, got dtype object"),
+    ], ids=["2**63", "2**64", "below-int64", "beside-int64", "uint64", "too-long-to-print",
+            "negative-too-long-to-print", "order-first", "x-first", "n-first", "float-beside"])
+    def test_an_n_past_int64_is_refused_as_load_points_refuse_it(self, n, x, message):
+        with pytest.raises(ValueError) as exc:
+            LoadSeries.from_arrays(n, x, [1.0] * len(x))
+        assert str(exc.value) == message
+
     def test_negative_zero_series_equal_and_hash_alike(self):
         # -0 passes the x >= 0 check; its bytes differ from 0's, its value does not
         minus, plus = parse_series("n,x,r\n1,-0,0\n"), parse_series("n,x,r\n1,0,0\n")
@@ -575,6 +597,18 @@ def test_a_repeated_read_column_is_refused_on_the_header_line(parse, header, nam
     assert (str(exc.value), exc.value.line) == (f"line 2: duplicate column {name!r}", 2)
 
 
+@pytest.mark.parametrize("parse, header, name", [
+    *[(parse_series, "n,x,r", name) for name in ("t", "x_inst")],
+    *[(parse_trace, "t,x_inst", name) for name in ("n", "x", *ingest._R_COLUMN_UNITS)],
+])
+def test_a_name_only_the_other_parser_reads_may_repeat(parse, header, name):
+    """Only a column the parser reads is refused when repeated: the repeat of
+    one it does not read parses as the file without the repeat."""
+    body = "".join(f"{i},{i + 1},{i + 2},{i + 3},{i + 4}\n" for i in range(1, 4))
+    once = parse(f"# export\n{header},{name}\n{body}")
+    assert parse(f"# export\n{header},{name},{name.upper()}\n{body}") == once
+
+
 def test_a_repeated_unread_column_is_not_refused():
     series = parse_series("n,note,x,r,NOTE\n1,a,2,0.1,b\n2,c,3,0.2,d\n")
     assert (series.n.tolist(), series.x.tolist(), series.r.tolist()) == ([1, 2], [2.0, 3.0], [0.1, 0.2])
@@ -613,7 +647,7 @@ class TestThroughputTrace:
         ([0.0, np.nan], [1.0, 1.0], r"trace sample \(nan, 1.0\) must be finite"),
         ([1.0, 0.0], [1.0, 1.0], "trace timestamps must be strictly increasing"),
         ([0.0, 0.0], [1.0, -1.0], "trace timestamps must be strictly increasing"),
-        ([0.0, 1.0], [1.0], "one length"),
+        ([0.0, 1.0], [1.0], r"^t and x must be 1-d and of one length, got shapes \(2,\), \(1,\)$"),
     ])
     def test_refuses_bad_samples(self, t, x, message):
         with pytest.raises(ValueError, match=message):
@@ -1224,11 +1258,18 @@ def test_a_json_word_or_object_in_an_unread_column_sends_the_block_to_the_line_c
     assert calls == [("_cells", (line,)) for line in text.splitlines()]
 
 
-@given(st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(st.text(max_size=3), min_size=width,
-                                                                  max_size=width), min_size=1, max_size=20)),
+@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+           st.lists(st.lists(st.text(max_size=3), min_size=width, max_size=width), min_size=1, max_size=20),
+           st.lists(st.text(max_size=3), min_size=width, max_size=width))),
        st.sampled_from(["\n", "\r\n"]))
-def test_csv_lines_are_the_rows_joined_one_by_one(rows, end):
+def test_interleave_is_the_rows_laid_out_one_by_one(table, end):
+    """Each cell followed by its column's separator, row after row; _csv_lines
+    is that with commas and the line end, joined."""
+    rows, separators = table
     columns = [list(column) for column in zip(*rows)]
+    assert ingest._interleave(columns, separators) == [piece for row in rows
+                                                       for cell, separator in zip(row, separators)
+                                                       for piece in (cell, separator)]
     assert ingest._csv_lines(columns, end) == "".join(",".join(row) + end for row in rows)
 
 
