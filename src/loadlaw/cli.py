@@ -236,7 +236,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    curves = solve_reference(parse_profile(_read_file(args.profile)), args.n_max)
+    profile = parse_profile(_read_file(args.profile))
+    try:
+        curves = solve_reference(profile, args.n_max)
+    except MemoryError as exc:
+        raise _UsageError(f"--n-max {args.n_max}: the curves do not fit in memory ({exc})") from None
     with _open_output(args.out) as fh:
         curves.write_csv(fh)
     return EXIT_OK

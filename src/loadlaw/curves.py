@@ -24,11 +24,15 @@ group, and copies each group's queue column out to its stages at the
 end. The cycle time still adds one residence time per stage, in stage
 order, with plain float additions (not ``sum()``, which compensates
 from Python 3.12, and not a multiplicity-weighted product, which rounds
-differently), so every bit matches the stage-by-stage recursion. One
-pass over the groups per population computes each queue and, from it,
-the residence time for the next population. The values of
-``_CSV_BLOCK_ROWS`` populations gather in plain lists and go into the
-returned arrays with one slice store per block.
+differently), so every bit matches the stage-by-stage recursion. The
+recursion runs as straight-line code, built once per stage grouping
+and cached (``_recursion``): each group's residence time is a local,
+the cycle time is one left-to-right sum of the locals in stage order,
+and each group's queue and next residence time follow in two
+assignments. The generated source holds the grouping's integers only;
+service times, think time and residence times are arguments. The
+values of ``_CSV_BLOCK_ROWS`` populations gather in plain lists and go
+into the returned arrays with one store per block.
 
 ``write_csv`` writes the same blocks: one orjson call turns a block's
 x, r and queue values into text, whose shortest round-trip digits are
@@ -45,6 +49,7 @@ to cross-check it.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +67,10 @@ ORACLE_MAX_STAGES = 4
 # populations per block in solve_reference's stores and write_csv's writes:
 # one block's lists or text at a time, so memory does not grow with the curve
 _CSV_BLOCK_ROWS = 256
+
+# terms per statement of the generated cycle-time sum: CPython's compiler
+# recurses once per operator, and 3,000 in one expression raise RecursionError
+_SUM_TERMS = 256
 
 _PROFILE_Z = object()  # sentinel: as_series defaults to the profile's think time
 
@@ -153,6 +162,32 @@ class CanonicalCurves:
                                       configured_think_time=configured_think_time)
 
 
+@functools.lru_cache
+def _recursion(group: tuple[int, ...]):
+    """The recursion over a block of populations, as straight-line code for
+    the stage grouping ``group`` (stage k is in group ``group[k]``).
+
+    Built from the grouping's integers alone, as ``dataclasses`` builds
+    ``__init__``: the service times ``s``, think time ``z`` and residence
+    times ``g`` are arguments, and the call returns the residence times
+    for the population after the block. Group j's residence time is the
+    local ``g<j>``; the cycle time adds them in stage order, ``_SUM_TERMS``
+    terms per statement.
+    """
+    d = max(group) + 1
+    g_list, s_list, q_list = ("".join(f"{c}{j}, " for j in range(d)) for c in "gsq")  # "g0, g1, ..., "
+    terms = [f"g{j}" for j in group]
+    lines = ["def block(ns, z, s, g, x_append, r_append, q_extend):",
+             f"    {s_list}= s", f"    {g_list}= g", "    for n in ns:", "        r = 0.0"]
+    lines += [f"        r = r + {' + '.join(terms[i:i + _SUM_TERMS])}" for i in range(0, len(terms), _SUM_TERMS)]
+    lines.append("        x = n / (r + z)")
+    lines += [f"        q{j} = x * g{j}; g{j} = s{j} * (1.0 + q{j})" for j in range(d)]
+    lines += ["        x_append(x); r_append(r)", f"        q_extend(({q_list}))", f"    return {g_list}"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<loadlaw recursion: {len(group)} stages>", "exec"), namespace)
+    return namespace["block"]
+
+
 def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     """Solve the closed model exactly for every population 1..n_max."""
     if isinstance(n_max, bool) or not isinstance(n_max, int):
@@ -162,10 +197,10 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
 
     # one residence time and queue per distinct service time (see the module docstring)
     first: dict[float, int] = {}
-    group = [first.setdefault(s.service_time, len(first)) for s in profile.stages]
-    service = list(first)
-    z = profile.think_time
+    group = tuple(first.setdefault(s.service_time, len(first)) for s in profile.stages)
+    service = tuple(first)
     d = len(service)
+    block = _recursion(group)
 
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     xs = np.empty(n_max, dtype=np.float64)
@@ -174,27 +209,16 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     solved = qs[:, :d]  # one queue column per group, spread to the stages at the end
 
     # residence times for population 1: every queue is empty
-    resid = [s * (1.0 + 0.0) for s in service]
-    by_group = list(enumerate(service))
+    resid = tuple(s * (1.0 + 0.0) for s in service)
     for start in range(0, n_max, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, n_max)
         # a block's values gather in lists, stored with one slice each
         x_block, r_block, q_block = [], [], []
-        q_append = q_block.append
-        for n in range(start + 1, stop + 1):
-            r_total = 0.0
-            for j in group:  # stage order, not sum(): the bits stay the per-stage ones
-                r_total += resid[j]
-            x = n / (r_total + z)
-            for j, s in by_group:  # this population's queues, then the next one's residence times
-                q = x * resid[j]
-                q_append(q)
-                resid[j] = s * (1.0 + q)
-            x_block.append(x)
-            r_block.append(r_total)
+        resid = block(range(start + 1, stop + 1), profile.think_time, service, resid,
+                      x_block.append, r_block.append, q_block.extend)
         xs[start:stop] = x_block
         rs[start:stop] = r_block
-        solved[start:stop] = np.reshape(q_block, (stop - start, d))
+        solved[start:stop] = np.fromiter(q_block, np.float64, len(q_block)).reshape(stop - start, d)
     # right to left: group[k] <= k, so each group column is read before it is overwritten
     for k in reversed(range(len(group))):
         qs[:, k] = qs[:, group[k]]

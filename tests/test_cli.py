@@ -123,6 +123,20 @@ class TestSimulate:
         assert main(["simulate", profile_path, "--n-max", "2", "--out", "-"]) == 0
         assert capsys.readouterr().out.startswith("n,x,r,")
 
+    @pytest.mark.parametrize("stages", [3, 50])
+    def test_n_max_past_memory_is_a_usage_error(self, capsys, tmp_path, stages):
+        # 10**17 populations take 800 PB per column, past any 64-bit address space
+        doc = json.loads(PROFILE_JSON)
+        doc["stages"] = [doc["stages"][k % 3] | {"label": f"s{k}"} for k in range(stages)]
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(profile), "--n-max", str(10 ** 17), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"loadlaw: error: --n-max {10 ** 17}: the curves do not fit in memory (")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAudit:
     def test_capped_pool_fails_with_4(self, capsys, capped_csv):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,60 @@ def test_blocks_of_seven_match_per_stage_recursion_bit_for_bit(p, n_max):
         assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
 
 
+@pytest.mark.parametrize("times", [
+    [0.001 + k * 1e-6 for k in range(3000)],  # one group per stage
+    [(0.002, 0.0035, 0.001)[k % 3] for k in range(5000)],  # a 5,000-term cycle time
+], ids=["3000-distinct", "5000-of-3"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_long_profiles_match_per_stage_recursion_bit_for_bit(times, n_max):
+    p = ServiceProfile.from_service_times(times, think_time=0.5)
+    assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
+
+
+@st.composite
+def wide_profiles(draw):
+    """1-300 stages drawn from 1-60 service times."""
+    pool = draw(st.lists(service_times, min_size=1, max_size=60))
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    return ServiceProfile.from_service_times(times, think_time=draw(st.one_of(st.just(0.0), think_times)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_profiles(), st.integers(min_value=1, max_value=40))
+def test_wide_profiles_match_per_stage_recursion_bit_for_bit(p, n_max):
+    assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
+
+
+def test_one_grouping_is_built_once_for_any_service_and_think_times():
+    a = ServiceProfile.from_service_times([0.2, 0.1, 0.2, 0.3], think_time=1.0)
+    b = ServiceProfile.from_service_times([0.004, 0.5, 0.004, 0.02], think_time=0.0)
+    curves_module._recursion.cache_clear()
+    for p in (a, b, a, b):
+        assert_matches_per_stage_recursion(solve_reference(p, 20), p, 20)
+    assert curves_module._recursion.cache_info().misses == 1
+
+
+def test_generated_recursion_holds_no_label_and_no_float_text(monkeypatch):
+    labels = ["__import__('os').getcwd()", 'g0 + 1', "'\"; raise SystemExit  #", "s0\nq0"]
+    times = [0.0012345678901234567, 0.30000000000000004, 0.0030000000000000005, 0.0012345678901234567]
+    p = ServiceProfile.from_service_times(times, think_time=0.0034999999999999996, labels=labels)
+    sources = []
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return compile(source, *args, **kwargs)
+
+    curves_module._recursion.cache_clear()
+    monkeypatch.setattr(curves_module, "compile", spy, raising=False)
+    assert_matches_per_stage_recursion(solve_reference(p, 30), p, 30)
+    [source] = sources
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    assert {t.string for t in tokens if t.type == tokenize.NUMBER} == {"0.0", "1.0"}
+    assert not [t for t in tokens if t.type == tokenize.STRING]
+    for text in labels + [repr(v) for v in times + [p.think_time]]:
+        assert text not in source
+
+
 def test_hand_built_curves_write_their_own_columns():
     # four stages share a service time but not their queue columns: b is a
     # sign bit from a (equal under ==), c and d hold NaN
@@ -428,3 +483,9 @@ def test_solve_and_write_hold_about_one_curve_in_memory():
     returned = sum(a.nbytes for a in (c.n, c.x, c.r, c.q))
     assert solve_peak <= 1.25 * returned
     assert write_peak - before < 3 * 2 ** 20
+
+
+def test_solve_and_write_hold_about_one_curve_in_memory_with_a_cold_cache():
+    # the build of the grouping's recursion counts against the same bound
+    curves_module._recursion.cache_clear()
+    test_solve_and_write_hold_about_one_curve_in_memory()

@@ -1,8 +1,8 @@
 """The runtime dependencies declared in pyproject.toml and README are the
 third-party modules the package imports, no more and no fewer; the
 version is written once, in the package; no function in it calls
-dataclasses.fields(); and the installed orjson reads numbers as float()
-does."""
+dataclasses.fields(); only curves._recursion compiles code; and the
+installed orjson reads numbers as float() does."""
 
 import ast
 import decimal
@@ -69,6 +69,25 @@ def test_no_function_in_the_package_calls_dataclasses_fields():
                 calls += [f"{path.name}:{node.lineno}" for node in ast.walk(function)
                           if isinstance(node, ast.Call) and ast.unparse(node.func) in {"dataclasses.fields", *names}]
     assert calls == []
+
+
+def test_only_the_recursion_builder_compiles_code():
+    """exec and compile are called only in curves._recursion, which builds
+    source from a stage grouping's integers; eval is called nowhere."""
+    names = {"exec", "compile", "eval"}
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in names | {f"builtins.{n}" for n in names}:
+            calls.append((scope, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(calls) == [("curves._recursion", "compile"), ("curves._recursion", "exec")]
 
 
 def _halfway_texts() -> list[str]:
