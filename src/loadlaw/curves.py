@@ -189,7 +189,11 @@ def _recursion(group: tuple[int, ...]):
 
 
 def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
-    """Solve the closed model exactly for every population 1..n_max."""
+    """Solve the closed model exactly for every population 1..n_max.
+
+    Raises MemoryError when the curves do not fit in memory, numpy's
+    "array is too big" and "Maximum allowed size" refusals included.
+    """
     if isinstance(n_max, bool) or not isinstance(n_max, int):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     if n_max < 1:
@@ -202,10 +206,13 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     d = len(service)
     block = _recursion(group)
 
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    xs = np.empty(n_max, dtype=np.float64)
-    rs = np.empty(n_max, dtype=np.float64)
-    qs = np.empty((n_max, len(group)), dtype=np.float64)
+    try:
+        ns = np.arange(1, n_max + 1, dtype=np.int64)
+        xs = np.empty(n_max, dtype=np.float64)
+        rs = np.empty(n_max, dtype=np.float64)
+        qs = np.empty((n_max, len(group)), dtype=np.float64)
+    except ValueError as exc:  # numpy refuses a size past its index range before it tries to allocate
+        raise MemoryError(str(exc)) from None
     solved = qs[:, :d]  # one queue column per group, spread to the stages at the end
 
     # residence times for population 1: every queue is empty

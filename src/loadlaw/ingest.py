@@ -18,8 +18,9 @@ Number cells read as ``float()`` and ``int()`` read them, to the bit, by
 one of two readers. A block of CSV lines whose rows are all of one width
 and whose cells are all JSON numbers, the read ones of their column's
 type, is read by one ``orjson.loads`` of its lines joined by a row
-marker (see _json_columns). Any other block is cut line by line, and
-each wanted cell is read by ``float()`` or ``int()``.
+marker (see _json_columns). Any other block goes to a row loop that cuts
+each line once and reads each wanted cell by ``float()`` or ``int()``,
+up to the first row that does not read (see _read_rows).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -393,7 +393,8 @@ def _joined(cells: list[str]) -> str:
 def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[list] | None:
     """The values at ``indices`` of the lines ``block``, each list of its
     ``kinds`` type, read by one ``orjson.loads`` of the lines joined by the
-    row marker ``",null,"``; None when the block is not read that way.
+    row marker ``",null,"`` (empty for no lines); None when the block is
+    not read that way.
 
     Without ``"`` or ``[`` each JSON value is one cell, and with ``null``
     only in the markers, the markers land on every (w + 1)-th of
@@ -413,7 +414,9 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
     So types are checked per value only in int columns, and in float
     columns when the block holds ``-0``.
     """
-    width = block[0].count(",") + 1 if block else 0
+    if not block:
+        return [[] for _ in indices]
+    width = block[0].count(",") + 1
     text = "[" + ",null,".join(block) + "]"
     # null is JSON's one word with an "n": the markers must be the only nulls;
     # t, f and { are in true, false and objects, the other values that are not numbers
@@ -437,32 +440,29 @@ def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type,
 
 
 def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
-             columns: list[np.ndarray], start: int) -> int:
+             columns: list[np.ndarray], start: int) -> tuple[int, tuple[int, str] | None]:
     """Write the cells at ``indices`` of the data rows among the lines
     ``block``, converted by ``kinds``, into ``columns`` from row ``start``,
-    each column by one np.fromiter; return how many rows that is.
+    each column by one np.fromiter; return how many rows that is and the
+    (line number in ``block``, error) of the row that stopped the block, or None.
 
     A block is read by _json_columns; failing that, so are its lines other
-    than comment and blank ones, when it has such lines; failing that too
-    (quoted or text cells, ragged rows), its lines are cut one by one and
-    each wanted cell is read by ``kind`` once stripped; both readers give
-    the bits ``float()``/``int()`` give. Raises IndexError, ValueError or
-    OverflowError when a row is too short or a cell does not convert into
-    its column, or when a converted cell holds ``_``.
+    than comment and blank ones, when it has such lines. Any other block
+    (quoted or text cells, ragged rows, a bad row, an n orjson reads past
+    int64) is read by _read_rows. Both give the bits ``float()``/``int()`` give.
     """
     read = _json_columns(block, indices, kinds)
     if read is None:
         kept = [line for line in block if (stripped := line.strip()) and stripped[0] != "#"]
         read = _json_columns(kept, indices, kinds) if len(kept) < len(block) else None
-        block = kept
-    if read is None:
-        cells = [row[i] for row in map(_cells, block) for i in indices]
-        if "_" in "".join(cells):
-            raise ValueError("digit separator in a converted cell")
-        read = [map(kind, map(str.strip, cells[i::len(indices)])) for i, kind in enumerate(kinds)]
-    for column, values in zip(columns, read):
-        column[start:start + len(block)] = np.fromiter(values, column.dtype, len(block))
-    return len(block)
+    if read is not None:
+        try:
+            for column, values in zip(columns, read):
+                column[start:start + len(values)] = np.fromiter(values, column.dtype, len(values))
+            return len(read[0]), None
+        except OverflowError:  # an n of 2**63 to 2**64 - 1, which orjson reads as an int
+            pass
+    return _read_rows(block, indices, kinds, columns, start)
 
 
 def _read(kind: type, text: str) -> int | float:
@@ -478,30 +478,34 @@ def _read(kind: type, text: str) -> int | float:
         raise
 
 
-def _refused(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> tuple[int, str]:
-    """The line number in ``block`` of its first data row that cannot be cut, is
-    too short for ``indices``, has a cell that does not convert or an n past
-    int64, and its error."""
-    width, pick = max(indices), operator.itemgetter(*indices)
-    # n is the one column read as int; past int64 it has no cell to go into
-    reads_n = kinds[0] is int
+def _read_rows(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
+               columns: list[np.ndarray], start: int) -> tuple[int, tuple[int, str] | None]:
+    """_convert's row loop: cut each data row among the lines ``block``
+    once and read each cell at ``indices`` by _read, up to the first row
+    that cannot be cut, is too short, has a cell that does not convert or
+    an n past int64; write and return the rows before it as _convert does."""
+    width, read = max(indices), [[] for _ in kinds]
+    cells_read = tuple(zip(indices, kinds, [values.append for values in read]))
+    # n is the one column read as int (a trace's stand-in n is 0); past int64 it has no cell to go into
+    loads, failure = read[0] if kinds[0] is int else [0], None
     try:
         for lineno, cells in _rows(block):
             if len(cells) <= width:
-                return lineno, f"expected at least {width + 1} columns, got {len(cells)}"
+                raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", lineno)
             try:
-                values = [_read(kind, cell.strip()) for kind, cell in zip(kinds, pick(cells))]
+                for i, kind, append in cells_read:
+                    append(_read(kind, cells[i].strip()))
             except ValueError:
-                return lineno, f"malformed row: {_joined(cells)}"
-            if reads_n and not -2 ** 63 <= values[0] < 2 ** 63:
-                return lineno, _n_error(values[0])
+                raise ParseError(f"malformed row: {_joined(cells)}", lineno) from None
+            if not -2 ** 63 <= loads[-1] < 2 ** 63:
+                raise ParseError(_n_error(loads.pop()), lineno)
     except ParseError as exc:
-        return exc.line, str(exc).removeprefix(f"line {exc.line}: ")
-
-
-def _data_row(lines: list[str], i: int) -> tuple[int, list[str]]:
-    """(line number, cells) of the ``i``-th row after the header, 0-based."""
-    return next(itertools.islice(_rows(lines), i + 1, None))
+        failure = exc.line, str(exc).removeprefix(f"line {exc.line}: ")
+    # a bad row leaves some of its values, never all, on the lists
+    rows = min(map(len, read))
+    for column, values in zip(columns, read):
+        column[start:start + rows] = np.fromiter(values, column.dtype, rows)
+    return rows, failure
 
 
 def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
@@ -510,25 +514,19 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
     ``indices``, converted by ``kinds`` (int to int64, float to float64).
 
     The body is converted ``_BULK_LINES`` lines at a time by _convert,
-    which reads a plain block by one orjson call and skips comment and
-    blank lines. When a block does not convert,
-    a row loop finds its first row that cannot be cut, is too short, has a
-    cell that does not convert or an n past int64; the rows before it are
-    converted and built (the result is dropped), and that row's error is
-    raised only if they pass. A ``_RowError`` from ``build`` is raised as a ParseError on
-    the row's line, worded by ``refuse(error, cells, *columns)`` when given.
-    The columns are new arrays that ``build`` may keep without a copy.
+    up to the first row that cannot be cut, is too short, has a cell that
+    does not convert or an n past int64. The rows before it are built (the
+    result is dropped), and that row's error is raised only if they pass.
+    A ``_RowError`` from ``build`` is raised as a ParseError on the row's
+    line, worded by ``refuse(error, cells, *columns)`` when given. The
+    columns are new arrays that ``build`` may keep without a copy.
     """
     columns = [np.empty(len(lines) - header_line, np.int64 if kind is int else np.float64) for kind in kinds]
     rows, failure = 0, None
     for start in range(header_line, len(lines), _BULK_LINES):
-        block = lines[start:start + _BULK_LINES]
-        try:
-            rows += _convert(block, indices, kinds, columns, rows)
-        except (IndexError, ValueError, OverflowError, csv.Error):
-            lineno, message = _refused(block, indices, kinds)
-            rows += _convert(block[:lineno - 1], indices, kinds, columns, rows)
-            failure = start + lineno, message
+        converted, failure = _convert(lines[start:start + _BULK_LINES], indices, kinds, columns, rows)
+        rows += converted
+        if failure:
             break
     if not rows and failure is None:
         raise ParseError("no data rows")
@@ -540,10 +538,11 @@ def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
         if rows:
             build(*columns)
     except _RowError as exc:
-        lineno, cells = _data_row(lines, exc.row)
+        # the header is the first row _rows yields
+        lineno, cells = next(itertools.islice(_rows(lines), exc.row + 1, None))
         message = refuse(exc, cells, *columns) if refuse else str(exc)
         raise ParseError(message, line=lineno) from None
-    raise ParseError(failure[1], line=failure[0])
+    raise ParseError(failure[1], line=start + failure[0])
 
 
 def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None) -> LoadSeries:

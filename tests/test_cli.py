@@ -123,17 +123,19 @@ class TestSimulate:
         assert main(["simulate", profile_path, "--n-max", "2", "--out", "-"]) == 0
         assert capsys.readouterr().out.startswith("n,x,r,")
 
+    # 10**17 populations take 800 PB per column, past any 64-bit address space;
+    # from 2**60 on numpy refuses the size itself, with a ValueError of its own
+    @pytest.mark.parametrize("n_max", [10 ** 17, 2 ** 60, 2 ** 63, 10 ** 19])
     @pytest.mark.parametrize("stages", [3, 50])
-    def test_n_max_past_memory_is_a_usage_error(self, capsys, tmp_path, stages):
-        # 10**17 populations take 800 PB per column, past any 64-bit address space
+    def test_n_max_past_memory_is_a_usage_error(self, capsys, tmp_path, stages, n_max):
         doc = json.loads(PROFILE_JSON)
         doc["stages"] = [doc["stages"][k % 3] | {"label": f"s{k}"} for k in range(stages)]
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps(doc))
         out = tmp_path / "x.csv"
-        assert main(["simulate", str(profile), "--n-max", str(10 ** 17), "--out", str(out)]) == 1
+        assert main(["simulate", str(profile), "--n-max", str(n_max), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"loadlaw: error: --n-max {10 ** 17}: the curves do not fit in memory (")
+        assert err.startswith(f"loadlaw: error: --n-max {n_max}: the curves do not fit in memory (")
         assert err.count("\n") == 1
         assert not out.exists()
 

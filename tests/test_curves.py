@@ -88,6 +88,12 @@ class TestSolveOracle:
         with pytest.raises(ValueError, match="size cap"):
             solve_oracle(wide, 2)
 
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+    def test_rejects_bad_n(self, bad):
+        with pytest.raises(ValueError) as exc:
+            solve_oracle(three_stage_profile(), bad)
+        assert str(exc.value) == f"n must be an integer >= 1, got {bad!r}"
+
     def test_agrees_at_exact_caps(self):
         p = ServiceProfile.from_service_times([0.004, 0.011, 0.007, 0.011], think_time=0.5)
         x, r = solve_oracle(p, ORACLE_MAX_N)

@@ -315,6 +315,19 @@ class TestClassifyGrowth:
         assert (cls, fit.n_points) == ("sublinear", 4)
         diagnose_series(series)  # raised OverflowError while the fit kept exp(800)
 
+    def test_an_overflowing_exponential_fit_is_noted_and_not_used(self):
+        # log r jumps from -744 to 353: the fitted exp() passes float64 at n = 89,
+        # with no numpy warning on the way (the test runs with warnings as errors)
+        rs = [math.exp(-744)] * 2 + [math.exp(353)] * 5
+        series = series_of([(n, 1e-160, r) for n, r in zip((5, 12, 32, 38, 41, 48, 89), rs)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cls, fit = classify_growth(series, Bounds(s_max=1.0, r_min=0.0, z=0.0, basis="data"))
+        assert cls == "linear"
+        assert (fit.n_points, fit.exp_rate, fit.exp_ss) == (7, None, None)
+        assert fit.linear_ss == pytest.approx(2.72e306, rel=1e-3)
+        assert fit.note == "exponential fit overflowed; treated as non-exponential"
+
 
 # three_stage_profile's knee is at n = 2002.1: two points before it, then four
 # post-knee points on the slope S_max

@@ -1,3 +1,4 @@
+import collections
 import csv
 import importlib.util
 import io
@@ -246,6 +247,19 @@ def test_points_is_a_view_that_builds_nothing_to_count(monkeypatch):
     assert series.points[-1] == LoadPoint(2000, 2000.0, 0.5)
     assert list(series.points)[:2] == [LoadPoint(1, 1.0, 0.5), LoadPoint(2, 2.0, 0.5)]
     assert series.n.tolist()[:3] == [1, 2, 3] and type(series.n.tolist()[0]) is int
+
+
+@pytest.mark.parametrize("think_time", [None, 2.5])
+def test_row_views_slice_to_tuples_and_equal_only_rows(think_time):
+    series = parse_series("n,x,r\n1,2.5,0.1\n2,3.5,0.2\n3,4.5,0.3\n", configured_think_time=think_time)
+    trace = parse_trace("t,x_inst\n0.5,1.5\n1.5,2.5\n2.5,3.5\n")
+    assert series.points[1:] == (LoadPoint(2, 3.5, 0.2), LoadPoint(3, 4.5, 0.3))
+    assert trace.samples[1:] == ((1.5, 2.5), (2.5, 3.5))
+    assert type(series.points[1:]) is type(trace.samples[:0]) is tuple
+    # a list of the same rows, or the series itself, is not a row view
+    assert series.points != list(series.points) and series.points != series
+    assert series != series.points and series != trace and series != (series.n, series.x, series.r)
+    assert eval(repr(series), {"LoadSeries": LoadSeries, "LoadPoint": LoadPoint}) == series
 
 
 class TestFromArrays:
@@ -1010,22 +1024,22 @@ def test_steady_state_average_past_a_float64_area_matches_the_loop_bit_for_bit(r
     assert 0.0 <= x_bar < math.inf
 
 
-# (series text, trace text, whether a row does not convert: one flag for
-# both, or a (series, trace) pair): the row loop (ingest._refused) runs only
-# for files with such a row
+# (series text, trace text, whether orjson does not read some block of it:
+# one flag for both, or a (series, trace) pair): the row loop
+# (ingest._read_rows) runs only for such files
 PARSE_PATHS = {
     "all-valid": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,2\n2,3\n", False),
-    "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', False),
+    "quoted-cell": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n', 't,x_inst\n0,1\n1,2\n2,"3"\n', True),
     "fully-quoted": ('"n","x","r"\n"1","2","0.1"\n"2","3","0.2"\n"3","4","0.3"\n',
-                     '"t","x_inst"\n"0","1"\n"1","2"\n"2","3"\n', False),
+                     '"t","x_inst"\n"0","1"\n"1","2"\n"2","3"\n', True),
     "quoted-comma-in-unread-column": ('n,x,r,note\n1,2,0.1,"a,b"\n2,3,0.2,c\n3,4,0.3,"d,e,f"\n',
-                                      't,x_inst,note\n0,1,"a,b"\n1,2,c\n2,3,"d,e,f"\n', False),
+                                      't,x_inst,note\n0,1,"a,b"\n1,2,c\n2,3,"d,e,f"\n', True),
     "two-widths": ("n,x,r\n1,2,0.1\n2,3,0.2,extra\n3,4,0.3\n",
-                   "t,x_inst\n0,1\n1,2,extra\n2,3\n", False),
+                   "t,x_inst\n0,1\n1,2,extra\n2,3\n", True),
     "ragged": ("n,x,r\n1,2,0.1,\n2,3,0.2\n3,4,0.3,a,b\n4,5,0.4,\n",
-               "t,x_inst\n0,1,\n1,2\n2,3,a,b\n3,4,\n", False),
+               "t,x_inst\n0,1,\n1,2\n2,3,a,b\n3,4,\n", True),
     "one-width-block-then-quoted-block": ('n,x,r\n1,2,0.1\n2,3,0.2\n3,"4",0.3\n4,5,0.4\n',
-                                          't,x_inst\n0,1\n1,2\n2,"3"\n3,4\n', False),
+                                          't,x_inst\n0,1\n1,2\n2,"3"\n3,4\n', True),
     "short-row": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4\n", "t,x_inst\n0,1\n1,2\n2\n", True),
     "all-rows-short": ("n,x,r\n1,2\n2,3\n", "t,x_inst,y\n0\n1\n", True),
     "bad-cell-after-good-rows": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,oops,0.3\n",
@@ -1037,23 +1051,23 @@ PARSE_PATHS = {
     "out-of-order-every-cell-converts": ("n,x,r\n2,2,0.1\n1,3,0.2\n3,4,0.3\n",
                                          "t,x_inst\n1,1\n0,2\n2,3\n", False),
     "bad-value-every-cell-converts": ("n,x,r\n1,2,0.1\n2,-3,0.2\n", "t,x_inst\n0,1\n1,nan\n",
-                                      False),
+                                      (False, True)),
     "comment-blank-crlf-formfeed": ("# c\r\nn,x,r\r\n\r\n1,2,0.1\x0c2,3,0.2\r\n  # note\n 3 , 4 ,0.3",
                                     "# c\r\nt,x_inst\r\n\r\n0,1\x0c1,2\r\n  # note\n 2 , 3 ",
                                     False),
     "header-with-no-rows": ("n,x,r\n# none\n\n", "t,x_inst\n", False),
     # int() and float() read "4_0" as 40; a "_" in a column that is not read is legal
     "underscore-in-unread-column": ("n,x,r,note\n1,2,0.1,a_b\n2,3,0.2,c\n3,4,0.3,d_e\n",
-                                    "t,x_inst,note\n0,1,a_b\n1,2,c\n2,3,d_e\n", False),
+                                    "t,x_inst,note\n0,1,a_b\n1,2,c\n2,3,d_e\n", True),
     "underscore-in-read-cell": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4_0,0.3\n",
                                 "t,x_inst\n0,1\n1,2\n2,3_0\n", True),
 }
 
 
-def _in_x(cell: str, bad_row: bool):
+def _in_x(cell: str, row_loop: bool = True):
     """A PARSE_PATHS entry whose second row holds ``cell`` as x and as x_inst."""
     return (f"n,x,r\n1,2.5,0.1\n2,{cell},0.2\n3,4.5,0.3\n", f"t,x_inst\n0.5,1.5\n1.5,{cell}\n2.5,3.5\n",
-            bad_row)
+            row_loop)
 
 
 def _in_n(cell: str, bad_t: bool = False):
@@ -1066,21 +1080,21 @@ def _in_n(cell: str, bad_t: bool = False):
 # reads a column only when every cell in it is a JSON number of the
 # column's type, so each of these takes the float()/int() reader
 PARSE_PATHS |= {
-    "negative-zero-x": _in_x("-0", False),  # orjson reads the int 0; x must stay -0.0
-    "plus-sign-x": _in_x("+1.5", False),
-    "no-leading-digit-x": _in_x(".5", False),
-    "no-trailing-digit-x": _in_x("1.", False),
-    "leading-zeros-x": _in_x("007", False),
-    "overflowing-x": _in_x("1E400", False),  # inf, refused by the value check
-    "arabic-indic-digit-x": _in_x("\u0665", False),
-    "formfeed-padded-x": _in_x("\x0c2.5\x0c", True),  # splitlines breaks the line at \x0c
-    "unit-separator-padded-x": _in_x("\x1f2.5\x1f", False),
-    "no-break-space-padded-x": _in_x("\xa02.5\xa0", False),
+    "negative-zero-x": _in_x("-0"),  # orjson reads the int 0; x must stay -0.0
+    "plus-sign-x": _in_x("+1.5"),
+    "no-leading-digit-x": _in_x(".5"),
+    "no-trailing-digit-x": _in_x("1."),
+    "leading-zeros-x": _in_x("007"),
+    "overflowing-x": _in_x("1E400"),  # inf, refused by the value check
+    "arabic-indic-digit-x": _in_x("\u0665"),
+    "formfeed-padded-x": _in_x("\x0c2.5\x0c"),  # splitlines breaks the line at \x0c
+    "unit-separator-padded-x": _in_x("\x1f2.5\x1f"),
+    "no-break-space-padded-x": _in_x("\xa02.5\xa0"),
     "json-whitespace-padded-x": _in_x(" 2.5\t", False),
-    "true-x": _in_x("true", True),
-    "null-x": _in_x("null", True),
-    "array-x": _in_x("[1]", True),
-    "quoted-comma-x": _in_x('"2.5,3.5"', True),  # one cell, two JSON numbers
+    "true-x": _in_x("true"),
+    "null-x": _in_x("null"),
+    "array-x": _in_x("[1]"),
+    "quoted-comma-x": _in_x('"2.5,3.5"'),  # one cell, two JSON numbers
     "float-text-n": _in_n("1.0"),
     "exponent-n": _in_n("1e3"),
     "n-of-2**63": _in_n(str(2 ** 63)),  # orjson's int, past int64
@@ -1089,7 +1103,7 @@ PARSE_PATHS |= {
     "true-n": _in_n("true", True),  # a bool, not an int
 }
 
-# bodies the marked cut must clean, or turn over to the line-by-line cut: it
+# bodies the marked cut must clean, or turn over to the row loop: it
 # proves a block's width by where its row markers land, not per line
 PARSE_PATHS |= {
     "blank-line-mid-body": ("n,x,r\n1,2,0.1\n\n2,3,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n\n1,2\n2,3\n", False),
@@ -1100,19 +1114,19 @@ PARSE_PATHS |= {
     "comment-as-wide-as-the-rows": ("n,x,r\n1,2,0.1\n# n,x,r\n2,3,0.2\n3,4,0.3\n",
                                     "t,x_inst\n0,1\n# t,x\n1,2\n2,3\n", False),
     "hash-in-unread-cell": ("n,x,r,run\n1,2,0.1,run#1\n2,3,0.2,run#2\n3,4,0.3,run#3\n",
-                            "t,x_inst,run\n0,1,run#1\n1,2,run#2\n2,3,run#3\n", False),
-    "hash-in-read-cell": _in_x("#2", True),
+                            "t,x_inst,run\n0,1,run#1\n1,2,run#2\n2,3,run#3\n", True),
+    "hash-in-read-cell": _in_x("#2"),
     "trailing-blank-lines": ("n,x,r\n1,2,0.1\n2,3,0.2\n3,4,0.3\n\n\n", "t,x_inst\n0,1\n1,2\n2,3\n\n  \n",
                              False),
     "plain-crlf": ("n,x,r\r\n1,2,0.1\r\n2,3,0.2\r\n3,4,0.3\r\n", "t,x_inst\r\n0,1\r\n1,2\r\n2,3\r\n", False),
     # rows of 5, 3 and 7 cells split into 17 cells with their two markers, as
     # three rows of 5 would: only the markers' places tell them apart
     "ragged-rows-of-one-width's-cell-count": ("n,x,r,a,b\n1,2,0.1,a,b\n2,3,0.2\n3,4,0.3,a,b,c,d\n",
-                                              "t,x_inst,a,b,c\n0,1,a,b,c\n1,2,d\n2,3,e,f,g,h,i\n", False),
+                                              "t,x_inst,a,b,c\n0,1,a,b,c\n1,2,d\n2,3,e,f,g,h,i\n", True),
 }
 
 # blocks one orjson call reads as float() and int() do, and blocks it must
-# turn over to the line-by-line cutter: it proves a block's width by where
+# turn over to the row loop: it proves a block's width by where
 # the null row markers land, so a container or a null in a cell would move them
 PARSE_PATHS |= {
     # as JSON, [1,2] is one value and the rows two of one width
@@ -1129,7 +1143,7 @@ PARSE_PATHS |= {
     "whole-second-t": ("n,x,r\n1,1.5,1\n2,2.5,2\n3,3.5,3\n", "t,x_inst\n0,1.5\n1,2.5\n2,3.5\n3,4.5\n",
                        False),
     "negative-zero-among-integer-x": ("n,x,r\n1,2,0.1\n2,-0,0.2\n3,4,0.3\n", "t,x_inst\n0,1\n1,-0\n2,3\n",
-                                      False),
+                                      True),
 }
 
 
@@ -1144,20 +1158,20 @@ def test_one_orjson_call_reads_only_rows_of_one_width(block):
 @pytest.mark.parametrize("kind", ["series", "trace"])
 @pytest.mark.parametrize("name", sorted(PARSE_PATHS))
 def test_each_parse_path_matches_the_row_loop(monkeypatch, name, kind, block_lines):
-    series_text, trace_text, bad_row = PARSE_PATHS[name]
+    series_text, trace_text, row_loop = PARSE_PATHS[name]
     parse, reference, text = ((parse_series, reference_parse_series, series_text) if kind == "series"
                               else (parse_trace, reference_parse_trace, trace_text))
     calls = []
-    refused = ingest._refused
+    read_rows = ingest._read_rows
 
     def spy(*args):
         calls.append(args)
-        return refused(*args)
+        return read_rows(*args)
 
-    monkeypatch.setattr(ingest, "_refused", spy)
+    monkeypatch.setattr(ingest, "_read_rows", spy)
     monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
     assert _outcome(parse, text) == _outcome(reference, text)
-    assert len(calls) == (bad_row if isinstance(bad_row, bool) else bad_row[kind == "trace"])
+    assert bool(calls) == (row_loop if isinstance(row_loop, bool) else row_loop[kind == "trace"])
 
 
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
@@ -1214,8 +1228,28 @@ def test_parsing_keeps_no_container_per_row(parse, text):
     assert gen0_collections(lambda: parse(text)) == 0
 
 
+@pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_a_refused_block_is_cut_once_and_the_blocks_before_it_stay_on_orjson(monkeypatch, quoted, block_lines):
+    """A bad last row sends only its block to the row loop, which cuts each of
+    its lines once and names the row as the reference row loop does."""
+    text = _sweep_csv(4999) + "5000,oops,15.5\n"
+    text = _quoted(text) if quoted else text
+    header, *body = text.splitlines()
+    last = (len(body) - 1) // block_lines * block_lines  # where the bad row's block starts
+    expected = _outcome(reference_parse_series, text)
+    monkeypatch.setattr(ingest, "_BULK_LINES", block_lines)
+    calls = _spied_cutters(monkeypatch)
+    assert _outcome(parse_series, text) == expected == ("line 5001: malformed row: '5000,oops,15.5'", 5001)
+    cut = collections.Counter(args[0] for name, args in calls if name == "_cells")
+    assert cut[header] == 1 and max(cut[line] for line in body) == 1
+    if not quoted:
+        assert [args[0] for name, args in calls if name == "_read_rows"] == [body[last:]]
+        assert set(cut) == {header, *body[last:]}
+
+
 def _spied_cutters(monkeypatch) -> list:
-    """The list that each call of the per-line cutter and of the row loop,
+    """The list that each call of the line cutter and of the row loop,
     spied from now on, appends its (name, args) to."""
     calls = []
 
@@ -1225,7 +1259,7 @@ def _spied_cutters(monkeypatch) -> list:
             return real(*args)
         return call
 
-    for name in ("_cells", "_refused"):
+    for name in ("_cells", "_read_rows"):
         monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
     return calls
 
@@ -1240,7 +1274,7 @@ def _spied_cutters(monkeypatch) -> list:
                                                                                for t in range(5000)))],
                          ids=["series", "trace", "integer-trace", "negative-exponent-trace"])
 def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, parse, text, line, end):
-    """Only the header is cut by the per-line cutter; no body line meets it or the row loop."""
+    """Only the header is cut by the line cutter; no body line meets it or the row loop."""
     text = _with_line(text, line, end) if line is not None else text.replace("\n", end)
     calls = _spied_cutters(monkeypatch)
     assert parse(text).x.size == 5000
@@ -1248,14 +1282,17 @@ def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, pa
 
 
 @pytest.mark.parametrize("cell", ["true", "false", "{}", " true "])
-def test_a_json_word_or_object_in_an_unread_column_sends_the_block_to_the_line_cutter(monkeypatch, cell):
+def test_a_json_word_or_object_in_an_unread_column_sends_the_block_to_the_row_loop(monkeypatch, cell):
     """true, false and objects are the JSON values left that are not numbers:
     a block holding one, read or not, is cut line by line, to the same series."""
     assert ingest._json_columns(["1,2.5,0", f"2,3.5,{cell}"], (0, 1), (int, float)) is None
     expected, text = parse_series("n,x,r\n1,1.5,0.1\n2,2.5,0.2\n"), f"n,x,r,note\n1,1.5,0.1,0\n2,2.5,0.2,{cell}\n"
     calls = _spied_cutters(monkeypatch)
     assert parse_series(text) == expected
-    assert calls == [("_cells", (line,)) for line in text.splitlines()]
+    header, *body = text.splitlines()
+    assert [(name, args[:3]) for name, args in calls] == [
+        ("_cells", (header,)), ("_read_rows", (body, (0, 1, 2), (int, float, float)))] + [
+        ("_cells", (line,)) for line in body]
 
 
 @given(st.integers(1, 6).flatmap(lambda width: st.tuples(
@@ -1275,7 +1312,7 @@ def test_interleave_is_the_rows_laid_out_one_by_one(table, end):
 
 def test_every_benchmark_input_is_cut_only_at_its_header(monkeypatch, tmp_path):
     """Each CSV the benchmark's generator writes, for every workload, is read
-    by one orjson call per block: no body line meets the per-line cutter."""
+    by one orjson call per block: no body line meets the line cutter or the row loop."""
     # perfbench/gen.py imports only the standard library
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
