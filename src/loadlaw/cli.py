@@ -331,10 +331,10 @@ def _print_diagnose_text(report: Report) -> None:
 
 
 def _write_plot_csv(path: str, series, report: Report) -> None:
-    n, *floats = zip(*plot_rows(series, report.knee))
+    rows = plot_rows(series, report.knee)
     with _open_output(path) as fh:
         fh.write("n,x_measured,r_measured,x_upper_bound,r_lower_bound\n")
-        fh.write(_csv_lines([_int_texts(n), *map(_float_texts, floats)]))
+        fh.write(_csv_lines([_int_texts([row[0] for row in rows]), _float_texts([row[1:] for row in rows])]))
 
 
 def _write_combined_csv(path: str, series) -> None:

@@ -34,10 +34,9 @@ service times, think time and residence times are arguments. The
 values of ``_CSV_BLOCK_ROWS`` populations gather in plain lists and go
 into the returned arrays with one store per block.
 
-``write_csv`` writes the same blocks: one orjson call turns a block's
-x, r and queue values into text, whose shortest round-trip digits are
-``repr``'s; a row holding a value that orjson writes in another form
-(exponents, NaN, infinities) is written by ``repr`` instead.
+``write_csv`` writes the same blocks, each block's x, r and queue values
+as one table through ``ingest._float_texts``, the float encoder of every
+table loadlaw writes (``repr``'s text, to the byte).
 
 ``solve_oracle`` recomputes the same stationary quantities for small
 instances by brute force: it enumerates every split of the population
@@ -48,16 +47,16 @@ to cross-check it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
-from .ingest import LoadSeries, _csv_lines, _int_texts, _not_repr
-from .model import ServiceProfile
+from .ingest import LoadSeries, _csv_lines, _float_texts, _int_texts
+from .model import ServiceProfile, _echo
 
 # solve_oracle enumerates every population split; beyond these caps the
 # state space explodes combinatorially.
@@ -103,47 +102,42 @@ class CanonicalCurves:
     def __len__(self) -> int:
         return len(self.n)
 
+    def _index(self, n) -> int:
+        """The 0-based row of population n, which must be an int or a numpy
+        integer (not a bool) in the solved range."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"population must be an integer, got {_echo(n)}")
+        i = int(n) - 1
+        if not 0 <= i < len(self.n):
+            raise IndexError(f"population {_echo(i + 1)} outside solved range 1..{len(self.n)}")
+        return i
+
     def row(self, n: int) -> CurveRow:
         """Row for population n (1-based, same as the load itself)."""
-        if not 1 <= n <= len(self.n):
-            raise IndexError(f"population {n} outside solved range 1..{len(self.n)}")
-        i = n - 1
+        i = self._index(n)
         return CurveRow(int(self.n[i]), float(self.x[i]), float(self.r[i]), tuple(float(v) for v in self.q[i]))
 
     def write_csv(self, dest) -> None:
         """Write n,x,r plus one q_<label> column per stage.
 
         ``dest`` is a path or an open text file. The rows go out
-        ``_CSV_BLOCK_ROWS`` at a time, each block's numbers written by
-        one orjson call, the bytes ``repr`` would write; a row with a
-        value on which the two differ is written by ``repr`` itself
-        (see ``ingest._not_repr``).
+        ``_CSV_BLOCK_ROWS`` at a time, each block's floats written as one
+        table by ``ingest._float_texts``.
         """
-        if hasattr(dest, "write"):
-            self._write_csv(dest)
-        else:
-            with open(dest, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        # the header goes through csv.writer for its quoting of labels; no
-        # body cell needs quoting, so the body is joined by hand, by rows
-        csv.writer(fh).writerow(["n", "x", "r"] + [f"q_{s.label}" for s in self.profile.stages])
-        for start in range(0, len(self.n), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            values = np.column_stack((self.x[block], self.r[block], self.q[block])).astype(float, copy=False)
-            rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
-            # a row with a value whose Ryu text is not repr's is written by repr
-            odd = _not_repr(values)
-            if odd is not None:
-                for i in np.flatnonzero(odd.any(axis=1)).tolist():
-                    rows[i] = ",".join(map(float.__repr__, values[i].tolist()))
-            fh.write(_csv_lines([_int_texts(self.n[block]), rows], "\r\n"))
+        with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
+            # the header goes through csv.writer for its quoting of labels; no
+            # body cell needs quoting, so the body is joined by hand, by rows
+            csv.writer(fh).writerow(["n", "x", "r"] + [f"q_{s.label}" for s in self.profile.stages])
+            for start in range(0, len(self.n), _CSV_BLOCK_ROWS):
+                block = slice(start, start + _CSV_BLOCK_ROWS)
+                rows = _float_texts(np.column_stack((self.x[block], self.r[block], self.q[block])))
+                fh.write(_csv_lines([_int_texts(self.n[block]), rows], "\r\n"))
 
     def as_series(self, ns=None, configured_think_time=_PROFILE_Z):
         """Sample the curves into a LoadSeries, e.g. to feed the detectors.
 
-        ``ns`` selects populations (default: every solved row).
+        ``ns`` selects populations, each an int or a numpy integer in the
+        solved range (default: every solved row).
         ``configured_think_time`` defaults to the profile's think time;
         pass something else to mimic a harness whose declared pacing does
         not match what it actually did, or None for no declared pacing.
@@ -153,11 +147,7 @@ class CanonicalCurves:
         if ns is None:
             rows = slice(None)
         else:
-            rows = np.array([int(n) for n in ns], dtype=np.int64)
-            outside = (rows < 1) | (rows > len(self.n))
-            if outside.any():
-                self.row(int(rows[outside.argmax()]))  # raises the out-of-range IndexError
-            rows -= 1
+            rows = np.array([self._index(n) for n in ns], dtype=np.int64)
         return LoadSeries.from_arrays(self.n[rows], self.x[rows], self.r[rows],
                                       configured_think_time=configured_think_time)
 

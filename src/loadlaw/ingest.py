@@ -588,24 +588,29 @@ def _not_repr(values: np.ndarray) -> np.ndarray | None:
     return ((magnitude < 1e-4) & (magnitude != 0)) | ~(magnitude < 1e16)
 
 
-def _float_texts(column, nonfinite=float.__repr__) -> list[str]:
-    """``float.__repr__`` of each value in a float64 column, written by
+def _float_texts(values, nonfinite=float.__repr__) -> list[str]:
+    """``float.__repr__`` of each value of a float64 column, or of each row
+    of a 2-d table as its values joined by commas, written by one call of
     orjson's Ryu kernel: the same shortest round-trip digits, about 7x
     faster than ``repr`` per value.
 
-    Each value whose Ryu text is not ``repr``'s (see _not_repr) is
-    rewritten by ``nonfinite``: ``float.__repr__`` for CSV (``nan``,
-    ``inf``) or report's ``_json_float`` for JSON (``NaN``,
-    ``Infinity``). The two differ only on the non-finite values.
+    A value whose Ryu text is not ``repr``'s (see _not_repr) is rewritten
+    by ``nonfinite``, with the rest of its row in a table: ``float.__repr__``
+    for CSV (``nan``, ``inf``) or report's ``_json_float`` for JSON
+    (``NaN``, ``Infinity``). The two differ only on the non-finite values.
     """
-    column = np.ascontiguousarray(column, dtype=np.float64)
-    if not len(column):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not len(values):
         return []
-    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    odd = _not_repr(column)
+    # orjson writes a column as [v,v] and a table as [[v,v],[v,v]]: strip the outer brackets, split at the rest
+    cut, separator = (2, "],[") if values.ndim == 2 else (1, ",")
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[cut:-cut].decode().split(separator)
+    odd = _not_repr(values)
     if odd is not None:
-        for i, value in zip(np.flatnonzero(odd).tolist(), column[odd].tolist()):
-            texts[i] = nonfinite(value)
+        rows = values.reshape(len(values), -1)  # a column's rows are its values
+        odd = odd.reshape(rows.shape).any(axis=1)
+        for i, row in zip(np.flatnonzero(odd).tolist(), rows[odd].tolist()):
+            texts[i] = ",".join(map(nonfinite, row))
     return texts
 
 

@@ -203,11 +203,35 @@ class TestAsSeries:
         (lambda c: c.as_series(ns=[2, 5, 9]), "population 5 outside solved range 1..4"),
         (lambda c: c.row(5), "population 5 outside solved range 1..4"),
         (lambda c: c.row(0), "population 0 outside solved range 1..4"),
-    ], ids=["as-series-zero", "as-series-past-n-max", "row-past-n-max", "row-zero"])
+        (lambda c: c.as_series(ns=[3, 2 ** 70]), f"population {2 ** 70} outside solved range 1..4"),
+        (lambda c: c.as_series(ns=[-2 ** 64]), f"population {-2 ** 64} outside solved range 1..4"),
+        (lambda c: c.row(np.uint64(2 ** 64 - 1)), f"population {2 ** 64 - 1} outside solved range 1..4"),
+    ], ids=["as-series-zero", "as-series-past-n-max", "row-past-n-max", "row-zero",
+            "as-series-past-int64", "as-series-below-int64", "row-past-int64"])
     def test_populations_outside_the_solved_range(self, select, message):
         with pytest.raises(IndexError) as exc:
             select(solve_reference(three_stage_profile(), 4))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("population, echo", [
+        (2.7, "2.7"), (2.0, "2.0"), (np.float64(5.9), repr(np.float64(5.9))), (True, "True"),
+        (np.bool_(True), repr(np.bool_(True))), ("4", "'4'"), (None, "None"),
+    ], ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "string", "none"])
+    @pytest.mark.parametrize("select", [lambda c, n: c.as_series(ns=[n]), lambda c, n: c.as_series(ns=[3, n]),
+                                        lambda c, n: c.row(n)], ids=["as-series", "as-series-second", "row"])
+    def test_a_population_that_is_not_an_integer_is_refused(self, select, population, echo):
+        """Not truncated (2.7 -> 2), not read as 1 (True) or parsed ('4')."""
+        with pytest.raises(ValueError) as exc:
+            select(solve_reference(three_stage_profile(), 8), population)
+        assert str(exc.value) == f"population must be an integer, got {echo}"
+
+    @pytest.mark.parametrize("population", [3, np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_numpy_integer_populations_are_read(self, population):
+        c = solve_reference(three_stage_profile(), 4)
+        assert c.as_series(ns=[1, population]).n.tolist() == [1, 3]
+        assert c.row(population) == c.row(3)
+        assert type(c.row(population).n) is int
 
 
 def _tied_profile_50():

@@ -1,8 +1,8 @@
 """The runtime dependencies declared in pyproject.toml and README are the
 third-party modules the package imports, no more and no fewer; the
 version is written once, in the package; no function in it calls
-dataclasses.fields(); only curves._recursion compiles code; and the
-installed orjson reads numbers as float() does."""
+dataclasses.fields(); only curves._recursion compiles code; only ingest
+imports orjson; and the installed orjson reads numbers as float() does."""
 
 import ast
 import decimal
@@ -88,6 +88,23 @@ def test_only_the_recursion_builder_compiles_code():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     assert sorted(calls) == [("curves._recursion", "compile"), ("curves._recursion", "exec")]
+
+
+def test_only_ingest_imports_orjson():
+    """Every number text loadlaw reads or writes goes through ingest's
+    readers and its one float encoder, _float_texts."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "orjson" for module in modules):
+                importers.add(path.stem)
+    assert importers == {"ingest"}
 
 
 def _halfway_texts() -> list[str]:

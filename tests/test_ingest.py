@@ -1366,6 +1366,33 @@ def test_float_texts_of_the_edge_values():
     _assert_float_texts(np.array(_edge_floats()))
 
 
+def _assert_table_texts(table):
+    rows = table.tolist()
+    assert ingest._float_texts(table) == [",".join(map(float.__repr__, row)) for row in rows]
+    assert ingest._float_texts(table, _json_float) == [",".join(map(_json_float, row)) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 300), st.sampled_from(["bits", "ordinary", "one-odd"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_float_texts_of_a_table_are_its_rows_repr(columns, rows, kind, seed):
+    """One text per row, its values' texts joined by commas, for any bit
+    pattern, for ordinary values (orjson's text alone) and for one odd value
+    among them (its row rewritten whole), also in a transposed view."""
+    rng = np.random.default_rng(seed)
+    if kind == "bits":
+        bits = rng.integers(0, 2 ** 64, (rows, columns), dtype=np.uint64)
+        edges = rng.random((rows, columns)) < 0.1
+        bits[edges] = rng.choice(np.array(EDGE_BITS, dtype=np.uint64), int(edges.sum()))
+        table = bits.view(np.float64)
+    else:  # magnitudes from 5e-4 to 2e15, where orjson's text is repr's
+        table = rng.uniform(0.5, 2.0, (rows, columns)) * 10.0 ** rng.integers(-3, 16, columns)
+        if kind == "one-odd" and rows:
+            table[rng.integers(rows), rng.integers(columns)] = rng.choice(_edge_floats())
+    _assert_table_texts(table)
+    _assert_table_texts(np.ascontiguousarray(table.T).T)  # the same rows, not contiguous
+
+
 def _bits_of(value: float) -> int:
     return np.float64(value).view(np.uint64).item()
 
@@ -1433,8 +1460,8 @@ def test_float_texts_fix_up_values_among_many_ordinary_ones(scale):
     _assert_float_texts(table[:, 1])
 
 
-@pytest.mark.parametrize("column", [np.array([], dtype=np.float64), [], np.empty((0, 3))[:, 1]],
-                         ids=["array", "list", "strided"])
+@pytest.mark.parametrize("column", [np.array([], dtype=np.float64), [], np.empty((0, 3))[:, 1], np.empty((0, 3))],
+                         ids=["array", "list", "strided", "table"])
 def test_float_texts_of_an_empty_column(column):
     assert ingest._float_texts(column) == []
     assert ingest._float_texts(column, _json_float) == []
