@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import re
@@ -127,9 +128,24 @@ def build_parser() -> _Parser:
                    help="fraction of the trace span to discard as warm-up (default 0.25)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_steady)
-    # command name -> its parser, for _parse_args
+    # command name -> its parser, and -> the option table it reads argv by, for _parse_args
     parser.commands = sub.choices
+    parser.tables = {name: _option_table(command) for name, command in sub.choices.items()}
     return parser
+
+
+def _option_table(command: argparse.ArgumentParser):
+    """Each option string of the command's store and store_true actions, its
+    positionals, its required options and its defaults, a string one
+    converted by its type once."""
+    actions = command._actions
+    positionals = [a for a in actions if not a.option_strings]
+    options = {text: a for a in actions if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
+               and a.nargs in (None, 0) for text in a.option_strings}
+    defaults = {a.dest: command._get_value(a, a.default) if isinstance(a.default, str) else a.default
+                for a in actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    required = {a for a in actions if a.required and a.option_strings}
+    return options, positionals, required, {**command._defaults, **defaults}
 
 
 def _series_flags(p: argparse.ArgumentParser) -> None:
@@ -354,9 +370,51 @@ def cmd_steady(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _plain(text: str) -> bool:
+    """Whether argparse takes ``text`` for a value whatever the options are."""
+    return text[:1] != "-" or text == "-"
+
+
+def _read_by_table(command: argparse.ArgumentParser, table, argv: list) -> argparse.Namespace | None:
+    """``argv`` read in one pass over its command's option table, each value
+    through argparse's own type and choices checks; None when it holds more
+    than exact option strings, their plain values and the positionals, or
+    argparse would refuse it: argparse reads, refuses or answers that argv."""
+    options, positionals, required, defaults = table
+    values, seen, texts, pending = {"command": argv[0], **defaults}, set(), [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if not _plain(token):
+                return None
+            texts.append(token)
+            continue
+        seen.add(action)
+        if action.nargs is None:
+            value = next(tokens, None)
+            if value is None or not _plain(value):
+                return None
+            pending.append((action, value))
+        else:
+            values[action.dest] = action.const
+    if len(texts) != len(positionals) or not required <= seen:
+        return None
+    pending += zip(positionals, texts)
+    try:
+        for action, text in pending:
+            value = command._get_value(action, text)
+            command._check_value(action, value)
+            values[action.dest] = value
+    except argparse.ArgumentError:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, to the same Namespace or exit. An
-    argv that starts with a command goes straight to that command's parser,
+    argv that starts with a command is read by that command's option table;
+    one the table leaves to argparse goes straight to the command's parser,
     as the top-level parser would hand it on, and what that parser leaves is
     refused as the top-level parser refuses it."""
     parser = build_parser()
@@ -364,6 +422,13 @@ def _parse_args(argv) -> argparse.Namespace:
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_by_table(command, parser.tables[argv[0]], argv)
+    if args is not None:
+        return args
+    # the top-level parser first sorts each token before "--" as its own
+    # option or not, and refuses one that abbreviates both of its flags: --=x
+    for token in itertools.takewhile("--".__ne__, argv[1:]):
+        parser._parse_optional(token)
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -83,7 +83,10 @@ class Stage:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"stage label must be a nonempty string, got {_echo(self.label)}")
-        st = _check_finite_number(self.service_time, f"stage {_echo(self.label)} service_time", 0.0, strict=True)
+        try:
+            st = _check_finite_number(self.service_time, "service_time", 0.0, strict=True)
+        except ValueError as exc:  # named by its stage only when refused: a valid stage formats nothing
+            raise ValueError(f"stage {_echo(self.label)} {exc}") from None
         object.__setattr__(self, "service_time", st)
 
 

@@ -155,12 +155,16 @@ def _audit(out: list, audit: Audit | None) -> None:
 
 def _value(value, nl: str) -> str:
     """One value as ``json.dumps(..., indent=2)`` writes it on a line that
-    starts at ``nl``: a float or string directly, anything else (None, a
-    bool, an int, a list or dict of those) by json.dumps, re-indented."""
+    starts at ``nl``: a float, a string or a tuple of strings directly,
+    anything else (None, a bool, an int, a list or dict of those) by
+    json.dumps, re-indented."""
     if isinstance(value, float):
         return _json_float(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, tuple) and all(isinstance(v, str) for v in value):  # bounds.tied_labels
+        item = nl + "  "
+        return f"[{item}{(',' + item).join(map(encode_basestring_ascii, value))}{nl}]" if value else "[]"
     return json.dumps(value, indent=2).replace("\n", nl)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import loadlaw.cli
@@ -524,6 +525,7 @@ _DISPATCH_ARGVS = {
     "bad-choice": ["audit", "{series}", "--r-unit", "h"],
     "negative-number": ["diagnose", "{series}", "--z", "-1e-3"],
     "negative-zero": ["diagnose", "{series}", "--bound-tol", "-0"],
+    "top-level-ambiguous-flag": ["diagnose", "{series}", "--=1"],
 }
 
 
@@ -556,6 +558,103 @@ def test_a_command_argv_never_reaches_the_top_level_parse(monkeypatch, capsys, c
     with pytest.raises(SystemExit):
         main(["--version"])
     assert len(calls) == 1  # the spy is on the path an argv without a command takes
+
+
+def _spy_on_commands(monkeypatch) -> list:
+    """The argv tails each command's parser is asked to read from now on."""
+    calls = []
+    for command in build_parser().commands.values():
+        def spy(args, namespace=None, read=command.parse_known_args):
+            calls.append(args)
+            return read(args, namespace)
+        monkeypatch.setattr(command, "parse_known_args", spy)
+    return calls
+
+
+# argv lists each command's option table reads without its parser;
+# {series}, {profile} and {trace} name files that need not exist
+_TABLE_ARGVS = {
+    "repeated-flag": ["diagnose", "{series}", "--no-fail", "--z", "1", "--no-fail", "--z", "2"],
+    "positional-after-flags": ["audit", "--format", "json", "--z", "0.5", "{series}"],
+    "dash-out": ["diagnose", "{series}", "--out", "-"],
+    "dash-path": ["steady", "-", "--warmup", "0"],
+    "required-flags": ["simulate", "--out", "c.csv", "{profile}", "--n-max", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_ARGVS))
+def test_table_reads_as_the_top_level_parser(monkeypatch, capsys, name):
+    argv = [a.format(series="s.csv", profile="p.json", trace="t.csv") for a in _TABLE_ARGVS[name]]
+    calls = _spy_on_commands(monkeypatch)
+    read = _parse_outcome(loadlaw.cli._parse_args, argv, capsys)
+    assert calls == [] and isinstance(read[0], dict)
+    assert read == _parse_outcome(build_parser().parse_args, argv, capsys)
+
+
+def _command_argvs():
+    """argv lists drawn from one command's own actions: exact, abbreviated or
+    --flag=value option strings in any order, repeated or not, with values
+    the flag accepts or refuses, 0-2 positionals anywhere, -h among them.
+    Half the argvs take only exact option strings and values of the flag's kind,
+    so that the option table, and not only argparse, reads a good share."""
+    odd_values = st.sampled_from(["-", "-1", "-0", "--", "", "0", "1", "1e-3", "inf", "abc"])
+
+    @st.composite
+    def argvs(draw, name):
+        command = build_parser().commands[name]
+        flags = [a for a in command._actions if a.option_strings and "-h" not in a.option_strings]
+        plain = draw(st.booleans())
+        paths = draw(st.sampled_from([0, 1, 1, 1, 2]))
+        groups = [[draw(st.sampled_from(["s.csv", "s.csv", "-", "a=b"]))] for _ in range(paths)]
+        groups += [["-h"]] * draw(st.sampled_from([0] * 7 + [1]))
+        for _ in range(draw(st.integers(0, 6))):
+            action = draw(st.sampled_from(flags))
+            text = draw(st.sampled_from(action.option_strings))
+            form = "exact" if plain else draw(st.sampled_from(["exact", "abbreviated", "equals"]))
+            if form == "abbreviated":
+                text = text[:draw(st.integers(min(3, len(text)), len(text)))]
+            if action.nargs == 0:
+                groups.append([text])
+                continue
+            accepted = st.sampled_from(sorted(action.choices) if action.choices
+                                       else ["o.csv"] if action.type is None else ["0.25", "7"])
+            if not plain:
+                accepted = st.one_of(accepted, odd_values, st.text("-=.0123esx", max_size=4))
+            value = draw(accepted)
+            groups.append([f"{text}={value}"] if form == "equals" else [text, value])
+        return [name] + [token for group in draw(st.permutations(groups)) for token in group]
+
+    return st.sampled_from(sorted(build_parser().commands)).flatmap(argvs)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_command_argvs())
+def test_any_command_argv_parses_as_the_top_level_parser(capsys, argv):
+    assert _parse_outcome(loadlaw.cli._parse_args, argv, capsys) == \
+        _parse_outcome(build_parser().parse_args, argv, capsys)
+
+
+def test_every_benchmark_argv_is_read_by_its_option_table(monkeypatch, tmp_path):
+    """Each argv the benchmark's generator writes, for every workload, is read
+    without a call to its command's parser, to the Namespace argparse gives."""
+    # perfbench/gen.py imports only the standard library
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    argvs = []
+    for workload in gen.WORKLOADS:
+        gen.generate(workload, 1, str(tmp_path / workload))
+        doc = json.loads((tmp_path / workload / "jobs.json").read_text())
+        argvs += [[a.replace("{out}", "o") for a in job["argv"]]
+                  for job in [doc["warmup"]] + doc["jobs"] if "argv" in job]
+    assert {argv[0] for argv in argvs} == {"diagnose", "simulate", "audit", "steady"}
+    calls = _spy_on_commands(monkeypatch)
+    for argv in argvs:
+        read = vars(loadlaw.cli._parse_args(argv))
+        assert calls == [], argv
+        assert read == vars(build_parser().parse_args(argv))
+        calls.clear()
 
 
 class TestUsage:
