@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import os
 import re
@@ -128,7 +127,7 @@ def build_parser() -> _Parser:
                    help="fraction of the trace span to discard as warm-up (default 0.25)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_steady)
-    # command name -> its parser, and -> the option table it reads argv by, for _parse_args
+    # command name -> its parser, and -> the option table _parse_args reads its argv by
     parser.commands = sub.choices
     parser.tables = {name: _option_table(command) for name, command in sub.choices.items()}
     return parser
@@ -136,14 +135,14 @@ def build_parser() -> _Parser:
 
 def _option_table(command: argparse.ArgumentParser):
     """Each option string of the command's store and store_true actions, its
-    positionals, its required options and its defaults, a string one
-    converted by its type once."""
+    positionals, its required options and its defaults. No string default
+    has a type, so argparse would convert none of them."""
     actions = command._actions
     positionals = [a for a in actions if not a.option_strings]
     options = {text: a for a in actions if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
                and a.nargs in (None, 0) for text in a.option_strings}
-    defaults = {a.dest: command._get_value(a, a.default) if isinstance(a.default, str) else a.default
-                for a in actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    defaults = {a.dest: a.default for a in actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
     required = {a for a in actions if a.required and a.option_strings}
     return options, positionals, required, {**command._defaults, **defaults}
 
@@ -375,11 +374,11 @@ def _plain(text: str) -> bool:
     return text[:1] != "-" or text == "-"
 
 
-def _read_by_table(command: argparse.ArgumentParser, table, argv: list) -> argparse.Namespace | None:
+def _read_by_table(table, argv: list) -> argparse.Namespace | None:
     """``argv`` read in one pass over its command's option table, each value
-    through argparse's own type and choices checks; None when it holds more
-    than exact option strings, their plain values and the positionals, or
-    argparse would refuse it: argparse reads, refuses or answers that argv."""
+    checked by its action's type and choices as argparse checks it; None when
+    it holds more than exact option strings, their plain values and the
+    positionals, or argparse would refuse it."""
     options, positionals, required, defaults = table
     values, seen, texts, pending = {"command": argv[0], **defaults}, set(), [], []
     tokens = iter(argv[1:])
@@ -401,38 +400,26 @@ def _read_by_table(command: argparse.ArgumentParser, table, argv: list) -> argpa
     if len(texts) != len(positionals) or not required <= seen:
         return None
     pending += zip(positionals, texts)
-    try:
-        for action, text in pending:
-            value = command._get_value(action, text)
-            command._check_value(action, value)
-            values[action.dest] = value
-    except argparse.ArgumentError:
-        return None
+    for action, text in pending:
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
     return argparse.Namespace(**values)
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, to the same Namespace or exit. An
-    argv that starts with a command is read by that command's option table;
-    one the table leaves to argparse goes straight to the command's parser,
-    as the top-level parser would hand it on, and what that parser leaves is
-    refused as the top-level parser refuses it."""
+    """``build_parser().parse_args(argv)``, to the same Namespace or exit: an
+    argv that starts with a command is read by that command's option table,
+    and every argv the table does not read by argparse's own ``parse_args``."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read_by_table(command, parser.tables[argv[0]], argv)
-    if args is not None:
-        return args
-    # the top-level parser first sorts each token before "--" as its own
-    # option or not, and refuses one that abbreviates both of its flags: --=x
-    for token in itertools.takewhile("--".__ne__, argv[1:]):
-        parser._parse_optional(token)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    table = parser.tables.get(argv[0]) if argv else None
+    args = None if table is None else _read_by_table(table, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 class _UsageError(Exception):

@@ -412,21 +412,21 @@ def classify_growth(series: LoadSeries, knee: Bounds,
     rs = series.r[post]
     ys = (rs, np.log(rs)) if (rs > 0).all() else (rs,)
     (b, a), *log_fit = _line_fits(ns, *ys)
-    linear_ss = float(((a + b * ns - rs) ** 2).sum())
+    # a huge finite r squares to inf in either residual sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear_ss = float(((a + b * ns - rs) ** 2).sum())
+        if log_fit:
+            d, log_c = log_fit[0]
+            residual = float(((np.exp(log_c + d * ns) - rs) ** 2).sum())
 
     exp_rate = exp_ss = None
     note = ""
-    if log_fit:
-        d, log_c = log_fit[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            predicted = np.exp(log_c + d * ns)
-            residual = float(((predicted - rs) ** 2).sum())
-        if math.isfinite(residual):
-            exp_rate, exp_ss = float(d), residual
-        else:
-            note = "exponential fit overflowed; treated as non-exponential"
-    else:
+    if not log_fit:
         note = "nonpositive response times; exponential fit skipped"
+    elif math.isfinite(residual):
+        exp_rate, exp_ss = float(d), residual
+    else:
+        note = "exponential fit overflowed; treated as non-exponential"
 
     fit = GrowthFit(n_points=count, linear_slope=float(b), linear_ss=linear_ss,
                     exp_rate=exp_rate, exp_ss=exp_ss, note=note)

@@ -474,6 +474,33 @@ def test_steady_prints_strict_json_or_exits_4(tmp_path_factory, rows, warmup):
         assert set(doc) == {"x_bar", "window"}
 
 
+# impossible data the referee passes today (exit 0, verdict clean); the change
+# that catches a probe removes its xfail mark
+def _exit_and_verdict(capsys, argv) -> tuple:
+    code = main(argv + ["--format", "json"])
+    return code, json.loads(capsys.readouterr().out)["verdict"]
+
+
+@pytest.mark.xfail(strict=True, reason="x*r <= n (Little's law) is not checked at each point")
+@pytest.mark.parametrize("command", ["audit", "diagnose"])
+def test_more_requests_in_flight_than_users_is_broken(capsys, tmp_path, command):
+    series = tmp_path / "xr.csv"
+    series.write_text("n,x,r\n10,50,1\n20,100,1\n40,200,1\n80,400,1\n")
+    assert _exit_and_verdict(capsys, [command, str(series)]) == (4, "broken")
+
+
+@pytest.mark.xfail(strict=True, reason="points are not checked against the uncontended line and R_min, "
+                                       "and without --z the profile's think time is ignored")
+@pytest.mark.parametrize("rows, z", [
+    ("10,5,11\n20,6,11\n40,8,11\n80,10,11\n", []),
+    ("10,0.99,1\n20,1.98,1\n40,3.96,1\n80,7.9,1\n", ["--z", "10"]),
+], ids=["above-the-uncontended-line", "below-the-response-floor"])
+def test_a_point_past_the_profile_bounds_is_broken(capsys, tmp_path, profile_path, rows, z):
+    series = tmp_path / "over.csv"
+    series.write_text("n,x,r_ms\n" + rows)
+    assert _exit_and_verdict(capsys, ["diagnose", str(series), "--profile", profile_path] + z) == (4, "broken")
+
+
 class TestParserReuse:
     def test_flags_do_not_leak_into_the_next_call(self, monkeypatch, capsys, capped_csv,
                                                   profile_path):
@@ -549,7 +576,7 @@ def test_dispatch_parses_as_the_top_level_parser(capsys, name):
                                                         "double-dash-after-command", "negative-zero"})
 
 
-def test_a_command_argv_never_reaches_the_top_level_parse(monkeypatch, capsys, capped_csv):
+def test_a_command_argv_never_reaches_the_top_level_parse(monkeypatch, capsys, capped_csv, profile_path):
     parser, calls = build_parser(), []
     top_level = parser.parse_known_args
     monkeypatch.setattr(parser, "parse_known_args", lambda *args: calls.append(args) or top_level(*args))
@@ -558,6 +585,9 @@ def test_a_command_argv_never_reaches_the_top_level_parse(monkeypatch, capsys, c
     with pytest.raises(SystemExit):
         main(["--version"])
     assert len(calls) == 1  # the spy is on the path an argv without a command takes
+    # an argv the option table leaves is read by the top-level parse, once
+    assert main(["diagnose", capped_csv, "--prof", profile_path, "--no-fail"]) == 0
+    assert len(calls) == 2
 
 
 def _spy_on_commands(monkeypatch) -> list:

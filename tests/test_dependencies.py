@@ -107,6 +107,17 @@ def test_only_ingest_imports_orjson():
     assert importers == {"ingest"}
 
 
+def test_cli_reaches_only_the_pinned_argparse_internals():
+    """The underscore attributes cli.py reads, dunders aside, are exactly the
+    argparse internals it is known to need: a new one is a reviewed decision,
+    as pyproject admits every Python from 3.10 and argparse's private names move."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_") and not node.attr.endswith("__")}
+    assert reached == {"_StoreAction", "_StoreTrueAction", "_actions", "_defaults",
+                       "_negative_number_matcher", "_print_message"}
+
+
 def _halfway_texts() -> list[str]:
     """The exact decimal halfway point between each anchor and the next
     double up, and decimals a hair below and above it (the last of 30 and

@@ -328,6 +328,20 @@ class TestClassifyGrowth:
         assert fit.linear_ss == pytest.approx(2.72e306, rel=1e-3)
         assert fit.note == "exponential fit overflowed; treated as non-exponential"
 
+    def test_a_linear_residual_sum_past_float64_is_inf_without_a_warning(self):
+        # r = 1.35e308 squares past float64 in the linear fit's residuals;
+        # numpy's overflow warning would print on the CLI's stderr
+        series = series_of([(146435, 1.1178147102025e-310, 6.536862116514126),
+                            (162849, 1.7414014055459623, 1.0569536838715976e-300),
+                            (330204, 5.45894086172836, 0.0),
+                            (555536, 1.2313808216738511e-20, 1.3474720097631923e+308),
+                            (605262, 16.78280346573097, 7.716942130089384e+19)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = diagnose_series(series)
+        growth, = [f for f in report.findings if f.detector == "GROWTH_CLASS"]
+        assert growth.evidence["linear_ss"] == math.inf
+
 
 # three_stage_profile's knee is at n = 2002.1: two points before it, then four
 # post-knee points on the slope S_max
