@@ -15,7 +15,6 @@ operational law, which no amount of benign interpretation survives.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,8 +35,6 @@ DETECTOR_IDS = (BOUND_VIOLATION, THREAD_THROTTLING, THINK_TIME_VIOLATION,
 INFO = "info"
 WARNING = "warning"
 CRITICAL = "critical"
-
-_EPS = np.finfo(np.float64).eps  # polyfit's rcond is len(x) times this
 
 # a line through fewer than two points is not determined: the fewest
 # post-knee points the growth and flattening fits, and the CLI, accept
@@ -315,25 +312,44 @@ def detect_retrograde(series: LoadSeries,
     return findings
 
 
-def _line_fits(x: np.ndarray, *ys: np.ndarray) -> list[np.ndarray]:
-    """``np.polyfit(x, y, 1)`` of each ``y``, to the bit, from one design
-    matrix: polyfit's scaled Vandermonde matrix and rcond are built once,
-    then each ``y`` is solved on its own (one solve over both columns
-    rounds differently). Warns RankWarning, as polyfit does, for each
-    solve whose matrix is rank deficient."""
-    # np.vander(x + 0.0, 2), filled directly
-    lhs = np.empty((len(x), 2))
-    lhs[:, 0] = x + 0.0
-    lhs[:, 1] = 1.0
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    rcond = len(x) * _EPS
+# a y whose largest magnitude reaches _HUGE is fitted as y * _SHRINK, and a power
+# of two scales exactly. Below it, with |x - x̄| <= 2**53 and fewer than 2**400
+# points, no sum or product of the fit reaches 2**1024
+_HUGE = 2.0 ** 500
+_SHRINK = 2.0 ** -600
+
+
+def _line_fits(x: np.ndarray, *ys: np.ndarray) -> list[tuple[float, float]]:
+    """The least-squares line ``(slope, intercept)`` of each ``y`` over the
+    loads ``x``, as Python floats, in closed form from two-pass centered
+    sums: x̄ and ȳ first, then ``slope = Σ(x - x̄)(y - ȳ) / Σ(x - x̄)²`` and
+    ``intercept = ȳ - slope·x̄``.
+
+    ``x`` holds at least two distinct integers in 1..2**53, as a
+    LoadSeries' n does: ``x - x[0]`` is then exact, which keeps x̄
+    accurate near 2**53, and ``Σ(x - x̄)² > 0``. Every ``y`` goes through
+    the same code, so a line fitted alone has the bits it has among
+    others. A ``y`` that reaches ``_HUGE`` is fitted at a power-of-two
+    scale, so no sum or product leaves float64 and nothing warns; a slope
+    or intercept past float64 is ±inf. The sums are numpy's pairwise
+    sums, not BLAS or LAPACK calls, so the bits do not depend on the BLAS
+    build. tests/test_diagnostics.py bounds the error against the exact
+    rational line."""
+    x0 = x[0]
+    xs = np.subtract(x, x0, dtype=np.float64)
+    k = len(xs)
+    shift = float(np.add.reduce(xs)) / k
+    xc = xs - shift
+    sxx = float(np.add.reduce(xc * xc))
+    xbar = float(x0) + shift
     fits = []
     for y in ys:
-        c, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, rcond)
-        if rank != 2:
-            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-        fits.append(c / scale)
+        scale = 1.0
+        if np.maximum.reduce(np.abs(y)) >= _HUGE:
+            scale, y = _SHRINK, y * _SHRINK
+        ybar = float(np.add.reduce(y)) / k
+        slope = float(np.add.reduce(xc * (y - ybar))) / sxx
+        fits.append((slope / scale, (ybar - slope * xbar) / scale))
     return fits
 
 
@@ -364,7 +380,7 @@ def detect_response_flattening(series: LoadSeries, knee: Bounds,
     if fit is not None and fit.linear_slope is not None:
         slope = fit.linear_slope
     else:
-        slope = float(_line_fits(ns, series.r[post])[0][0])
+        slope = _line_fits(ns, series.r[post])[0][0]
     expected = knee.s_max
     if slope >= slope_fraction * expected:
         return None
@@ -391,12 +407,13 @@ def classify_growth(series: LoadSeries, knee: Bounds,
     """Classify post-knee response growth: linear, exponential, sublinear.
 
     Fits r = a + b*n by ordinary least squares and r = c*exp(d*n) by
-    least squares on log r, then compares residual sums on the original
-    scale so both families are scored on the same footing. "exponential"
-    requires decisive evidence: residuals under half the linear fit's
-    and a positive rate. A linear slope far below the bottleneck slope
-    is "sublinear" (the flattening syndrome); anything else is the
-    lawful "linear". A ``min_points`` under 2 is refused with ValueError.
+    least squares on log r, both in closed form by ``_line_fits``, then
+    compares residual sums on the original scale so both families are
+    scored on the same footing. "exponential" requires decisive
+    evidence: residuals under half the linear fit's and a positive rate.
+    A linear slope far below the bottleneck slope is "sublinear" (the
+    flattening syndrome); anything else is the lawful "linear". A
+    ``min_points`` under 2 is refused with ValueError.
     """
     if min_points < _MIN_LINE_POINTS:
         raise ValueError(f"min_points must be >= {_MIN_LINE_POINTS}, got {min_points!r}: "
@@ -408,7 +425,7 @@ def classify_growth(series: LoadSeries, knee: Bounds,
             n_points=count,
             note=f"only {count} point(s) beyond the knee; need {min_points}")
 
-    ns = series.n[post].astype(np.float64)
+    ns = series.n[post]
     rs = series.r[post]
     ys = (rs, np.log(rs)) if (rs > 0).all() else (rs,)
     (b, a), *log_fit = _line_fits(ns, *ys)
@@ -424,14 +441,14 @@ def classify_growth(series: LoadSeries, knee: Bounds,
     if not log_fit:
         note = "nonpositive response times; exponential fit skipped"
     elif math.isfinite(residual):
-        exp_rate, exp_ss = float(d), residual
+        exp_rate, exp_ss = d, residual
     else:
         note = "exponential fit overflowed; treated as non-exponential"
 
-    fit = GrowthFit(n_points=count, linear_slope=float(b), linear_ss=linear_ss,
+    fit = GrowthFit(n_points=count, linear_slope=b, linear_ss=linear_ss,
                     exp_rate=exp_rate, exp_ss=exp_ss, note=note)
     if exp_ss is not None and exp_rate is not None and exp_ss < 0.5 * linear_ss and exp_rate > 0:
         return "exponential", fit
-    if float(b) < slope_fraction * knee.s_max:
+    if b < slope_fraction * knee.s_max:
         return "sublinear", fit
     return "linear", fit

@@ -614,17 +614,23 @@ def _float_texts(values, nonfinite=float.__repr__) -> list[str]:
     return texts
 
 
-def _int_json(values) -> str:
-    """An integer column or sequence as orjson's JSON list: ``repr``'s text, no spaces."""
-    if isinstance(values, np.ndarray):
-        values = np.ascontiguousarray(values)
-    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-
-
 def _int_texts(values) -> list[str]:
     """``int.__repr__`` of each value in an integer column or sequence."""
-    text = _int_json(values)
-    return text[1:-1].split(",") if len(text) > 2 else []
+    if isinstance(values, np.ndarray):
+        values = np.ascontiguousarray(values)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    return text.split(",") if text else []
+
+
+def _point_list_json(values) -> str:
+    """An integer sequence as ``json.dumps(..., indent=2)`` writes a report
+    finding's ``affected_points``: one value per line at 8 spaces, then
+    ``]`` at 6, or ``[]``; one orjson call writes it all. Three outer
+    lists put the values at that depth, and the cut drops those lists and
+    their indents: 18 bytes before the list, 12 after it."""
+    if isinstance(values, np.ndarray):
+        values = np.ascontiguousarray(values)
+    return orjson.dumps([[[values]]], option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)[18:-12].decode()
 
 
 def _interleave(columns, separators) -> list[str]:

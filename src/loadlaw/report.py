@@ -41,7 +41,7 @@ from .diagnostics import (
     estimate_knee,
     post_knee,
 )
-from .ingest import LoadSeries, _float_texts, _int_json, _int_texts, _interleave
+from .ingest import LoadSeries, _float_texts, _int_texts, _interleave, _point_list_json
 from .model import Bounds, ServiceProfile, bounds_summary
 
 VERDICT_CLEAN = "clean"
@@ -82,8 +82,9 @@ class Report:
         whole diagnosis. Here every piece of the text is appended to one
         list, joined once: the keys as fixed pieces, strings by
         ``encode_basestring_ascii`` and floats by ``_json_float`` as json
-        writes them, the audit by columns and each point list by one
-        orjson call, whose number text is ``repr``'s to the byte.
+        writes them, the audit by columns and each point list, indent
+        and all, by one orjson call, whose number text is ``repr``'s to
+        the byte.
         """
         b, k = self.bounds, self.knee
         out = ['{\n  "version": ', _value(self.tool_version, "\n  "), ',\n  "inputs": ']
@@ -103,8 +104,7 @@ class Report:
                     ',\n      "severity": ', encode_basestring_ascii(f.severity),
                     ',\n      "message": ', encode_basestring_ascii(f.message), ',\n      "evidence": ')
             _object(out, f.evidence, "\n      ")
-            out.append(',\n      "affected_points": ')
-            _points(out, f.affected_points)
+            out += (',\n      "affected_points": ', _point_list_json(f.affected_points))
             opening = "\n    },\n    {"
         out += ("\n    }\n  ]" if self.findings else "[]", ',\n  "verdict": ',
                 _value(self.verdict, "\n  "), "\n}")
@@ -122,16 +122,6 @@ def _object(out: list, mapping: dict | None, nl: str = "\n  ") -> None:
         out += (opening, encode_basestring_ascii(key), ": ", _value(value, nl + "  "))
         opening = "," + nl + "  "
     out.append(nl + "}" if mapping else "{}")
-
-
-def _points(out: list, points) -> None:
-    """Append a finding's affected points, one per line: an int's text holds
-    no comma, so each comma of orjson's text is where a line breaks."""
-    text = _int_json(points)
-    if text == "[]":
-        out.append(text)
-    else:
-        out += ("[\n        ", text[1:-1].replace(",", ",\n        "), "\n      ]")
 
 
 # an audit row as a report lays it out, cut at its values: the piece after

@@ -6,6 +6,18 @@ exit code, stdout and every file it wrote. ``GOLDEN`` holds the digests
 the row-by-row implementation produced at commit 36d1d8a, so any change
 to the bytes of a report, a plot file or a printed table shows here.
 
+Eight JSON digests were re-recorded once since, on purpose, when the
+post-knee line moved from a LAPACK least-squares solve (polyfit's bits)
+to the closed-form centered fit: diagnose-capped-2k-data-knee,
+-capped-2k-profile, -capped-2k-text, -capped-data-knee, -capped-profile,
+-capped-text, -lawful-data-knee and -lawful-profile. Only their fit
+evidence moved, in its last digits (linear_slope, linear_ss, exp_rate
+and exp_ss of GROWTH_CLASS, observed_slope and slope_ratio of
+RESPONSE_FLATTENING), and 12 of their 14 fitted slopes moved nearer the
+exact rational slope (one tie, one 0.99 -> 1.01 ulps). Verdicts,
+findings, affected points, the CSV files and the text output did not
+move.
+
 The inputs are the conftest fixtures plus two 2,000-row sweeps built
 from ``solve_reference`` with seeded noise: a lawful one and one whose
 load generator capped its pool at 600 running clients. Their own
@@ -172,45 +184,45 @@ GOLDEN = {  # case -> (exit code, {"stdout" or file suffix: sha256})
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     }),
     "diagnose-capped-2k-data-knee": (4, {
-        ".json": "d29ac0967efbdb284b79d798061953f722e324d44d0f3780891c7c2be7c3ffce",
+        ".json": "5e1ca6dfb2876e16c7a1727bfc49c81a0cdb054a1f140eb51011129fcf1d858a",
         ".plot.csv": "262642293e75f9f9f1e6887eda4979781734149f0b663b00f3d41d7ab60b5b28",
-        "stdout": "d29ac0967efbdb284b79d798061953f722e324d44d0f3780891c7c2be7c3ffce",
+        "stdout": "5e1ca6dfb2876e16c7a1727bfc49c81a0cdb054a1f140eb51011129fcf1d858a",
     }),
     "diagnose-capped-2k-profile": (4, {
         ".combined.csv": "87f4dbfc15ad8520693e02c30da737e165812e2e9cd5a462b80ca400d3636e62",
-        ".json": "6e9e0d3b1c10e8114e610d471c2ed85489423c8c0685888a3cee1059bf15f86f",
+        ".json": "68d0275b7db58e8b053589ad8283813f18fc552340a3f2040b61d9aa42392fac",
         ".plot.csv": "ff3829c491ecc4693e454af62697a1892ae654136d10f978f4229caf4bb2a7fe",
-        "stdout": "6e9e0d3b1c10e8114e610d471c2ed85489423c8c0685888a3cee1059bf15f86f",
+        "stdout": "68d0275b7db58e8b053589ad8283813f18fc552340a3f2040b61d9aa42392fac",
     }),
     "diagnose-capped-2k-text": (4, {
-        ".json": "b61c670e697946d3a31769c19b7a70d3edf7e421efe76c2286e10f81fe74965d",
+        ".json": "650b1a2d9dd252a08f6c43e3406b3263e8cdcfe1f001492aa0c912929bda597e",
         "stdout": "559ba201a6f480edddbfc60378f68173c336c887a69d13358f0ef3e665ba32ce",
     }),
     "diagnose-capped-data-knee": (4, {
-        ".json": "ffd94e68e87ef195985db014fe50580aea8a45497822199f27d24ee0718f1169",
+        ".json": "c638beceded123929cb21ac4e7e49a1247c67b24bc8c0604fd0ce1d5e816e02e",
         ".plot.csv": "232baa6faf096054025b7d6a4126219e796bf8d15fb363690a86e6cb99e6a444",
-        "stdout": "ffd94e68e87ef195985db014fe50580aea8a45497822199f27d24ee0718f1169",
+        "stdout": "c638beceded123929cb21ac4e7e49a1247c67b24bc8c0604fd0ce1d5e816e02e",
     }),
     "diagnose-capped-profile": (4, {
         ".combined.csv": "59ab63b48f4a244f16a8d3fdd6e0e4038ac56f2ae2cc0a9d95d724ffeeac41f9",
-        ".json": "fbeb637073d97d272c88d37a8a0b52cb2b4c64365938eaf437a71e446aeef56b",
+        ".json": "09021324a05b78483d4a6c2ffd47822da834394fe8ffd5bd6f64f3c17a4b4733",
         ".plot.csv": "5ba378fd9a62bf10ca217311255f45f5de5859d3fa568973bbe255ce295a62c1",
-        "stdout": "fbeb637073d97d272c88d37a8a0b52cb2b4c64365938eaf437a71e446aeef56b",
+        "stdout": "09021324a05b78483d4a6c2ffd47822da834394fe8ffd5bd6f64f3c17a4b4733",
     }),
     "diagnose-capped-text": (4, {
-        ".json": "3b31c3da55b846a8bfa2e0da1e719a62e1263dead1cbde78c776f0e3c2a9ee29",
+        ".json": "78e56c997c56354754056aeea74ad3d9ead9c908c087747efe93c668c6f13fac",
         "stdout": "9da432e823fe10038cadecf92c002d9dcaa98b563d834b3b11ea6091c01282f8",
     }),
     "diagnose-lawful-data-knee": (0, {
-        ".json": "b675a4bce0fc8400a4f81798e9ce94a5ad5195908ff03fc40213e348f3c63f20",
+        ".json": "d1a9dcbeb8bcd7639e3fcb2233e06c62cc82430045b19965c036acae14c52a42",
         ".plot.csv": "a7dba63e8d26b9c50206a2fc533b36561e39558ed39e13a007a84d9a59106477",
-        "stdout": "b675a4bce0fc8400a4f81798e9ce94a5ad5195908ff03fc40213e348f3c63f20",
+        "stdout": "d1a9dcbeb8bcd7639e3fcb2233e06c62cc82430045b19965c036acae14c52a42",
     }),
     "diagnose-lawful-profile": (0, {
         ".combined.csv": "03e598f5ddd55b9e63b9e8debad9481bed2b8990ab4b3bd3bac73d5cea487484",
-        ".json": "4a82f2b3006e4af4420ea74e93c79d63b88a1b5621ac99a82ffbc6b6997e1ebd",
+        ".json": "950c2aae09a55b8755a9586478b856467f518310e24f65c981bb3b8219a5c037",
         ".plot.csv": "381266bc5a14a2839915bcec73c1010e9143c11b2b23721a6e1f672404051c09",
-        "stdout": "4a82f2b3006e4af4420ea74e93c79d63b88a1b5621ac99a82ffbc6b6997e1ebd",
+        "stdout": "950c2aae09a55b8755a9586478b856467f518310e24f65c981bb3b8219a5c037",
     }),
     "diagnose-lawful-text": (0, {
         "stdout": "7410d8000f4e67d304944bde202ef6d1932e75da70ceeb33cff956e6266474fb",
