@@ -19,20 +19,24 @@ solves are bit-for-bit reproducible.
 Stages with the same service time run the same operations on the same
 inputs at every step, so their queues are equal to the last bit. The
 recursion therefore groups stages by exact service time (groups in order
-of first appearance), updates one residence time and one queue per
-group, and copies each group's queue column out to its stages at the
-end. The cycle time still adds one residence time per stage, in stage
-order, with plain float additions (not ``sum()``, which compensates
-from Python 3.12, and not a multiplicity-weighted product, which rounds
+of first appearance) and updates one residence time per group. The
+cycle time still adds one residence time per stage, in stage order,
+with plain float additions (not ``sum()``, which compensates from
+Python 3.12, and not a multiplicity-weighted product, which rounds
 differently), so every bit matches the stage-by-stage recursion. The
 recursion runs as straight-line code, built once per stage grouping
 and cached (``_recursion``): each group's residence time is a local,
 the cycle time is one left-to-right sum of the locals in stage order,
-and each group's queue and next residence time follow in two
-assignments. The generated source holds the grouping's integers only;
-service times, think time and residence times are arguments. The
-values of ``_CSV_BLOCK_ROWS`` populations gather in plain lists and go
-into the returned arrays with one store per block.
+each population's record (x, r and the residence times it was solved
+with) goes out in one call, and each group's next residence time
+follows in one assignment. The generated source holds the grouping's
+integers only; service times, think time and residence times are
+arguments. The records of ``_CSV_BLOCK_ROWS`` populations gather in
+one list, which one ``struct.pack`` unboxes into a table of a row per
+population. x and r are stored from its first two columns; a group's
+queue, ``x * g``, is numpy's product of the same two floats the loop
+multiplies, so its bits are the loop's, and each group's column is
+spread to its stages in the same store.
 
 ``write_csv`` writes the same blocks, each block's x, r and queue values
 as one table through ``ingest._float_texts``, the float encoder of every
@@ -51,6 +55,7 @@ import contextlib
 import csv
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +69,7 @@ ORACLE_MAX_N = 12
 ORACLE_MAX_STAGES = 4
 
 # populations per block in solve_reference's stores and write_csv's writes:
-# one block's lists or text at a time, so memory does not grow with the curve
+# one block's records or text at a time, so memory does not grow with the curve
 _CSV_BLOCK_ROWS = 256
 
 # terms per statement of the generated cycle-time sum: CPython's compiler
@@ -162,17 +167,20 @@ def _recursion(group: tuple[int, ...]):
     times ``g`` are arguments, and the call returns the residence times
     for the population after the block. Group j's residence time is the
     local ``g<j>``; the cycle time adds them in stage order, ``_SUM_TERMS``
-    terms per statement.
+    terms per statement. Each population passes one record to ``extend``:
+    x, r, then the residence times it was solved with, so that group j's
+    queue is ``x * g<j>`` of its record. The residence times then update
+    in one statement per group, ``g<j> = s<j> * (1.0 + x * g<j>)``.
     """
     d = max(group) + 1
-    g_list, s_list, q_list = ("".join(f"{c}{j}, " for j in range(d)) for c in "gsq")  # "g0, g1, ..., "
+    g_list, s_list = ("".join(f"{c}{j}, " for j in range(d)) for c in "gs")  # "g0, g1, ..., "
     terms = [f"g{j}" for j in group]
-    lines = ["def block(ns, z, s, g, x_append, r_append, q_extend):",
+    lines = ["def block(ns, z, s, g, extend):",
              f"    {s_list}= s", f"    {g_list}= g", "    for n in ns:", "        r = 0.0"]
     lines += [f"        r = r + {' + '.join(terms[i:i + _SUM_TERMS])}" for i in range(0, len(terms), _SUM_TERMS)]
-    lines.append("        x = n / (r + z)")
-    lines += [f"        q{j} = x * g{j}; g{j} = s{j} * (1.0 + q{j})" for j in range(d)]
-    lines += ["        x_append(x); r_append(r)", f"        q_extend(({q_list}))", f"    return {g_list}"]
+    lines += ["        x = n / (r + z)", f"        extend((x, r, {g_list}))"]
+    lines += [f"        g{j} = s{j} * (1.0 + x * g{j})" for j in range(d)]
+    lines.append(f"    return {g_list}")
     namespace = {}
     exec(compile("\n".join(lines), f"<loadlaw recursion: {len(group)} stages>", "exec"), namespace)
     return namespace["block"]
@@ -184,6 +192,8 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
     Raises MemoryError when the curves do not fit in memory, numpy's
     "array is too big" and "Maximum allowed size" refusals included.
     """
+    if isinstance(n_max, np.integer):  # np.bool_ is not one
+        n_max = int(n_max)
     if isinstance(n_max, bool) or not isinstance(n_max, int):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     if n_max < 1:
@@ -203,22 +213,22 @@ def solve_reference(profile: ServiceProfile, n_max: int) -> CanonicalCurves:
         qs = np.empty((n_max, len(group)), dtype=np.float64)
     except ValueError as exc:  # numpy refuses a size past its index range before it tries to allocate
         raise MemoryError(str(exc)) from None
-    solved = qs[:, :d]  # one queue column per group, spread to the stages at the end
 
     # residence times for population 1: every queue is empty
     resid = tuple(s * (1.0 + 0.0) for s in service)
     for start in range(0, n_max, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, n_max)
-        # a block's values gather in lists, stored with one slice each
-        x_block, r_block, q_block = [], [], []
-        resid = block(range(start + 1, stop + 1), profile.think_time, service, resid,
-                      x_block.append, r_block.append, q_block.extend)
-        xs[start:stop] = x_block
-        rs[start:stop] = r_block
-        solved[start:stop] = np.fromiter(q_block, np.float64, len(q_block)).reshape(stop - start, d)
-    # right to left: group[k] <= k, so each group column is read before it is overwritten
-    for k in reversed(range(len(group))):
-        qs[:, k] = qs[:, group[k]]
+        # a block's records gather in one list, unboxed into a (rows, d + 2) table at once
+        values = []
+        resid = block(range(start + 1, stop + 1), profile.think_time, service, resid, values.extend)
+        table = np.frombuffer(struct.pack(f"{len(values)}d", *values)).reshape(stop - start, d + 2)
+        xs[start:stop] = x = table[:, 0]
+        rs[start:stop] = table[:, 1]
+        # group j's queue is the loop's own product x * g<j>, stored to each of its
+        # stages; where R overflowed, x is 0 and g<j> may be inf, and the loop's
+        # 0 * inf is NaN without a warning
+        with np.errstate(invalid="ignore"):
+            qs[start:stop] = (x[:, None] * table[:, 2:])[:, group]
     return CanonicalCurves(profile=profile, n=ns, x=xs, r=rs, q=qs)
 
 
@@ -259,6 +269,8 @@ def solve_oracle(profile: ServiceProfile, n: int) -> tuple[float, float]:
     the ratio of consecutive normalization constants, and recovers the
     response time from the mean stage occupancies.
     """
+    if isinstance(n, np.integer):  # np.bool_ is not one
+        n = int(n)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > ORACLE_MAX_N:

@@ -48,10 +48,26 @@ class TestSolveReference:
         c = solve_reference(three_stage_profile(), 4000)
         assert c.row(4000).x == pytest.approx(200.0, rel=0.01)
 
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "4"])
-    def test_rejects_bad_n_max(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad, message", [
+        (0, "n_max must be >= 1, got 0"),
+        (-3, "n_max must be >= 1, got -3"),
+        (np.int64(0), "n_max must be >= 1, got 0"),
+        (True, "n_max must be an integer >= 1, got True"),
+        (np.True_, f"n_max must be an integer >= 1, got {np.True_!r}"),
+        (1.5, "n_max must be an integer >= 1, got 1.5"),
+        (2.0, "n_max must be an integer >= 1, got 2.0"),
+        (np.float64(2.0), f"n_max must be an integer >= 1, got {np.float64(2.0)!r}"),
+        ("4", "n_max must be an integer >= 1, got '4'"),
+    ])
+    def test_rejects_bad_n_max(self, bad, message):
+        with pytest.raises(ValueError) as exc:
             solve_reference(three_stage_profile(), bad)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n_max", [np.int64(5), np.int32(5), np.uint8(5)], ids=repr)
+    def test_accepts_a_numpy_integer_n_max(self, n_max):
+        p = three_stage_profile()
+        assert_matches_per_stage_recursion(solve_reference(p, n_max), p, 5)
 
     def test_rows_are_contiguous_from_one(self):
         c = solve_reference(three_stage_profile(), 10)
@@ -88,11 +104,16 @@ class TestSolveOracle:
         with pytest.raises(ValueError, match="size cap"):
             solve_oracle(wide, 2)
 
-    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+    @pytest.mark.parametrize("bad", [0, -1, True, np.True_, 2.0, np.float64(2.0)])
     def test_rejects_bad_n(self, bad):
         with pytest.raises(ValueError) as exc:
             solve_oracle(three_stage_profile(), bad)
         assert str(exc.value) == f"n must be an integer >= 1, got {bad!r}"
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)], ids=repr)
+    def test_accepts_a_numpy_integer_n(self, n):
+        p = three_stage_profile()
+        assert solve_oracle(p, n) == solve_oracle(p, 5)
 
     def test_agrees_at_exact_caps(self):
         p = ServiceProfile.from_service_times([0.004, 0.011, 0.007, 0.011], think_time=0.5)
@@ -388,6 +409,18 @@ def test_wide_profiles_match_per_stage_recursion_bit_for_bit(p, n_max):
     assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
 
 
+@pytest.mark.parametrize("times, n_max", [
+    ([1e308], 50),  # R overflows at n = 2, whose queue is 0 * inf; every later value is NaN
+    ([1e308, 1e308, 5e307], 50),  # R overflows at n = 1 though no residence time does
+    ([1.7e308, 1e-300], 600),
+    ([5e-324, 1e-3], 600),
+], ids=["1e308", "1e308-tied", "1.7e308-1e-300", "5e-324-1e-3"])
+def test_overflowing_residence_times_match_per_stage_recursion_bit_for_bit(times, n_max):
+    # NaN queues included, and no RuntimeWarning, which pytest turns into an error
+    p = ServiceProfile.from_service_times(times, think_time=0.0)
+    assert_matches_per_stage_recursion(solve_reference(p, n_max), p, n_max)
+
+
 def test_one_grouping_is_built_once_for_any_service_and_think_times():
     a = ServiceProfile.from_service_times([0.2, 0.1, 0.2, 0.3], think_time=1.0)
     b = ServiceProfile.from_service_times([0.004, 0.5, 0.004, 0.02], think_time=0.0)
@@ -493,12 +526,22 @@ def test_rows_with_edge_values_are_written_as_the_row_writer_wrote_them(c, block
         assert csv_text(c) == reference_csv_text(c)
 
 
-def test_solve_and_write_hold_about_one_curve_in_memory():
+_MEMORY_PROFILES = {  # case -> (service times, think time), in seconds
+    "fifty-tied": ([s["service_time"] / 1000 for s in _tied_profile_50()["stages"]],
+                   _tied_profile_50()["think_time"] / 1000),
+    # no two stages equal, so a block's queue product is as wide as the profile
+    "fifty-distinct": ([0.0005 * 1.047 ** k for k in range(50)], 0.25e-3),
+    "three-stage": ([0.0035, 0.005, 0.002], 10.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_MEMORY_PROFILES))
+def test_solve_and_write_hold_about_one_curve_in_memory(case):
     # a list of the whole curve's floats would hold about 3x the returned
-    # arrays, and a whole-curve column_stack in write_csv 8.5 MB more
-    doc = _tied_profile_50()
-    p = ServiceProfile.from_service_times([s["service_time"] / 1000 for s in doc["stages"]],
-                                          think_time=doc["think_time"] / 1000)
+    # arrays, a whole-curve residence table 2x, and a whole-curve
+    # column_stack in write_csv 8.5 MB more
+    times, z = _MEMORY_PROFILES[case]
+    p = ServiceProfile.from_service_times(times, think_time=z)
     tracemalloc.start()
     try:
         c = solve_reference(p, 20_000)
@@ -515,7 +558,8 @@ def test_solve_and_write_hold_about_one_curve_in_memory():
     assert write_peak - before < 3 * 2 ** 20
 
 
-def test_solve_and_write_hold_about_one_curve_in_memory_with_a_cold_cache():
+@pytest.mark.parametrize("case", list(_MEMORY_PROFILES))
+def test_solve_and_write_hold_about_one_curve_in_memory_with_a_cold_cache(case):
     # the build of the grouping's recursion counts against the same bound
     curves_module._recursion.cache_clear()
-    test_solve_and_write_hold_about_one_curve_in_memory()
+    test_solve_and_write_hold_about_one_curve_in_memory(case)
