@@ -151,6 +151,13 @@ class CanonicalCurves:
             configured_think_time = self.profile.think_time
         if ns is None:
             rows = slice(None)
+        elif (rows := np.asarray(ns)).ndim == 1 and rows.dtype.kind in "iu" and (
+                rows is ns or not {bool, np.bool_} & set(map(type, ns))):  # numpy reads a bool beside ints as 1
+            # integers are range-checked at once; the first bad one is worded by _index
+            bad = (rows < 1) | (rows > len(self.n))
+            if bad.any():
+                self._index(rows[bad.argmax()])
+            rows = rows - 1
         else:
             rows = np.array([self._index(n) for n in ns], dtype=np.int64)
         return LoadSeries.from_arrays(self.n[rows], self.x[rows], self.r[rows],

@@ -15,20 +15,23 @@ is converted to seconds on the way in, because mixed-unit arithmetic is
 precisely the kind of mistake this toolkit exists to catch.
 
 Number cells read as ``float()`` and ``int()`` read them, to the bit, by
-one of two readers. A block of CSV lines whose rows are all of one width
-and whose cells are all JSON numbers, the read ones of their column's
-type, is read by one ``orjson.loads`` of its lines joined by a row
-marker (see _json_columns). Any other block goes to a row loop that cuts
-each line once and reads each wanted cell by ``float()`` or ``int()``,
-up to the first row that does not read (see _read_rows).
+one of two readers. A block of body bytes whose rows are all of one width
+and whose cells are all JSON numbers, the read ones of their column's type,
+is read by one ``orjson.loads`` with each line break made a row marker (see
+_json_columns). Only a block it refuses is decoded and cut into lines; its
+data lines are tried so once more, then go to a row loop that cuts each
+line once and reads each wanted cell by ``float()`` or ``int()``, up to
+the first row that does not read (see _read_rows).
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import json
 import math
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,8 +44,8 @@ from .model import ServiceProfile, Stage, _echo, _float, _number
 _R_COLUMN_UNITS = {"r": None, "r_s": "s", "r_ms": "ms"}
 _UNIT_DIVISOR = {"s": 1.0, "ms": 1000.0}
 
-# body lines the CSV parsers join and split at a time when they convert by
-# columns: only one block's cells are alive at once, not the whole file's
+# body lines the CSV parsers read at a time when they convert by columns:
+# only one block's cells are alive at once, not the whole file's
 _BULK_LINES = 4096
 
 
@@ -334,19 +337,39 @@ class ThroughputTrace(_FrozenColumns):
         return f"ThroughputTrace(samples={self.samples!r})"
 
 
-def _as_text(raw) -> str:
+def _as_bytes(raw) -> bytes:
+    """``raw`` (text, bytes-like, or an object whose ``read()`` returns either) as UTF-8
+    bytes, refused before any row if not UTF-8; text is encoded by ``surrogatepass``."""
     # a text-mode file decodes inside read(), so both steps share the handler
     try:
-        if not isinstance(raw, (bytes, str)):
-            raw = raw.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+        raw = raw.read() if hasattr(raw, "read") else raw
+        # drop the byte-order mark that Excel and PowerShell exports start with
+        if isinstance(raw, str):
+            return raw.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+        try:
+            data = raw if isinstance(raw, bytes) else memoryview(raw).tobytes()
+        except TypeError:
+            raise TypeError(f"expected text, bytes-like or an object with .read(), got {type(raw).__name__}") from None
+        if not data.isascii():
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         data, start = exc.object, exc.start
         raise ParseError(f"not UTF-8: byte 0x{data[start]:02x} at offset {start}",
                          line=data.count(b"\n", 0, start) + 1) from None
-    # drop the byte-order mark that Excel and PowerShell exports start with
-    return raw.removeprefix("\ufeff")
+    return data.removeprefix(b"\xef\xbb\xbf")
+
+
+def _as_text(raw) -> str:
+    return _as_bytes(raw).decode("utf-8", "surrogatepass")
+
+
+def _lines(data: bytes, start: int):
+    """(line, offset past it) of each str.splitlines line from ``start``, decoding a b"\\n"-ended piece at a time."""
+    while start < len(data):
+        text = data[start:data.find(b"\n", start) + 1 or len(data)].decode("utf-8", "surrogatepass")
+        for line, piece in zip(text.splitlines(), text.splitlines(True)):
+            start += len(piece.encode("utf-8", "surrogatepass"))
+            yield line, start
 
 
 def _cells(line: str) -> list[str]:
@@ -355,10 +378,10 @@ def _cells(line: str) -> list[str]:
     return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
-def _rows(lines: list[str]):
-    """(line number, cells) of each non-comment, non-blank line; cells unstripped.
-    A line _cells cannot cut raises ParseError on its number in ``lines``."""
-    for lineno, line in enumerate(lines, 1):
+def _rows(lines, first: int = 1):
+    """(line number, counted from ``first``, cells) of each non-comment, non-blank
+    line; cells unstripped. A line _cells cannot cut raises ParseError on its number."""
+    for lineno, line in enumerate(lines, first):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             try:
@@ -385,84 +408,85 @@ def _header(rows, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> 
     raise ParseError("empty file: expected a header row")
 
 
+def _read_header(raw, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """A CSV input's bytes, the offset past its header line, and _header's
+    line number and columns; only the lines up to the header are decoded."""
+    data, body = _as_bytes(raw), [0]
+    # _header reads rows only up to the first, so body[0] is left past the header line
+    header_line, columns = _header(_rows(line for line, body[0] in _lines(data, 0)), required, optional)
+    return data, body[0], header_line, columns
+
+
 def _joined(cells: list[str]) -> str:
     """The row as an error message quotes it: its stripped cells joined by commas, as _echo quotes text."""
     return _echo(",".join(c.strip() for c in cells))
 
 
-def _json_columns(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[list] | None:
-    """The values at ``indices`` of the lines ``block``, each list of its
-    ``kinds`` type, read by one ``orjson.loads`` of the lines joined by the
-    row marker ``",null,"`` (empty for no lines); None when the block is
-    not read that way.
+def _json_columns(block: bytes, indices: tuple[int, ...], kinds: tuple[type, ...]) -> list[np.ndarray] | None:
+    """The values at ``indices`` of the lines ``block`` (bytes), a column of
+    each ``kinds`` type, read by one ``orjson.loads`` with each b"\\n" made
+    the row marker ``,null,`` (empty for no lines); None when not read so.
 
     Without ``"`` or ``[`` each JSON value is one cell, and with ``null``
-    only in the markers, the markers land on every (w + 1)-th of
-    ``len(block) * (w + 1) - 1`` values only when every row is w cells
-    wide. Without ``t``, ``f`` or ``{`` too, no cell is ``true``, ``false``
-    or an object, so every other value is a JSON number with at most JSON's
-    whitespace (a subset of what str.strip drops) around it, and for such a
-    cell orjson's float or int is ``kind(cell.strip())`` to the bit. Every
+    only in the markers, they land on every (w + 1)-th value only when
+    every line is w cells wide. Any other line break str.splitlines knows
+    fails the parse, and a CR (JSON whitespace) is refused but before a
+    LF: so each line is one row. Without ``t``, ``f`` or ``{`` too, no cell
+    is ``true``, ``false`` or an object: every other value is a JSON number
+    with at most JSON's whitespace (which str.strip drops) around it, and
+    orjson's float or int is ``kind(cell.strip())`` to the bit. Every
     cell on which the two grammars part fails the parse or the type check:
     ``+1``, ``.5``, ``1.``, ``007``, ``nan``, ``inf``, ``1e400`` (refused),
     non-ASCII digits; in an int column a float text or an integer past
-    2**64 (which orjson reads as a float). In a float column an int is
-    read too, unless the block holds ``-0`` followed by ``,``, ``]``, a
-    space or a tab (lines hold no other JSON whitespace): ``-0`` is the one
-    integer text whose orjson int (0) and ``float()`` (-0.0) differ, while
-    ``-0.`` and ``-0e`` begin floats and ``-0`` before a digit is not JSON.
-    So types are checked per value only in int columns, and in float
-    columns when the block holds ``-0``.
+    int64. ``-0`` is the one integer text whose orjson int (0) and
+    ``float()`` (-0.0) differ, so a block holding ``-0`` then ``,`` or JSON
+    whitespace is refused (``-0.`` and ``-0e`` begin floats, and ``-0``
+    before a digit is not JSON).
     """
     if not block:
-        return [[] for _ in indices]
-    width = block[0].count(",") + 1
-    text = "[" + ",null,".join(block) + "]"
+        return [np.empty(0, np.int64 if kind is int else np.float64) for kind in kinds]
+    block += b"" if block.endswith(b"\n") else b"\n"
     # null is JSON's one word with an "n": the markers must be the only nulls;
     # t, f and { are in true, false and objects, the other values that are not numbers
-    if (width <= max(indices) or '"' in text or text.find("[", 1) > 0 or "t" in text or "f" in text
-            or "{" in text or text.count("n") != len(block) - 1):
+    if (b'"' in block or b"[" in block or b"n" in block or b"t" in block or b"f" in block or b"{" in block
+            or b"\r" in block and block.count(b"\r") != block.count(b"\r\n")
+            or b"-" in block and re.search(rb"-0[,\n\r\t ]", block)):
         return None
+    text = block.replace(b"\n", b",null,")
+    lines = (len(text) - len(block)) // 5  # each line break grew by 5 bytes
     try:
-        values = orjson.loads(text)
+        values = orjson.loads(b"".join((b"[", text, b"null]")))
     except orjson.JSONDecodeError:
         return None
-    stride = width + 1
-    if len(values) != len(block) * stride - 1 or values[width::stride].count(None) != len(block) - 1:
+    values.pop()  # the null that closes the last marker
+    stride, extra = divmod(len(values), lines)
+    if extra or stride <= max(indices) + 1 or values[stride - 1::stride].count(None) != lines:
         return None
-    read = [values[i::stride] for i in indices]
-    # one scan settles the common block, which holds no "-"
-    negative_zero = "-" in text and any(zero in text for zero in ("-0,", "-0]", "-0 ", "-0\t"))
-    for column, kind in zip(read, kinds):
-        if (kind is int or negative_zero) and set(map(type, column)) != {kind}:
-            return None
-    return read
+    try:
+        return [np.frombuffer(array.array("q", values[i::stride]), np.int64) if kind is int
+                else np.fromiter(values[i::stride], np.float64, lines) for i, kind in zip(indices, kinds)]
+    except (TypeError, OverflowError):  # an int column's float, or int past int64
+        return None
 
 
-def _convert(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
-             columns: list[np.ndarray], start: int) -> tuple[int, tuple[int, str] | None]:
-    """Write the cells at ``indices`` of the data rows among the lines
-    ``block``, converted by ``kinds``, into ``columns`` from row ``start``,
-    each column by one np.fromiter; return how many rows that is and the
-    (line number in ``block``, error) of the row that stopped the block, or None.
+def _convert(block: bytes, indices: tuple[int, ...],
+             kinds: tuple[type, ...]) -> tuple[int, list[np.ndarray], tuple[int, str] | None]:
+    """The number of lines in ``block`` (bytes), the cells at ``indices`` of
+    its data rows converted by ``kinds``, a column each, and the (line
+    number in ``block``, error) of the row that stopped it, or None.
 
-    A block is read by _json_columns; failing that, so are its lines other
-    than comment and blank ones, when it has such lines. Any other block
-    (quoted or text cells, ragged rows, a bad row, an n orjson reads past
-    int64) is read by _read_rows. Both give the bits ``float()``/``int()`` give.
+    A block is read by _json_columns; failing that, it is decoded and cut
+    into lines, and so are its lines other than comment and blank ones,
+    when it has such lines. Any other block is read by _read_rows. Both
+    give the bits ``float()``/``int()`` give.
     """
-    read = _json_columns(block, indices, kinds)
-    if read is None:
-        kept = [line for line in block if (stripped := line.strip()) and stripped[0] != "#"]
-        read = _json_columns(kept, indices, kinds) if len(kept) < len(block) else None
-    if read is not None:
-        try:
-            for column, values in zip(columns, read):
-                column[start:start + len(values)] = np.fromiter(values, column.dtype, len(values))
-            return len(read[0]), None
-        except OverflowError:  # an n of 2**63 to 2**64 - 1, which orjson reads as an int
-            pass
-    return _read_rows(block, indices, kinds, columns, start)
+    if (read := _json_columns(block, indices, kinds)) is not None:
+        return len(read[0]), read, None
+    lines = block.decode("utf-8", "surrogatepass").splitlines()
+    kept = [line for line in lines if (stripped := line.strip()) and stripped[0] != "#"]
+    if len(kept) < len(lines):
+        read = _json_columns("\n".join(kept).encode("utf-8", "surrogatepass"), indices, kinds)
+    return (len(lines), read, None) if read is not None else (len(lines), *_read_rows(lines, indices, kinds))
 
 
 def _read(kind: type, text: str) -> int | float:
@@ -478,18 +502,18 @@ def _read(kind: type, text: str) -> int | float:
         raise
 
 
-def _read_rows(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ...],
-               columns: list[np.ndarray], start: int) -> tuple[int, tuple[int, str] | None]:
-    """_convert's row loop: cut each data row among the lines ``block``
-    once and read each cell at ``indices`` by _read, up to the first row
-    that cannot be cut, is too short, has a cell that does not convert or
-    an n past int64; write and return the rows before it as _convert does."""
+def _read_rows(lines: list[str], indices: tuple[int, ...],
+               kinds: tuple[type, ...]) -> tuple[list[np.ndarray], tuple[int, str] | None]:
+    """_convert's row loop: cut each data row among ``lines`` once and read
+    each cell at ``indices`` by _read, up to the first row that cannot be
+    cut, is too short, has a cell that does not convert or an n past
+    int64; return the rows before it and that row as _convert does."""
     width, read = max(indices), [[] for _ in kinds]
     cells_read = tuple(zip(indices, kinds, [values.append for values in read]))
     # n is the one column read as int (a trace's stand-in n is 0); past int64 it has no cell to go into
     loads, failure = read[0] if kinds[0] is int else [0], None
     try:
-        for lineno, cells in _rows(block):
+        for lineno, cells in _rows(lines):
             if len(cells) <= width:
                 raise ParseError(f"expected at least {width + 1} columns, got {len(cells)}", lineno)
             try:
@@ -503,46 +527,52 @@ def _read_rows(block: list[str], indices: tuple[int, ...], kinds: tuple[type, ..
         failure = exc.line, str(exc).removeprefix(f"line {exc.line}: ")
     # a bad row leaves some of its values, never all, on the lists
     rows = min(map(len, read))
-    for column, values in zip(columns, read):
-        column[start:start + rows] = np.fromiter(values, column.dtype, rows)
-    return rows, failure
+    return [np.fromiter(values, np.int64 if kind is int else np.float64, rows)
+            for values, kind in zip(read, kinds)], failure
 
 
-def _read_columns(lines: list[str], header_line: int, indices: tuple[int, ...],
+def _read_columns(data: bytes, body: int, header_line: int, indices: tuple[int, ...],
                   kinds: tuple[type, ...], build, refuse=None):
-    """``build(*columns)`` of the body after ``header_line``: the columns at
-    ``indices``, converted by ``kinds`` (int to int64, float to float64).
+    """``build(*columns)`` of the body of ``data`` from offset ``body``: the
+    columns at ``indices``, converted by ``kinds`` (int to int64, float to float64).
 
-    The body is converted ``_BULK_LINES`` lines at a time by _convert,
-    up to the first row that cannot be cut, is too short, has a cell that
-    does not convert or an n past int64. The rows before it are built (the
+    The body is converted ``_BULK_LINES`` lines at a time by _convert, up
+    to the first row that cannot be cut, is too short, has a cell that does
+    not convert or an n past int64. The rows before it are built (the
     result is dropped), and that row's error is raised only if they pass.
     A ``_RowError`` from ``build`` is raised as a ParseError on the row's
     line, worded by ``refuse(error, cells, *columns)`` when given. The
     columns are new arrays that ``build`` may keep without a copy.
     """
-    columns = [np.empty(len(lines) - header_line, np.int64 if kind is int else np.float64) for kind in kinds]
-    rows, failure = 0, None
-    for start in range(header_line, len(lines), _BULK_LINES):
-        converted, failure = _convert(lines[start:start + _BULK_LINES], indices, kinds, columns, rows)
-        rows += converted
+    # blocks end past every _BULK_LINES-th b"\n" and at the end; most bodies are one block
+    ends, blocks, line, start, failure = [len(data)], [], header_line, body, None
+    if len(data) - body > _BULK_LINES and np.count_nonzero(
+            breaks := np.frombuffer(data, np.uint8, offset=body) == ord("\n")) >= _BULK_LINES:
+        ends[:0] = (np.flatnonzero(breaks)[_BULK_LINES - 1::_BULK_LINES] + (body + 1)).tolist()
+        del breaks  # a byte per body byte
+    for end in ends:
+        count, read, failure = _convert(data[start:end], indices, kinds)
+        blocks.append(read)
         if failure:
             break
+        line, start = line + count, end
+    # a column of one block is its block's own array; several blocks are joined
+    columns = [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*blocks)]
+    del blocks  # the parts of a body of several blocks, freed before the build
+    rows = len(columns[0])
     if not rows and failure is None:
         raise ParseError("no data rows")
-    # each column owns its data, as a copy would: no writable buffer outlives the build
-    columns = [column if len(column) == rows else column[:rows].copy() for column in columns]
     try:
         if failure is None:
             return build(*columns)
         if rows:
             build(*columns)
     except _RowError as exc:
-        # the header is the first row _rows yields
-        lineno, cells = next(itertools.islice(_rows(lines), exc.row + 1, None))
+        lines = (text for text, _ in _lines(data, body))
+        lineno, cells = next(itertools.islice(_rows(lines, header_line + 1), exc.row, None))
         message = refuse(exc, cells, *columns) if refuse else str(exc)
         raise ParseError(message, line=lineno) from None
-    raise ParseError(failure[1], line=start + failure[0])
+    raise ParseError(failure[1], line=line + failure[0])
 
 
 def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None = None) -> LoadSeries:
@@ -559,8 +589,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     """
     if r_unit not in _UNIT_DIVISOR:
         raise ValueError(f"unknown response-time unit {r_unit!r}; use one of {sorted(_UNIT_DIVISOR)}")
-    lines = _as_text(raw).splitlines()
-    header_line, columns = _header(_rows(lines), ("n", "x"), tuple(_R_COLUMN_UNITS))
+    data, body, header_line, columns = _read_header(raw, ("n", "x"), tuple(_R_COLUMN_UNITS))
     present = [name for name in _R_COLUMN_UNITS if name in columns]
     if not present:
         raise ParseError("missing response-time column: expected one of r, r_s, r_ms",
@@ -572,7 +601,7 @@ def parse_series(raw, *, r_unit: str = "s", configured_think_time: float | None 
     def build(n, x, r):
         return LoadSeries._from_columns((n, x, r / divisor), configured_think_time)
 
-    return _read_columns(lines, header_line, (columns["n"], columns["x"], columns[present[0]]),
+    return _read_columns(data, body, header_line, (columns["n"], columns["x"], columns[present[0]]),
                          (int, float, float), build)
 
 
@@ -665,9 +694,8 @@ def parse_trace(raw) -> ThroughputTrace:
     file: too short, malformed, out of order, or not finite with
     x_inst >= 0.
     """
-    lines = _as_text(raw).splitlines()
-    header_line, columns = _header(_rows(lines), ("t", "x_inst"))
-    return _read_columns(lines, header_line, (columns["t"], columns["x_inst"]), (float, float),
+    data, body, header_line, columns = _read_header(raw, ("t", "x_inst"))
+    return _read_columns(data, body, header_line, (columns["t"], columns["x_inst"]), (float, float),
                          lambda t, x: ThroughputTrace._from_columns((t, x)), _sample_refusal)
 
 

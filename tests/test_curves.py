@@ -254,6 +254,24 @@ class TestAsSeries:
         assert c.row(population) == c.row(3)
         assert type(c.row(population).n) is int
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_an_integer_array_selects_as_its_list_does(self, dtype):
+        c = solve_reference(three_stage_profile(), 6)
+        ns = np.array([1, 2, 3, 5, 6], dtype=dtype)[::2]  # a strided view
+        assert c.as_series(ns=ns) == c.as_series(ns=[1, 3, 6])
+        assert c.as_series(ns=ns).n.tolist() == [1, 3, 6]
+
+    @pytest.mark.parametrize("ns, message", [
+        (np.array([2, 0, 9]), "population 0 outside solved range 1..4"),
+        (np.array([2, 9, 0]), "population 9 outside solved range 1..4"),
+        (np.array([-2 ** 63]), f"population {-2 ** 63} outside solved range 1..4"),
+        (np.array([3, 2 ** 64 - 1], dtype=np.uint64), f"population {2 ** 64 - 1} outside solved range 1..4"),
+    ], ids=["zero", "past-n-max", "int64-min", "uint64-max"])
+    def test_an_integer_array_names_its_first_population_outside_the_range(self, ns, message):
+        with pytest.raises(IndexError) as exc:
+            solve_reference(three_stage_profile(), 4).as_series(ns=ns)
+        assert str(exc.value) == message
+
 
 def _tied_profile_50():
     """50 stages whose times are quantized to 0.1 ms, so several are equal."""

@@ -2,7 +2,9 @@
 third-party modules the package imports, no more and no fewer; the
 version is written once, in the package; no function in it calls
 dataclasses.fields(); only curves._recursion compiles code; only ingest
-imports orjson; and the installed orjson reads numbers as float() does."""
+imports orjson, and reads CSV numbers at one orjson.loads site without
+cutting a whole input into lines; and the installed orjson reads numbers
+as float() does."""
 
 import ast
 import decimal
@@ -107,6 +109,29 @@ def test_only_ingest_imports_orjson():
     assert importers == {"ingest"}
 
 
+def test_ingest_has_one_bulk_reader_and_cuts_no_whole_input_into_lines():
+    """CSV numbers are read by one orjson.loads site, in _json_columns. And no
+    line list of a whole input is made: str.splitlines runs only on one block
+    the bulk reader refused (in _convert) and on one b"\\n"-ended piece (in
+    _lines, which reads up to the header, and past it only to find the line
+    of a row the value checks refused)."""
+    calls = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"loads", "splitlines"} and ast.unparse(node.func) != "json.loads"):
+            calls.append((scope, ast.unparse(node.func.value), node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / "ingest.py").read_text()), "ingest")
+    assert sorted(calls) == [("_convert", "block.decode('utf-8', 'surrogatepass')", "splitlines"),
+                             ("_json_columns", "orjson", "loads"),
+                             ("_lines", "text", "splitlines"), ("_lines", "text", "splitlines")]
+
+
 def test_cli_reaches_only_the_pinned_argparse_internals():
     """The underscore attributes cli.py reads, dunders aside, are exactly the
     argparse internals it is known to need: a new one is a reviewed decision,
@@ -160,9 +185,9 @@ def test_installed_orjson_reads_hard_decimals_as_float_does():
     from loadlaw import ingest
 
     texts = HARD_DECIMALS + ["-" + text for text in HARD_DECIMALS]
-    read = ingest._json_columns(texts, (0,), (float,))
+    read = ingest._json_columns("\n".join(texts).encode(), (0,), (float,))
     assert read is not None, "orjson refused or retyped a hard decimal"
-    assert [v.hex() for v in read[0]] == [float(text).hex() for text in texts]
+    assert [v.hex() for v in read[0].tolist()] == [float(text).hex() for text in texts]
 
 
 def test_installed_orjson_reads_hard_decimals_in_a_plain_trace_as_float_does(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import pathlib
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from loadlaw import (
     steady_state_average,
 )
 
-from loadlaw import audit_series, ingest
+from loadlaw import audit_series, ingest, solve_reference
 from loadlaw.report import _json_float
 
-from .conftest import CSV_PROBES, PROFILE_PROBES, gen0_collections, load_series
+from .conftest import CSV_PROBES, PROFILE_PROBES, gen0_collections, load_series, three_stage_profile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -699,6 +700,37 @@ def test_non_utf8_file_is_a_parse_error_in_either_mode(parse, mode, tmp_path):
     assert (str(exc.value), exc.value.line) == ("line 2: not UTF-8: byte 0xe9 at offset 11", 2)
 
 
+INPUTS = [(parse_series, b"n,x,r\n1,1,1\n2,3,0.5\n"), (parse_trace, b"t,x_inst\n0,10\n1,12\n"),
+          (parse_profile, b'{"stages":[{"label":"a","service_time":1}],"think_time":0,"time_unit":"s"}')]
+
+
+@pytest.mark.parametrize("parse, raw", INPUTS, ids=["series", "trace", "profile"])
+def test_a_bytearray_is_read_as_its_bytes(parse, raw):
+    assert parse(bytearray(raw)) == parse(raw)
+    assert parse(bytearray(UTF8_BOM + raw)) == parse(raw)
+
+
+@pytest.mark.parametrize("parse, raw", INPUTS, ids=["series", "trace", "profile"])
+def test_a_memoryview_is_read_as_its_bytes(parse, raw):
+    """A view of part of a buffer, or with a stride, is read as the bytes it shows."""
+    assert parse(memoryview(raw)) == parse(raw)
+    assert parse(memoryview(b"xx" + raw + b"yy")[2:-2]) == parse(raw)
+    assert parse(memoryview(bytes(byte for pair in zip(raw, b"." * len(raw)) for byte in pair))[::2]) == parse(raw)
+
+
+@pytest.mark.parametrize("parse, raw", INPUTS, ids=["series", "trace", "profile"])
+@pytest.mark.parametrize("wrong", [lambda path: path, lambda path: str(path).encode().split(b"/"), lambda path: 7],
+                         ids=["path", "list", "int"])
+def test_an_input_of_another_kind_is_a_type_error_naming_the_accepted_kinds(parse, raw, wrong, tmp_path):
+    """A path is not opened: the caller opens it (the CLI reads files as bytes)."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(raw)
+    given = wrong(path)
+    with pytest.raises(TypeError) as exc:
+        parse(given)
+    assert str(exc.value) == f"expected text, bytes-like or an object with .read(), got {type(given).__name__}"
+
+
 class TestSteadyStateAverage:
     def test_constant_trace(self):
         trace = ThroughputTrace(tuple((float(t), 200.0) for t in range(0, 101)))
@@ -932,11 +964,17 @@ def _cell(draw, good):
     return good
 
 
+# the line breaks str.splitlines knows that load-test exports write
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x85"]
+
+
 @st.composite
 def _csv_text(draw, names, key, step):
     """A CSV over the column ``names`` (in any order, plus maybe an extra one)
-    whose ``key`` column mostly grows by ``step``; with comment, blank, CRLF
-    and quoted lines, short rows, bad cells and several faults per file."""
+    whose ``key`` column mostly grows by ``step``; with comment, blank and
+    quoted lines, short rows, bad cells and several faults per file; mostly
+    one line break per file (LF, CRLF, CR, form feed or NEL), now and then
+    another, maybe none after the last line, maybe a byte-order mark."""
     names = draw(st.permutations(names)) + draw(st.sampled_from([[], ["extra"]]))
     header = ",".join(draw(st.sampled_from([name, f" {name.upper()} "])) for name in names)
     lines = [draw(st.sampled_from(["", "# exported\n"])) + header]
@@ -956,21 +994,77 @@ def _csv_text(draw, names, key, step):
         lines.append(",".join(cells))
         value += draw(st.sampled_from([1, 1, 1, 1, 1, 1, 1, 1, 3, 0, -1])) * step
         lines.append(draw(st.sampled_from([None, None, None, "", "   ", "# note", "  # indented"])))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(line for line in lines if line is not None) + end
+    lines = [line for line in lines if line is not None]
+    end = draw(st.sampled_from(LINE_BREAKS))
+    ends = [draw(st.sampled_from([end] * 6 + LINE_BREAKS)) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, ends))
+
+
+# the kinds of input a parser takes, each made afresh from the text
+INPUT_KINDS = {"str": str, "bytes": str.encode, "binary-file": lambda text: io.BytesIO(text.encode()),
+               "text-file": io.StringIO}
+
+
+def _assert_read_as_the_reference(parse, reference, raw, **kwargs):
+    """``parse`` of ``raw`` (text, or bytes read only as bytes), in every
+    input kind and with blocks of 2, 3 and 4,096 lines, has the outcome
+    ``reference`` has: the same columns to the bit, or the same error on
+    the same line."""
+    expected = _outcome(reference, raw, *kwargs.values())
+    kinds = INPUT_KINDS if isinstance(raw, str) else {"bytes": bytes, "binary-file": io.BytesIO}
+    with pytest.MonkeyPatch.context() as patch:
+        for block_lines in (2, 3, 4096):
+            patch.setattr(ingest, "_BULK_LINES", block_lines)
+            for kind, make in kinds.items():
+                assert _outcome(parse, make(raw), **kwargs) == expected, (kind, block_lines)
 
 
 @given(_csv_text(["n", "x", "r"], "n", 1) | _csv_text(["n", "x", "r_ms"], "n", 1)
        | _csv_text(["n", "x", "r_s"], "n", 1), st.sampled_from(["s", "ms"]))
 @settings(max_examples=300)
 def test_parse_series_matches_the_row_loop(text, r_unit):
-    assert _outcome(parse_series, text, r_unit=r_unit) == _outcome(reference_parse_series, text, r_unit)
+    _assert_read_as_the_reference(parse_series, reference_parse_series, text, r_unit=r_unit)
 
 
 @given(_csv_text(["t", "x_inst"], "t", 0.5))
 @settings(max_examples=300)
 def test_parse_trace_matches_the_row_loop(text):
-    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+    _assert_read_as_the_reference(parse_trace, reference_parse_trace, text)
+
+
+def _edge_inputs(header: str, rows: list[str]) -> dict:
+    """Texts of ``header`` and ``rows`` that a bytes reader must count and
+    cut as str.splitlines does: each line break, a byte-order mark, no
+    final line break, and a comment or blank line at each place (so on
+    each boundary of blocks of 2 and 3 lines)."""
+    lines = [header, *rows]
+    edges = {f"break-{ord(end[-1]):02x}": end.join(lines) + end for end in LINE_BREAKS}
+    edges |= {"byte-order-mark": "\ufeff" + "\n".join(lines) + "\n", "no-final-break": "\n".join(lines),
+              "mixed-breaks": "".join(map(str.__add__, lines, LINE_BREAKS * 3))}
+    for at in range(1, len(lines) + 1):
+        for name, line in (("comment", "# pause"), ("blank", ""), ("indented-comment", "  # n,x,r")):
+            edges[f"{name}-at-{at}"] = "\n".join(lines[:at] + [line] + lines[at:]) + "\n"
+    # a byte that is not UTF-8, in a comment of a later block than a malformed row: it is the one refused
+    bad = "\n".join(lines[:2] + [lines[2].replace(",", ",oops", 1)] + lines[3:5] + ["# caf\udce9"] + lines[5:])
+    edges["not-utf8-after-a-bad-row"] = bad.encode("utf-8", "surrogateescape") + b"\n"
+    return edges
+
+
+SERIES_EDGES = _edge_inputs("n,x,r_ms", [f"{n},{n * 1.5},{n * 0.25 + 3}" for n in range(1, 8)])
+TRACE_EDGES = _edge_inputs("t,x_inst", [f"{t * 0.5},{t + 10}" for t in range(7)])
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_EDGES))
+def test_line_breaks_and_block_boundaries_read_as_the_row_loop_reads_them(name):
+    _assert_read_as_the_reference(parse_series, reference_parse_series, SERIES_EDGES[name], r_unit="s")
+    _assert_read_as_the_reference(parse_trace, reference_parse_trace, TRACE_EDGES[name])
+
+
+def test_a_byte_that_is_not_utf8_is_refused_before_an_earlier_bad_row():
+    with pytest.raises(ParseError) as exc:
+        parse_series(SERIES_EDGES["not-utf8-after-a-bad-row"])
+    assert (str(exc.value), exc.value.line) == ("line 6: not UTF-8: byte 0xe9 at offset 60", 6)
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -1147,11 +1241,12 @@ PARSE_PATHS |= {
 }
 
 
-@pytest.mark.parametrize("block", [["1,2.5", "2,3.5,4.5"], ["1,2.5,0", "2,3.5"]],
+@pytest.mark.parametrize("block", [b"1,2.5\n2,3.5,4.5\n", b"1,2.5,0\n2,3.5\n"],
                          ids=["wider-last-row", "narrower-last-row"])
 def test_one_orjson_call_reads_only_rows_of_one_width(block):
     assert ingest._json_columns(block, (0, 1), (int, float)) is None
-    assert ingest._json_columns(block[:1], (0, 1), (int, float)) == [[1], [2.5]]
+    first = block[:block.index(b"\n") + 1]
+    assert [column.tolist() for column in ingest._json_columns(first, (0, 1), (int, float))] == [[1], [2.5]]
 
 
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
@@ -1223,9 +1318,26 @@ def _with_line(text: str, line: str, end: str = "\n") -> str:
                                          (parse_trace, _trace_csv(5000))],
                          ids=["series", "quoted-series", "commented-crlf-series", "trace"])
 def test_parsing_keeps_no_container_per_row(parse, text):
-    """A container kept alive per row costs gen-0 collections on every file."""
-    assert parse(text).x.size == 5000
-    assert gen0_collections(lambda: parse(text)) == 0
+    """A container kept alive per row costs gen-0 collections on every file, text or bytes."""
+    for raw in (text, text.encode()):
+        assert parse(raw).x.size == 5000
+        assert gen0_collections(lambda: parse(raw)) == 0
+
+
+def test_parsing_a_sweep_of_the_north_star_size_peaks_under_5_5_mb():
+    """The 100,000-row reference sweep, as bytes (2.6 MB), peaks at 4.8 MB
+    under tracemalloc: its 2.4 MB of columns, a copy of them while several
+    blocks are joined, and one block's values at a time. A reader that
+    decoded the whole text and kept a str per line peaked at 12.4 MB."""
+    data = serialize_series(solve_reference(three_stage_profile(), 100_000).as_series()).encode()
+    tracemalloc.start()
+    try:
+        series = parse_series(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series.n) == 100_000
+    assert peak < 5.5e6
 
 
 @pytest.mark.parametrize("block_lines", [4096, 2], ids=["one-block", "blocks-of-two"])
@@ -1285,7 +1397,7 @@ def test_unquoted_bodies_of_one_width_are_cut_without_a_row_loop(monkeypatch, pa
 def test_a_json_word_or_object_in_an_unread_column_sends_the_block_to_the_row_loop(monkeypatch, cell):
     """true, false and objects are the JSON values left that are not numbers:
     a block holding one, read or not, is cut line by line, to the same series."""
-    assert ingest._json_columns(["1,2.5,0", f"2,3.5,{cell}"], (0, 1), (int, float)) is None
+    assert ingest._json_columns(f"1,2.5,0\n2,3.5,{cell}\n".encode(), (0, 1), (int, float)) is None
     expected, text = parse_series("n,x,r\n1,1.5,0.1\n2,2.5,0.2\n"), f"n,x,r,note\n1,1.5,0.1,0\n2,2.5,0.2,{cell}\n"
     calls = _spied_cutters(monkeypatch)
     assert parse_series(text) == expected
@@ -1427,8 +1539,7 @@ def test_float_cells_read_as_float_reads_them_for_every_bit_pattern(bits):
             accepted.clear()
             # one cell a line, any sign, NaN and the infinities, against float() itself
             texts = list(map(write, values))
-            column = np.empty(len(texts))
-            ingest._convert(texts, (0,), (float,), [column], 0)
+            _, (column,), _ = ingest._convert("\n".join(texts).encode(), (0,), (float,))
             assert column.view(np.uint64).tolist() == [_bits_of(float(text)) for text in texts]
             # the magnitudes (and -0.0, which the value checks pass) as files, against the row loops
             texts = [write(v if v == 0 else abs(v)) for v in values]
@@ -1446,8 +1557,7 @@ def test_integer_negative_zero_in_a_float_column_reads_as_float_does(cell):
     """``-0`` is the one integer text whose orjson int (0) and float() (-0.0)
     differ, so a block holding it, wherever and however it ends, is not read as ints."""
     for block in (["1", cell, "2"], ["1", "2", cell]):
-        column = np.empty(3)
-        ingest._convert(block, (0,), (float,), [column], 0)
+        _, (column,), _ = ingest._convert("\n".join(block).encode(), (0,), (float,))
         assert column.view(np.uint64).tolist() == [_bits_of(float(text)) for text in block]
 
 
